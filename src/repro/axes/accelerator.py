@@ -28,9 +28,10 @@ document, and without a single label comparison.
 Incremental maintenance: the accelerator subscribes to the document's
 :class:`~repro.updates.document.StructuralDelta` stream.  Inserts and
 deletes are positional splices with window repair (O(n - position)
-pointer moves, no label work); consolidated batch relabellings and
-transaction rollbacks publish ``rebuild`` deltas that mark the index
-dirty for a lazy full rebuild at the next query.  The document's
+pointer moves, no label work), rollbacks included: they publish the
+inverse inserts and deletes of what they undo.  Only consolidated batch
+relabellings (and their rollback) publish ``rebuild`` deltas that mark
+the index dirty for a lazy full rebuild at the next query.  The document's
 ``structure_version`` stamp closes the remaining hole: a structural
 mutation the index did not consume (a detached index, a mid-batch
 deferred insert, a tree mutated behind the document's back) makes the
@@ -71,11 +72,12 @@ class AxisAccelerator:
     ``attach=True`` (default) subscribes the index to the document's
     structural-delta stream, so per-operation inserts/deletes/moves are
     folded in as positional splices and the index stays current without
-    rebuilds; batch consolidations and rollbacks mark it dirty and the
-    next query rebuilds lazily.  A detached index (``attach=False``) is
-    a static snapshot: after any structural change its queries raise
-    :class:`StaleIndexError` until :meth:`refresh` — unless
-    ``auto_refresh=True``, which rebuilds silently instead.
+    rebuilds, across rollbacks too; batch consolidations mark it dirty
+    and the next query rebuilds lazily.  A detached index
+    (``attach=False``) is a static snapshot: after any structural
+    change its queries raise :class:`StaleIndexError` until
+    :meth:`refresh` — unless ``auto_refresh=True``, which rebuilds
+    silently instead.
 
     ``rebuild_threshold`` bounds incremental relabel handling: one
     relabelling that touches more than this fraction of the index (a

@@ -474,8 +474,7 @@ def _observed_workload(args: argparse.Namespace) -> None:
             if points and index % every == 0:
                 for point in points:
                     injector.arm(point)
-            # Rollback swaps the live tree, so node references must be
-            # re-resolved from the document each round.
+            # Committed appends add targets: re-read them each round.
             targets = [
                 node for node in ldoc.document.all_nodes() if node.is_element
             ]

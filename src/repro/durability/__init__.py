@@ -6,7 +6,9 @@ process.  Three layers compose:
 
 * :mod:`repro.durability.transactions` — :class:`Transaction` /
   :class:`UndoRecord`: every update scope either commits whole or rolls
-  the document (tree, labels, label index, counters) back whole;
+  the document (tree, labels, label index, counters) back whole, by
+  replaying the document's undo log to the scope's savepoint — capture
+  is O(1), rollback O(change), and node references stay valid;
 * :mod:`repro.durability.journal` — :class:`Journal` / :func:`recover`:
   committed transactions are write-ahead-logged as declarative
   operations over a base snapshot and replay to bit-identical labels

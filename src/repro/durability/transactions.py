@@ -8,26 +8,31 @@ the document half-mutated and partially unlabelled — exactly the corrupt
 intermediate state an "XML repository in mainstream industry" must never
 expose.  This module makes every update path atomic:
 
-* :class:`UndoRecord` captures one document's full restorable state —
-  the tree (cloned with node ids preserved), the label map, the label
-  index and the update-log counters — and puts it back on demand.
+* :class:`UndoRecord` is a savepoint in the document's undo log.  While
+  any record is open, every label and label-index write, tree attach and
+  detach, content update and whole-map relabelling appends its inverse
+  to the log, so opening a record costs O(1) and rolling it back costs
+  what changed since, not the size of the document.
 * :class:`Transaction` is the ``with`` layer over an undo record: clean
   exit commits, an exception rolls the document back completely.  Given
   a :class:`~repro.durability.journal.Journal` it also write-ahead-logs
   every operation issued through it, so a committed transaction survives
   a process crash via journal replay.
 
-Rollback restores *state*, not object graphs: the captured clone becomes
-the live tree, so every node reference held across a rollback — whether
-obtained inside the scope or before it — is stale and must be re-resolved
-through queries on the document (which itself stays the same object, as
-do the labels keyed by node id).
+Rollback replays the log newest first through the tree's own
+``insert_child``/``remove_child``, putting back the very node objects
+that were removed: node references held across a rollback stay valid
+(nodes created inside the scope are detached again), and delta
+subscribers such as the axis accelerator receive the inverse
+``insert``/``delete`` deltas and splice instead of rebuilding.  Node ids
+are never rewound, so ids stay unique across rollbacks.  A batch opened
+inside a transaction rolls back only to its own savepoint; committing
+the outermost scope drops the log.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.durability.faults import maybe_fail
 from repro.errors import TransactionError, UpdateError
@@ -54,57 +59,49 @@ _LOG_FIELDS = (
 
 
 class UndoRecord:
-    """A full restorable snapshot of one :class:`LabeledDocument`.
+    """A savepoint in one :class:`LabeledDocument`'s undo log.
 
-    The tree is captured via :meth:`~repro.xmlmodel.tree.Document.clone`
-    (node ids preserved, so the captured label map stays keyed
-    correctly); labels, label index and log counters are captured as
-    plain copies.  :meth:`rollback` puts everything back onto the *same*
-    document object, bumps the document's ``rollbacks`` counter (which
-    versions the repository indexes), and invalidates the scheme's
-    comparison cache.
+    Capture is O(1): the record marks the current end of the log and
+    saves the seven restorable :class:`~repro.updates.document.UpdateLog`
+    counters and ``last_batch_result`` by value.  :meth:`rollback`
+    undoes every change logged since, onto the *same* document and node
+    objects, bumps the document's ``rollbacks`` counter (which versions
+    the repository indexes) and invalidates the scheme's comparison
+    cache, closing the record and any record opened after it;
+    :meth:`release` keeps the changes and closes the record alone.
     """
 
     def __init__(self, ldoc: "LabeledDocument"):
         self._ldoc = ldoc
-        self._tree = ldoc.document.clone()
-        self._next_id = max(
-            (node.node_id for node in ldoc.document.all_nodes()), default=-1
-        ) + 1
-        self._labels: Dict[int, Any] = dict(ldoc.labels)
-        self._index: Dict[Any, int] = dict(ldoc._label_index)
-        self._log = {
+        ldoc._open_undo_scope(self)
+        self._counters = {
             name: getattr(ldoc.log, name) for name in _LOG_FIELDS
         }
         self._last_batch_result = ldoc.last_batch_result
 
     def rollback(self) -> None:
-        """Restore the captured state onto the document, in place."""
+        """Undo every change since the capture, in place, and close.
+
+        A no-op once the record is closed: released, or rolled back —
+        directly or by a record opened before it.
+        """
         from repro.schemes.cache import comparison_cache_for
 
         ldoc = self._ldoc
-        document = ldoc.document
-        root = self._tree.root
-        if root is not None:
-            for node in root.preorder():
-                node.document = document
-        document.root = root
-        document._next_id = itertools.count(self._next_id)
-        ldoc.labels = dict(self._labels)
-        ldoc._label_index = dict(self._index)
-        for name, value in self._log.items():
+        if not ldoc._close_undo_scope(self, rollback=True):
+            return
+        for name, value in self._counters.items():
             setattr(ldoc.log, name, value)
         ldoc.last_batch_result = self._last_batch_result
         # The rollback itself is observable: it versions the secondary
         # indexes (their refresh stamp includes it) and memoized
-        # comparisons of labels that no longer exist are dropped.  The
-        # tree swap bypasses insert_child/remove_child, so the structure
-        # version is bumped by hand and delta subscribers are told to
-        # rebuild.
+        # comparisons of labels that no longer exist are dropped.
         ldoc.log.record("rollbacks")
-        document.note_structural_change()
-        ldoc._publish_rebuild("rollback")
         comparison_cache_for(ldoc.scheme).invalidate()
+
+    def release(self) -> None:
+        """Keep every change since the capture and close the record."""
+        self._ldoc._close_undo_scope(self, rollback=False)
 
 
 class Transaction:
@@ -154,9 +151,9 @@ class Transaction:
             self.rollback()
         elif self._state == "active":
             # Commit can refuse before reaching its own rollback-wrapped
-            # section (e.g. a batch with unapplied operations).  On the
-            # clean-exit path nobody is left to resolve the scope, so the
-            # error must still leave the document decided: rolled back.
+            # section (e.g. a batch still open).  On the clean-exit path
+            # nobody is left to resolve the scope, so the error must
+            # still leave the document decided: rolled back.
             try:
                 self.commit()
             except Exception:
@@ -191,9 +188,11 @@ class Transaction:
         """
         self._require_active()
         ldoc = self._ldoc
-        if ldoc._active_batch is not None and ldoc._active_batch.pending:
+        if ldoc._active_batch is not None:
+            # Its later rollback would undo work this commit made durable.
             raise TransactionError(
-                "cannot commit while a batch has unapplied operations"
+                "cannot commit while a batch is open; apply or roll it "
+                "back first"
             )
         from repro.observability.ops import get_oplog
 
@@ -211,6 +210,7 @@ class Transaction:
                     self.rollback()
                     raise
                 self._state = "committed"
+                self._undo.release()
                 self._undo = None
                 ldoc._active_txn = None
                 self._metric_commits.increment()
@@ -230,10 +230,10 @@ class Transaction:
                                   journaled=self._journal is not None):
             op.set(outcome="rollback")
             # A batch opened inside the scope and still live at rollback
-            # time is subsumed: the undo record predates it.  Close it
-            # too, so a caller still holding the reference cannot keep
-            # mutating the rolled-back document against stale node
-            # references.
+            # time is subsumed: its savepoint lies after this one, and the
+            # replay closes it.  Close the batch object too, so a caller
+            # still holding it cannot keep mutating the rolled-back
+            # document as if its operations had survived.
             batch = ldoc._active_batch
             if batch is not None:
                 batch._applied = True
@@ -257,8 +257,17 @@ class Transaction:
     # -- the journalable update surface ----------------------------------
 
     def apply(self, operation: Operation) -> Optional["UpdateResult"]:
-        """Journal one declarative operation, then apply it."""
+        """Journal one declarative operation, then apply it.
+
+        Refused while a batch is open: the batch's rollback would undo
+        an operation the journal already holds.
+        """
         self._require_active()
+        if self._ldoc._active_batch is not None:
+            raise TransactionError(
+                "cannot journal an operation while a batch is open; apply "
+                "or roll it back first"
+            )
         if self._journal is not None:
             self._journal.append(operation)
         return dispatch_operation(self._ldoc.updates, self._ldoc, operation)

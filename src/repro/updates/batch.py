@@ -237,10 +237,7 @@ class UpdateBatch:
         ]
         old_parent.remove_child(node)
         relabeled = ldoc.scheme.on_delete(ldoc.document, ldoc.labels, node.node_id)
-        for node_id in moved_ids:
-            label = ldoc.labels.pop(node_id, None)
-            if label is not None and ldoc._label_index.get(label) == node_id:
-                del ldoc._label_index[label]
+        ldoc._drop_labels(moved_ids)
         ldoc._publish_delete(node.node_id, moved_ids)
         self._pending.difference_update(moved_ids)
         combined = UpdateResult(kind="move", node=node)
@@ -323,7 +320,7 @@ class UpdateBatch:
                             if node_id in old_labels
                             and old_labels[node_id] != label
                         )
-                        ldoc.labels = new_labels
+                        ldoc._replace_labels(new_labels)
                         maybe_fail("batch.relabel")
                         ldoc._rebuild_label_index()
                         ldoc.log.record("relabel_events")
@@ -364,18 +361,21 @@ class UpdateBatch:
                    operations=batch_result.operations,
                    deferred=batch_result.deferred_labels)
         ldoc.last_batch_result = batch_result
-        self._undo = None
+        if self._undo is not None:
+            self._undo.release()
+            self._undo = None
         return batch_result
 
     def rollback(self) -> None:
         """Restore the pre-batch state completely and close the batch.
 
         Every structural mutation, label assignment and log increment
-        the batch made is undone; the document comes back exactly as it
-        was when the batch opened (labels, label index and
-        ``verify_order`` included).  A no-op after a successful
-        :meth:`apply` — committed work stays committed.  Used by the
-        context manager on exception.
+        made since the batch's first operation is undone, back to the
+        batch's own savepoint in the undo log (an enclosing transaction
+        stays open); the document comes back exactly as it was when the
+        batch opened (labels, label index and ``verify_order``
+        included).  A no-op after a successful :meth:`apply` — committed
+        work stays committed.  Used by the context manager on exception.
         """
         from repro.observability.ops import get_oplog
 
@@ -429,9 +429,10 @@ class UpdateBatch:
     def _prepare(self) -> None:
         """Gate one mutating operation: open check + lazy undo capture.
 
-        The undo record is captured immediately before the batch's first
-        mutation, so no-op batches stay free and the captured state is
-        exactly what :meth:`rollback` must restore.
+        The undo record (a savepoint in the document's undo log) is
+        opened immediately before the batch's first mutation, so no-op
+        batches log nothing and the savepoint is exactly what
+        :meth:`rollback` must return to.
         """
         self._check_open()
         if self._undo is None:

@@ -13,6 +13,17 @@ and keeps the books the evaluation framework reads:
 
 Content updates (text, attribute values, renames) never touch labels —
 the paper's structural/content distinction from section 3.1.
+
+While a transaction, a batch or a manual
+:class:`~repro.durability.transactions.UndoRecord` is open, every change
+also appends its inverse to the document's undo log: the old value of
+each label and label-index key written, each tree attach and detach
+(recorded by the tree itself), the old text children, name or value of
+a content update, and the old label map and index objects when a batch
+or :meth:`LabeledDocument.relabel_document` replaces them whole.  An
+undo record is a savepoint in that log; rolling back replays it newest
+first, so capture and rollback cost what the scope changed, not what
+the document holds.
 """
 
 from __future__ import annotations
@@ -28,6 +39,9 @@ from repro.schemes.base import LabelingScheme, SiblingInsertContext
 from repro.updates.results import UpdateResult, UpdateSurface, _maybe_warn_legacy
 from repro.xmlmodel.tree import Document, NodeKind, XMLNode
 
+#: Undo-log value for "this key was absent before the write".
+_ABSENT = object()
+
 
 @dataclass
 class StructuralDelta:
@@ -42,9 +56,11 @@ class StructuralDelta:
       ``removed_ids`` lists every labelled-kind node id that went with it;
     * ``"relabel"`` — ``count`` existing nodes changed label without any
       node changing document-order position;
-    * ``"rebuild"`` — the label space was replaced wholesale (batch
-      consolidation, transaction rollback); incremental repair is not
-      possible and subscribers must rebuild.
+    * ``"rebuild"`` — the label space was replaced wholesale: a batch's
+      consolidated relabelling, or the rollback of one.  Incremental
+      repair is not possible and subscribers must rebuild.  Other
+      rollbacks publish the inverse ``insert``/``delete`` deltas of
+      what they undo.
 
     ``structure_version`` is the document's
     :attr:`~repro.xmlmodel.tree.Document.structure_version` at publish
@@ -134,6 +150,8 @@ class LabeledDocument:
         self._active_txn = None
         self._delta_listeners: List[Any] = []
         self.last_batch_result = None
+        self._undo_log: Optional[List[tuple]] = None
+        self._undo_scopes: List[tuple] = []
         self._rebuild_label_index()
 
     @classmethod
@@ -155,6 +173,8 @@ class LabeledDocument:
         instance._active_txn = None
         instance._delta_listeners = []
         instance.last_batch_result = None
+        instance._undo_log = None
+        instance._undo_scopes = []
         instance._rebuild_label_index()
         return instance
 
@@ -220,7 +240,7 @@ class LabeledDocument:
             1 for node_id, label in new.items()
             if old.get(node_id) != label
         )
-        self.labels = new
+        self._replace_labels(new)
         self._rebuild_label_index()
         comparison_cache_for(self.scheme).invalidate()
         self._publish_relabel(changed)
@@ -259,11 +279,11 @@ class LabeledDocument:
     def transaction(self, journal: Any = None) -> "Any":
         """Open an atomic :class:`~repro.durability.transactions.Transaction`.
 
-        A clean exit commits; any exception restores the document —
-        tree, labels, label index and log counters — to the state at
-        entry.  Pass a :class:`~repro.durability.journal.Journal` to
-        write-ahead-log the operations issued through the transaction
-        surface for crash recovery::
+        A clean exit commits; any exception undoes the scope's changes
+        to the tree, labels, label index and log counters.  Pass a
+        :class:`~repro.durability.journal.Journal` to write-ahead-log
+        the operations issued through the transaction surface for crash
+        recovery::
 
             with ldoc.transaction() as txn:
                 txn.append_child(parent, "entry")
@@ -477,10 +497,7 @@ class LabeledDocument:
         relabeled = self.scheme.on_delete(
             self.document, self.labels, node.node_id
         )
-        for node_id in removed_ids:
-            label = self.labels.pop(node_id, None)
-            if label is not None and self._label_index.get(label) == node_id:
-                del self._label_index[label]
+        self._drop_labels(removed_ids)
         self._publish_delete(node.node_id, removed_ids)
         result = UpdateResult(kind="delete", node=None,
                               nodes_detached=len(removed_ids))
@@ -549,10 +566,7 @@ class LabeledDocument:
         relabeled = self.scheme.on_delete(
             self.document, self.labels, node.node_id
         )
-        for node_id in moved_ids:
-            label = self.labels.pop(node_id, None)
-            if label is not None and self._label_index.get(label) == node_id:
-                del self._label_index[label]
+        self._drop_labels(moved_ids)
         self._publish_delete(node.node_id, moved_ids)
         combined = UpdateResult(kind="move", node=node,
                                 nodes_detached=len(moved_ids))
@@ -582,6 +596,9 @@ class LabeledDocument:
     def _do_set_text(self, element: XMLNode, text: str) -> UpdateResult:
         if not element.is_element:
             raise UpdateError("set_text targets element nodes")
+        if self._undo_log is not None:
+            # The list object itself: set_text installs a new one.
+            self._undo_log.append(("children", element, element.children))
         element.children = [
             child for child in element.children if not child.is_text
         ]
@@ -598,6 +615,8 @@ class LabeledDocument:
                                 value: str) -> UpdateResult:
         if not attribute.is_attribute:
             raise UpdateError("set_attribute_value targets attribute nodes")
+        if self._undo_log is not None:
+            self._undo_log.append(("value", attribute, attribute.value))
         attribute.value = value
         self.log.record("content_updates")
         return UpdateResult(kind="content", node=attribute,
@@ -610,6 +629,8 @@ class LabeledDocument:
     def _do_rename(self, node: XMLNode, name: str) -> UpdateResult:
         if not node.kind.is_labeled:
             raise UpdateError("rename targets element or attribute nodes")
+        if self._undo_log is not None:
+            self._undo_log.append(("name", node, node.name))
         node.name = name
         self.log.record("content_updates")
         return UpdateResult(kind="content", node=node,
@@ -775,9 +796,9 @@ class LabeledDocument:
         for node_id, label in relabeled.items():
             maybe_fail("document.relabel")
             old = self.labels.get(node_id)
-            if old is not None and self._label_index.get(self._hashable(old)) == node_id:
-                del self._label_index[self._hashable(old)]
-            self.labels[node_id] = label
+            if old is not None:
+                self._unindex(node_id, old)
+            self._set_label(node_id, label)
         for node_id, label in relabeled.items():
             self._index(node_id, label)
         # A relabelling pass retires label values wholesale; drop the
@@ -788,36 +809,191 @@ class LabeledDocument:
 
     def _assign(self, node_id: int, label: Any) -> None:
         key = self._hashable(label)
-        existing = self._label_index.get(key)
-        if existing is not None and existing != node_id:
-            self.log.record("collisions")
-            if self.on_collision == "raise":
-                self.labels[node_id] = label  # keep state observable
-                raise LabelCollisionError(
-                    f"{self.scheme.metadata.name} assigned duplicate label "
-                    f"{self.scheme.format_label(label)!r} to nodes "
-                    f"{existing} and {node_id}"
-                )
-        self.labels[node_id] = label
-        self._label_index[key] = node_id
+        if self._collides(key, node_id):
+            self._set_label(node_id, label)  # keep state observable
+            raise LabelCollisionError(
+                f"{self.scheme.metadata.name} assigned duplicate label "
+                f"{self.scheme.format_label(label)!r} to nodes "
+                f"{self._label_index[key]} and {node_id}"
+            )
+        self._set_label(node_id, label)
+        self._set_index(key, node_id)
 
     def _index(self, node_id: int, label: Any) -> None:
         key = self._hashable(label)
+        if self._collides(key, node_id):
+            raise LabelCollisionError(
+                f"{self.scheme.metadata.name} relabelled node {node_id} "
+                f"onto an existing label"
+            )
+        self._set_index(key, node_id)
+
+    def _collides(self, key: Any, node_id: int) -> bool:
+        """Count a collision if ``key`` indexes another node; True if fatal."""
         existing = self._label_index.get(key)
-        if existing is not None and existing != node_id:
-            self.log.record("collisions")
-            if self.on_collision == "raise":
+        if existing is None or existing == node_id:
+            return False
+        self.log.record("collisions")
+        return self.on_collision == "raise"
+
+    def _rebuild_label_index(self) -> None:
+        # A fresh dict, filled without undo entries: every rebuild inside
+        # a scope follows _replace_labels, whose entry keeps the old index.
+        self._label_index = {}
+        for node_id, label in self.labels.items():
+            key = self._hashable(label)
+            if self._collides(key, node_id):
                 raise LabelCollisionError(
                     f"{self.scheme.metadata.name} relabelled node {node_id} "
                     f"onto an existing label"
                 )
-        self._label_index[key] = node_id
-
-    def _rebuild_label_index(self) -> None:
-        self._label_index = {}
-        for node_id, label in self.labels.items():
-            self._index(node_id, label)
+            self._label_index[key] = node_id
 
     @staticmethod
     def _hashable(label: Any) -> Any:
         return label
+
+    # ------------------------------------------------------------------
+    # Label writes (each logs its inverse while an undo scope is open)
+    # ------------------------------------------------------------------
+
+    def _set_label(self, node_id: int, label: Any) -> None:
+        if self._undo_log is not None:
+            self._undo_log.append(
+                ("label", node_id, self.labels.get(node_id, _ABSENT))
+            )
+        self.labels[node_id] = label
+
+    def _set_index(self, key: Any, node_id: int) -> None:
+        if self._undo_log is not None:
+            self._undo_log.append(
+                ("index", key, self._label_index.get(key, _ABSENT))
+            )
+        self._label_index[key] = node_id
+
+    def _unindex(self, node_id: int, label: Any) -> None:
+        """Drop ``label``'s index entry if it still names ``node_id``."""
+        key = self._hashable(label)
+        if self._label_index.get(key) == node_id:
+            if self._undo_log is not None:
+                self._undo_log.append(("index", key, node_id))
+            del self._label_index[key]
+
+    def _drop_labels(self, node_ids: List[int]) -> None:
+        """Unlabel detached nodes: their labels and index entries go."""
+        for node_id in node_ids:
+            label = self.labels.pop(node_id, None)
+            if label is None:
+                continue
+            if self._undo_log is not None:
+                self._undo_log.append(("label", node_id, label))
+            self._unindex(node_id, label)
+
+    def _replace_labels(self, labels: Dict[int, Any]) -> None:
+        """Install a whole new label map; the caller rebuilds the index.
+
+        One undo entry keeps the old map and index objects, so a
+        rollback restores both without logging the rebuild key by key.
+        """
+        if self._undo_log is not None:
+            self._undo_log.append(("labels", self.labels, self._label_index))
+        self.labels = labels
+
+    # ------------------------------------------------------------------
+    # Undo scopes (UndoRecord savepoints) and rollback
+    # ------------------------------------------------------------------
+
+    def _open_undo_scope(self, scope: Any) -> None:
+        """Start logging (if not already) and mark ``scope``'s savepoint."""
+        if self._undo_log is None:
+            self._undo_log = []
+            self.document._undo_log = self._undo_log
+        self._undo_scopes.append((scope, len(self._undo_log)))
+
+    def _close_undo_scope(self, scope: Any, rollback: bool) -> bool:
+        """Close ``scope``, with ``rollback`` after replaying its changes.
+
+        A rollback replays the log back to ``scope``'s savepoint and so
+        also closes every scope opened after it.  Closing the last open
+        scope drops the log.  Returns False (doing nothing) if ``scope``
+        is not open.
+        """
+        scopes = self._undo_scopes
+        for depth, (candidate, savepoint) in enumerate(scopes):
+            if candidate is scope:
+                break
+        else:
+            return False
+        if rollback:
+            self._rollback_to(savepoint)
+            del scopes[depth:]
+        else:
+            del scopes[depth]
+        if not scopes:
+            self._undo_log = None
+            self.document._undo_log = None
+        return True
+
+    def _rollback_to(self, savepoint: int) -> None:
+        """Undo every logged change after ``savepoint``, newest first.
+
+        Tree entries replay through ``insert_child``/``remove_child``
+        (so ``structure_version`` only moves forward) and publish the
+        inverse ``insert``/``delete`` deltas; the node objects put back
+        are the ones removed, so references held across the rollback
+        stay valid.  Undoing a whole-map replacement publishes
+        ``rebuild``.
+        """
+        log = self._undo_log
+        self.document._undo_log = None  # the replay must not log itself
+        try:
+            while len(log) > savepoint:
+                entry = log.pop()
+                tag = entry[0]
+                if tag == "label":
+                    _tag, node_id, old = entry
+                    if old is _ABSENT:
+                        self.labels.pop(node_id, None)
+                    else:
+                        self.labels[node_id] = old
+                elif tag == "index":
+                    _tag, key, old = entry
+                    if old is _ABSENT:
+                        self._label_index.pop(key, None)
+                    else:
+                        self._label_index[key] = old
+                elif tag == "attach":
+                    self._undo_attach(entry[1])
+                elif tag == "detach":
+                    _tag, node, parent, index = entry
+                    self._undo_detach(node, parent, index)
+                elif tag == "children":
+                    _tag, element, children = entry
+                    for child in children:
+                        child.parent = element
+                    element.children = children
+                elif tag == "name":
+                    entry[1].name = entry[2]
+                elif tag == "value":
+                    entry[1].value = entry[2]
+                else:  # "labels"
+                    self.labels, self._label_index = entry[1], entry[2]
+                    self._publish_rebuild("rollback")
+        finally:
+            self.document._undo_log = log
+
+    def _undo_attach(self, node: XMLNode) -> None:
+        node.parent.remove_child(node)
+        if node.kind.is_labeled and self._delta_listeners:
+            self._publish_delete(node.node_id, [
+                child.node_id for child in node.preorder()
+                if child.kind.is_labeled
+            ])
+
+    def _undo_detach(self, node: XMLNode, parent: XMLNode,
+                     index: int) -> None:
+        parent.insert_child(index, node)
+        if node.kind.is_labeled and self._delta_listeners:
+            for child in node.preorder():
+                if child.node_id in self.labels:
+                    self._publish_insert(child)

@@ -72,14 +72,29 @@ class Operation:
 
 def _element_at(ldoc: LabeledDocument, position: int,
                 exclude_root: bool = False) -> Optional[XMLNode]:
-    elements = [
-        node for node in ldoc.document.all_nodes() if node.is_element
-    ]
-    if exclude_root:
-        elements = [node for node in elements if node.parent is not None]
-    if not elements:
+    """The element at ``position`` (modulo the count) in document order.
+
+    Descends from the root by the subtree element counts of each level's
+    children: O(depth x fan-out), not a listing of every element.
+    """
+    root = ldoc.document.root
+    skip = 1 if exclude_root else 0
+    if root is None or root.elements <= skip:
         return None
-    return elements[position % len(elements)]
+    rank = position % (root.elements - skip) + skip
+    node = root
+    while rank:
+        rank -= 1  # step past ``node``; ``rank`` now counts into its children
+        for child in node.children:
+            if rank < child.elements:
+                node = child
+                break
+            rank -= child.elements
+        else:
+            raise UpdateError(
+                f"element counts under node {node.node_id} are out of date"
+            )
+    return node
 
 
 def element_position(ldoc: LabeledDocument, node: XMLNode,
@@ -88,21 +103,28 @@ def element_position(ldoc: LabeledDocument, node: XMLNode,
 
     The inverse of the positional resolver: transactions use it to
     serialise a node-targeted call as a declarative :class:`Operation`
-    that replays onto the same node.  Raises
-    :class:`~repro.errors.UpdateError` when ``node`` is not a targetable
-    element (non-elements, and the root when ``exclude_root``).
+    that replays onto the same node.  The rank is summed up the ancestor
+    chain from the element counts of preceding siblings, in
+    O(depth x fan-out).  Raises :class:`~repro.errors.UpdateError` when
+    ``node`` is not a targetable element (non-elements, nodes outside
+    the document, and the root when ``exclude_root``).
     """
-    elements = [
-        candidate for candidate in ldoc.document.all_nodes()
-        if candidate.is_element
-        and not (exclude_root and candidate.parent is None)
-    ]
-    for index, candidate in enumerate(elements):
-        if candidate is node:
-            return index
-    raise UpdateError(
-        f"node {node!r} is not a positionally addressable element"
-    )
+    rank = 0
+    child = node
+    while child.parent is not None:
+        parent = child.parent
+        rank += 1  # the parent precedes its whole subtree
+        for sibling in parent.children:
+            if sibling is child:
+                break
+            rank += sibling.elements
+        child = parent
+    if (not node.is_element or child is not ldoc.document.root
+            or (exclude_root and node is child)):
+        raise UpdateError(
+            f"node {node!r} is not a positionally addressable element"
+        )
+    return rank - 1 if exclude_root else rank
 
 
 def dispatch_operation(surface, ldoc: LabeledDocument, operation: Operation):

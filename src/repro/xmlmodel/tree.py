@@ -47,9 +47,16 @@ class XMLNode:
     ``node_id``.  The id is the *identity* used throughout the package:
     labelling schemes map ``node_id -> label`` and never hold node
     references, which keeps relabelling and persistence accounting honest.
+
+    ``elements`` is the number of element nodes in the subtree rooted
+    here, the node itself included.  :meth:`insert_child` and
+    :meth:`remove_child` keep it current along the ancestor chain, so a
+    node's rank among the document's elements is found from the counts
+    on its ancestors' children instead of by listing every element.
     """
 
-    __slots__ = ("node_id", "kind", "name", "value", "parent", "children", "document")
+    __slots__ = ("node_id", "kind", "name", "value", "parent", "children",
+                 "document", "elements")
 
     def __init__(
         self,
@@ -66,6 +73,7 @@ class XMLNode:
         self.value = value
         self.parent: Optional[XMLNode] = None
         self.children: List[XMLNode] = []
+        self.elements = 1 if kind is NodeKind.ELEMENT else 0
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -210,8 +218,12 @@ class XMLNode:
         child.parent = self
         self.children.insert(index, child)
         self._check_attribute_ordering(child, index)
+        self._add_elements(child.elements)
         if child.kind.is_labeled:
             self.document.note_structural_change()
+        undo_log = self.document._undo_log
+        if undo_log is not None:
+            undo_log.append(("attach", child))
         return child
 
     def remove_child(self, child: "XMLNode") -> "XMLNode":
@@ -219,9 +231,20 @@ class XMLNode:
         index = self.child_index(child)
         del self.children[index]
         child.parent = None
+        self._add_elements(-child.elements)
         if child.kind.is_labeled:
             self.document.note_structural_change()
+        undo_log = self.document._undo_log
+        if undo_log is not None:
+            undo_log.append(("detach", child, self, index))
         return child
+
+    def _add_elements(self, count: int) -> None:
+        """Add ``count`` to the element counts of this node and its ancestors."""
+        node = self
+        while count and node is not None:
+            node.elements += count
+            node = node.parent
 
     def _validate_new_child(self, child: "XMLNode") -> None:
         if child.document is not self.document:
@@ -266,17 +289,24 @@ class Document:
         self._next_id = itertools.count()
         self.root: Optional[XMLNode] = None
         self._structure_version = 0
+        #: The undo log of the open transaction or batch scope on this
+        #: tree, if any: :meth:`XMLNode.insert_child` appends
+        #: ``("attach", child)`` and :meth:`XMLNode.remove_child`
+        #: ``("detach", child, parent, index)`` while it is set.  The
+        #: owning :class:`~repro.updates.document.LabeledDocument` sets
+        #: and replays it.
+        self._undo_log: Optional[list] = None
 
     @property
     def structure_version(self) -> int:
         """Monotonic counter of structural (labelled-node) mutations.
 
         Bumped whenever a labelled node is attached to or detached from
-        the tree (text/comment/PI churn never moves it), and manually by
-        state restorers that replace the tree wholesale (transaction
-        rollback).  Derived indexes stamp themselves with this value so
-        a stale index can refuse to answer instead of silently serving
-        results for a shape the document no longer has.
+        the tree (text/comment/PI churn never moves it), including by a
+        rollback, which replays its inverse attaches and detaches
+        through the same calls.  Derived indexes stamp themselves with
+        this value so a stale index can refuse to answer instead of
+        silently serving results for a shape the document no longer has.
         """
         return self._structure_version
 
@@ -402,8 +432,9 @@ class Document:
     def validate(self) -> None:
         """Check structural invariants; raises TreeStructureError on breakage.
 
-        Verifies parent/child pointer symmetry, unique node ids and that
-        attributes precede content children.
+        Verifies parent/child pointer symmetry, unique node ids, that
+        attributes precede content children and that every node's
+        ``elements`` count equals a recount of its subtree.
         """
         seen_ids = set()
         for node in self.all_nodes():
@@ -411,6 +442,7 @@ class Document:
                 raise TreeStructureError(f"duplicate node id {node.node_id}")
             seen_ids.add(node.node_id)
             content_seen = False
+            elements = int(node.is_element)
             for child in node.children:
                 if child.parent is not node:
                     raise TreeStructureError(
@@ -423,6 +455,12 @@ class Document:
                         )
                 else:
                     content_seen = True
+                elements += child.elements
+            if node.elements != elements:
+                raise TreeStructureError(
+                    f"node {node.node_id} counts {node.elements} elements "
+                    f"in its subtree, not {elements}"
+                )
 
     def clone(self) -> "Document":
         """Deep copy preserving node ids (for before/after comparisons)."""
@@ -433,6 +471,7 @@ class Document:
 
         def clone_node(node: XMLNode) -> XMLNode:
             duplicate = XMLNode(copy, node.node_id, node.kind, node.name, node.value)
+            duplicate.elements = node.elements
             for child in node.children:
                 child_copy = clone_node(child)
                 child_copy.parent = duplicate

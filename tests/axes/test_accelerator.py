@@ -8,13 +8,16 @@ stale windows.
 """
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import all_scheme_names, fresh_random_document, labeled
 from repro.axes.accelerator import ACCELERATED_AXES, AxisAccelerator
 from repro.axes.evaluator import AxisEvaluator
-from repro.errors import StaleIndexError
+from repro.errors import ReproError, StaleIndexError
+from repro.observability.metrics import get_registry
 from repro.store.repository import open_repository
 from repro.xmlmodel.parser import parse
+from update_programs import STRUCTURAL_KINDS, programs, run_program
 
 AXES = sorted(ACCELERATED_AXES)
 
@@ -246,3 +249,35 @@ class TestEvaluatorRouting:
         # Updates flow through the attached accelerator transparently.
         stored.ldoc.updates.append_child(stored.ldoc.document.root, "b")
         assert len(stored.xpath("/a/b")) == 3
+
+
+class TestRollbackSplices:
+    """A rollback publishes inverse deltas: the index splices, not rebuilds."""
+
+    @pytest.mark.parametrize("scheme_name", all_scheme_names())
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(program=programs(STRUCTURAL_KINDS, max_size=6))
+    def test_rolled_back_structural_transaction(self, scheme_name, program):
+        ldoc = labeled(fresh_random_document(40, seed=13), scheme_name)
+        accelerator = AxisAccelerator(ldoc)
+        registry = get_registry()
+        builds = registry.counter("axes.accelerator.builds")
+        storms = registry.counter("axes.accelerator.relabel_storms")
+        built, stormed = builds.value, storms.value
+        held = list(ldoc.document.labeled_nodes())
+        labels = [ldoc.label_of(node) for node in held]
+        with pytest.raises((RuntimeError, ReproError)):
+            with ldoc.transaction():
+                run_program(ldoc, ldoc.updates, program)
+                raise RuntimeError("roll back")
+        if storms.value == stormed:
+            # No relabel storm dirtied the index on the way in, so every
+            # change and its undo were splices.
+            assert not accelerator.stale
+            assert builds.value == built
+        assert_equivalent(ldoc, accelerator)
+        if storms.value == stormed:
+            assert builds.value == built
+        # The held references are the live nodes, labelled as before.
+        assert list(ldoc.document.labeled_nodes()) == held
+        assert [ldoc.label_of(node) for node in held] == labels

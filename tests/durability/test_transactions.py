@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import all_scheme_names, labeled
+from repro.durability.journal import Journal, recover
 from repro.durability.transactions import Transaction, UndoRecord
 from repro.errors import TransactionError
 from repro.store.repository import XMLRepository
@@ -58,15 +59,23 @@ class TestRollback:
                 raise RuntimeError("boom")
         assert fingerprint(ldoc) == before
 
-    def test_node_references_must_be_reresolved_after_rollback(self):
+    def test_node_references_stay_valid_across_rollback(self):
         ldoc = labeled(parse(SAMPLE), "dewey")
         stale_root = ldoc.document.root
+        held = list(ldoc.document.labeled_nodes())
+        labels = [ldoc.label_of(node) for node in held]
         with pytest.raises(RuntimeError):
             with ldoc.transaction():
+                first, second = stale_root.element_children()
+                ldoc.updates.delete(first.element_children()[0])
+                ldoc.updates.move(second, first, 0)
+                ldoc.updates.insert_before(first, "front")
                 raise RuntimeError("boom")
-        # The restored tree is the captured clone: same ids, new objects.
-        assert ldoc.document.root is not stale_root
-        assert ldoc.document.root.node_id == stale_root.node_id
+        # The undo log puts back the same node objects: nothing to
+        # re-resolve, and every held node is labelled as before.
+        assert ldoc.document.root is stale_root
+        assert list(ldoc.document.labeled_nodes()) == held
+        assert [ldoc.label_of(node) for node in held] == labels
 
     def test_subsumed_batch_is_closed_by_rollback(self):
         """Regression: rollback nulled ``_active_batch`` without closing
@@ -143,6 +152,47 @@ class TestCommit:
             txn.append_child(ldoc.document.root, "ok")
         ldoc.verify_order()
 
+    def test_commit_refuses_while_a_batch_is_open(self, tmp_path):
+        """Regression: commit refused only a batch with *pending* labels.
+
+        With a batch holding just a content update, the journaled append
+        below committed; the batch's later rollback then removed it from
+        the live document while ``recover()`` still replayed it.  Now
+        every step that would split the two is refused.
+        """
+        ldoc = labeled(parse(SAMPLE), "qed")
+        path = tmp_path / "lib.journal"
+        journal = Journal.create(path, ldoc, name="lib")
+        root = ldoc.document.root
+        txn = ldoc.transaction(journal=journal)
+        txn.begin()
+        batch = ldoc.batch()
+        batch.set_text(root.element_children()[0], "note")
+        # The batch's rollback would undo a journaled operation.
+        with pytest.raises(TransactionError):
+            txn.append_child(root, "journaled")
+        with pytest.raises(TransactionError):
+            txn.commit()
+        batch.rollback()
+        txn.append_child(root, "journaled")
+        txn.commit()
+        journal.close()
+        assert root.element_children()[-1].name == "journaled"
+        assert fingerprint(recover(path).ldoc) == fingerprint(ldoc)
+
+    def test_clean_exit_with_open_batch_rolls_back(self):
+        ldoc = labeled(parse(SAMPLE), "qed")
+        before = fingerprint(ldoc)
+        with pytest.raises(TransactionError):
+            with ldoc.transaction():
+                ldoc.updates.append_child(ldoc.document.root, "direct")
+                batch = ldoc.batch()
+                batch.set_text(ldoc.document.root.element_children()[0],
+                               "note")  # applied at once: nothing pending
+        assert fingerprint(ldoc) == before
+        assert ldoc._active_txn is None
+        assert ldoc._active_batch is None
+
 
 class TestGuards:
     def test_no_nested_transactions(self):
@@ -213,6 +263,47 @@ class TestUndoRecord:
         undo.rollback()
         assert fingerprint(ldoc) == before
         ldoc.verify_order()
+
+    def test_capture_is_a_savepoint_and_release_drops_the_log(self):
+        ldoc = labeled(parse(SAMPLE), "qed")
+        outer = UndoRecord(ldoc)
+        ldoc.updates.append_child(ldoc.document.root, "kept")
+        kept = fingerprint(ldoc)
+        inner = UndoRecord(ldoc)
+        ldoc.updates.append_child(ldoc.document.root, "undone")
+        inner.rollback()  # back to the inner savepoint only
+        assert fingerprint(ldoc) == kept
+        assert ldoc._undo_log is not None  # the outer record is open
+        outer.release()
+        assert ldoc._undo_log is None and ldoc.document._undo_log is None
+        outer.rollback()  # closed: nothing left to undo
+        assert fingerprint(ldoc) == kept
+        assert ldoc.log.rollbacks == 1
+
+    def test_outer_rollback_closes_inner_records(self):
+        ldoc = labeled(parse(SAMPLE), "qed")
+        before = fingerprint(ldoc)
+        outer = UndoRecord(ldoc)
+        ldoc.updates.append_child(ldoc.document.root, "first")
+        inner = UndoRecord(ldoc)
+        ldoc.updates.append_child(ldoc.document.root, "second")
+        outer.rollback()
+        inner.rollback()  # already undone by the outer rollback
+        assert fingerprint(ldoc) == before
+        assert ldoc._undo_log is None
+        ldoc.verify_order()
+
+    def test_releasing_an_outer_record_keeps_inner_savepoints(self):
+        ldoc = labeled(parse(SAMPLE), "qed")
+        outer = UndoRecord(ldoc)
+        ldoc.updates.append_child(ldoc.document.root, "kept")
+        kept = fingerprint(ldoc)
+        inner = UndoRecord(ldoc)
+        ldoc.updates.append_child(ldoc.document.root, "undone")
+        outer.release()
+        inner.rollback()
+        assert fingerprint(ldoc) == kept
+        assert ldoc._undo_log is None
 
     def test_new_node_ids_do_not_collide_after_rollback(self):
         ldoc = labeled(parse(SAMPLE), "qed")

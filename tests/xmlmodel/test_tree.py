@@ -227,6 +227,25 @@ class TestDocumentOracles:
         with pytest.raises(TreeStructureError):
             doc.validate()
 
+    def test_element_counts_follow_insert_and_remove(self):
+        doc, root, first, second = small_document()
+        assert (root.elements, first.elements, second.elements) == (3, 1, 1)
+        branch = doc.new_element("branch")
+        branch.append_child(doc.new_attribute("a", "1"))
+        branch.append_child(doc.new_element("leaf"))
+        second.append_child(branch)  # a detached subtree joins whole
+        assert (root.elements, second.elements, branch.elements) == (5, 3, 2)
+        root.remove_child(second)
+        assert root.elements == 2 and second.elements == 3
+        doc.validate()
+        doc.clone().validate()  # the clone carries the counts
+
+    def test_validate_detects_wrong_element_count(self):
+        doc, root, first, second = small_document()
+        first.elements += 1  # corrupt on purpose
+        with pytest.raises(TreeStructureError, match="elements"):
+            doc.validate()
+
     def test_clone_preserves_ids_and_structure(self):
         doc, root, first, second = small_document()
         copy = doc.clone()
