@@ -23,7 +23,10 @@ Every major axis then falls out as a range copy or a window jump —
 descendants are one slice, following is one slice, ancestors and
 preceding skip over whole subtrees via ``_end`` instead of testing
 nodes one by one — independent of which of the 17 schemes labelled the
-document, and without a single label comparison.
+document, and without a single label comparison.  The same positions
+put a query's merged results back into document order
+(:meth:`AxisAccelerator.document_order`) at a cost that follows the
+result, not the document.
 
 Incremental maintenance: the accelerator subscribes to the document's
 :class:`~repro.updates.document.StructuralDelta` stream.  Inserts and
@@ -196,8 +199,7 @@ class AxisAccelerator:
         :class:`~repro.errors.StaleIndexError`).  EXPLAIN routes
         ``refuse`` steps to the scan path with this reason.
         """
-        batch = self.ldoc._active_batch
-        if batch is not None and batch.pending:
+        if self._batch_pending():
             return ("refuse",
                     "document has a batch with unlabelled pending nodes")
         if self._dirty:
@@ -343,9 +345,12 @@ class AxisAccelerator:
         )
         return StaleIndexError(message)
 
-    def _ensure_current(self) -> None:
+    def _batch_pending(self) -> bool:
         batch = self.ldoc._active_batch
-        if batch is not None and batch.pending:
+        return batch is not None and batch.pending > 0
+
+    def _ensure_current(self) -> None:
+        if self._batch_pending():
             raise self._refuse_stale(
                 "document has a batch with unlabelled pending nodes; "
                 "apply the batch before querying the accelerator"
@@ -379,6 +384,34 @@ class AxisAccelerator:
                 f"(refresh needed?)"
             )
         return position
+
+    # ------------------------------------------------------------------
+    # Result ordering
+    # ------------------------------------------------------------------
+
+    def document_order(self, nodes: List[XMLNode]) -> Optional[List[XMLNode]]:
+        """``nodes`` sorted into document order by their index positions.
+
+        O(k log k) in ``len(nodes)``, whatever the document size.  The
+        index only vouches for positions a query would be answered from:
+        when it is marked for rebuild, its stamp is behind the
+        document's ``structure_version``, a batch has unlabelled pending
+        nodes, or a node is not on the index (by identity, as for axis
+        queries), this returns ``None`` and the caller orders the nodes
+        another way.  It never rebuilds, raises or counts a refusal.
+        """
+        if self.stale or self._batch_pending():
+            return None
+        index = self._nodes
+        lookup = self._pos.get
+        positions = []
+        for node in nodes:
+            position = lookup(node.node_id)
+            if position is None or index[position] is not node:
+                return None
+            positions.append(position)
+        positions.sort()
+        return [index[position] for position in positions]
 
     # ------------------------------------------------------------------
     # Axis queries

@@ -33,8 +33,10 @@ class XPathEvaluator:
     """Evaluates parsed paths against a :class:`LabeledDocument`.
 
     ``accelerator`` (see :class:`~repro.axes.accelerator.AxisAccelerator`)
-    reroutes the axis steps it covers to window range scans; without one,
-    every step takes the label-table scan path.
+    reroutes the axis steps it covers to window range scans and puts
+    merged results into document order by its positions; without one,
+    every step takes the label-table scan path and merges are ordered by
+    a whole-document order map.
 
     ``recorder`` (a :class:`~repro.observability.explain.PlanRecorder`)
     turns on EXPLAIN instrumentation: every location step reports its
@@ -177,6 +179,13 @@ class XPathEvaluator:
         return apply_node_tests(step, nodes)
 
     def _dedupe(self, nodes: List[XMLNode]) -> List[XMLNode]:
+        """``nodes`` without duplicates, in document order.
+
+        An accelerator orders them by its positions, O(k log k) in the
+        result; without one, or when it cannot vouch for its positions
+        (see ``AxisAccelerator.document_order``), a whole-document order
+        map does.
+        """
         seen = set()
         unique: List[XMLNode] = []
         for node in nodes:
@@ -185,6 +194,11 @@ class XPathEvaluator:
                 unique.append(node)
         if len(unique) < 2:
             return unique
+        accelerator = self.axes.accelerator
+        if accelerator is not None:
+            ordered = accelerator.document_order(unique)
+            if ordered is not None:
+                return ordered
         order = {
             node.node_id: position
             for position, node in enumerate(self.ldoc.document.labeled_nodes())

@@ -361,9 +361,11 @@ def apply_node_tests(step: Step, nodes: list) -> list:
         if step.axis == "attribute":
             nodes = [node for node in nodes if node.name == step.name_test]
         else:
+            # The name compare comes first: it rejects almost every
+            # candidate of a '//name' window before the property call.
             nodes = [
                 node for node in nodes
-                if node.is_element and node.name == step.name_test
+                if node.name == step.name_test and node.is_element
             ]
     elif step.axis != "attribute":
         # '*' on a non-attribute axis selects elements, per XPath.

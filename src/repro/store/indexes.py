@@ -33,11 +33,13 @@ class DocumentIndexes:
     # ------------------------------------------------------------------
 
     def _current_stamp(self) -> Tuple[int, int, int, int]:
-        # ``rollbacks`` is monotonic and never restored by a rollback:
-        # without it, a transaction that rolls the counters back to their
-        # pre-transaction values would make an index built before the
-        # transaction — full of references to the replaced node objects —
-        # look current again.
+        # ``rollbacks`` is monotonic and never restored by a rollback.
+        # The other counters are: an index built inside a transaction
+        # (holding nodes the transaction inserted) is stamped with
+        # mid-transaction values, the rollback detaches those nodes and
+        # rewinds the counters, and later updates can bring the counters
+        # back to the stamp.  Without ``rollbacks`` that index would
+        # look current and serve the detached nodes.
         log = self.ldoc.log
         return (
             log.insertions,

@@ -140,15 +140,19 @@ class TestIncrementalMaintenance:
         batch.apply()
         assert_equivalent(ldoc, accelerator)
 
-    def test_rollback_publishes_rebuild(self):
+    def test_rollback_splices_without_rebuild(self):
         ldoc = small_ldoc()
         accelerator = AxisAccelerator(ldoc)
+        builds = get_registry().counter("axes.accelerator.builds")
+        built = builds.value
         root = ldoc.document.root
         with pytest.raises(RuntimeError):
             with ldoc.transaction():
                 ldoc.updates.append_child(root, "doomed")
                 raise RuntimeError("abort")
+        assert not accelerator.stale
         assert_equivalent(ldoc, accelerator)
+        assert builds.value == built
 
     def test_detach_stops_maintenance(self):
         ldoc = small_ldoc()
@@ -229,6 +233,59 @@ class TestStalenessPerMutationKind:
         accelerator = AxisAccelerator(ldoc, attach=False, auto_refresh=True)
         ldoc.updates.append_child(ldoc.document.root, "new")
         assert_equivalent(ldoc, accelerator)
+
+
+class TestDocumentOrder:
+    """Result ordering by position, only from current windows."""
+
+    def test_sorts_by_position(self):
+        ldoc = small_ldoc()
+        accelerator = AxisAccelerator(ldoc)
+        ldoc.updates.append_child(ldoc.document.root, "last")  # a splice
+        nodes = list(ldoc.document.labeled_nodes())
+        assert ids(accelerator.document_order(nodes[::-1])) == ids(nodes)
+
+    def assert_refused(self, accelerator, nodes):
+        registry = get_registry()
+        builds = registry.counter("axes.accelerator.builds").value
+        refusals = registry.counter("axes.accelerator.stale_errors").value
+        assert accelerator.document_order(nodes) is None
+        assert registry.counter("axes.accelerator.builds").value == builds
+        assert (registry.counter("axes.accelerator.stale_errors").value
+                == refusals)
+
+    def test_refuses_when_marked_for_rebuild(self):
+        ldoc = small_ldoc()
+        accelerator = AxisAccelerator(ldoc)
+        first = next(iter(ldoc.document.root.labeled_children()))
+        with ldoc.batch() as batch:
+            batch.insert_before(first, "head")  # consolidated relabel
+        assert accelerator.stale
+        self.assert_refused(accelerator, list(ldoc.document.labeled_nodes()))
+
+    def test_refuses_when_stamp_is_behind(self):
+        ldoc = small_ldoc()
+        accelerator = AxisAccelerator(ldoc, attach=False)
+        nodes = list(ldoc.document.labeled_nodes())
+        ldoc.updates.move(nodes[-1], ldoc.document.root, 0)
+        self.assert_refused(accelerator, nodes)
+
+    def test_refuses_while_a_batch_is_pending(self):
+        ldoc = small_ldoc()
+        accelerator = AxisAccelerator(ldoc)
+        nodes = list(ldoc.document.labeled_nodes())
+        batch = ldoc.batch()
+        batch.insert_before(nodes[1], "head")
+        assert batch.pending > 0
+        self.assert_refused(accelerator, nodes)
+        batch.apply()
+
+    def test_refuses_a_node_off_the_index(self):
+        ldoc = small_ldoc()
+        accelerator = AxisAccelerator(ldoc)
+        # Same shape, same node ids: only identity tells them apart.
+        other = list(small_ldoc().document.labeled_nodes())
+        self.assert_refused(accelerator, other)
 
 
 class TestEvaluatorRouting:

@@ -1,20 +1,65 @@
-"""Mini XPath evaluator tests over the sample document."""
+"""Mini XPath evaluator tests over the sample document.
+
+Every evaluation test runs on both result-ordering paths.  The scan path
+is ``xpath(ldoc, path)``: label-table axis steps, merges ordered by the
+whole-document order map.  The accelerator path attaches an
+:class:`AxisAccelerator` when the document is labelled: axis steps come
+from its windows and merges are ordered by its positions.  Each test
+class runs on the scan path under its own name, and its ``Accelerated``
+subclass reruns every expectation on the accelerator path.
+"""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from conftest import labeled
-from repro.axes.xpath import parse_path, xpath
+from conftest import all_scheme_names, fresh_random_document, labeled
+from repro.axes.accelerator import AxisAccelerator
+from repro.axes.xpath import XPathEvaluator, parse_path, xpath
 from repro.data.sample import sample_document
 from repro.errors import XPathError
-
-
-@pytest.fixture
-def ldoc():
-    return labeled(sample_document(), "qed")
+from repro.observability.explain import PlanRecorder
+from repro.observability.stats import StatsCollector
+from repro.store.repository import open_repository
+from repro.xmlmodel.parser import parse
+from repro.xmlmodel.tree import Document
+from update_programs import programs, run_program
 
 
 def names(nodes):
     return [node.name for node in nodes]
+
+
+def assert_same_nodes(got, expected, path=""):
+    """Node for node (by identity) and in the same order."""
+    assert len(got) == len(expected) and all(
+        left is right for left, right in zip(got, expected)
+    ), (path, names(got), names(expected))
+
+
+class ScanPath:
+    """Labels and queries a test's documents on the scan path.
+
+    Subclasses set ``accelerated = True`` to attach an accelerator to
+    every document they label; their queries then check that it
+    vouched for the order of each result.
+    """
+
+    accelerated = False
+
+    def label(self, document, scheme_name):
+        ldoc = labeled(document, scheme_name)
+        self.accelerator = AxisAccelerator(ldoc) if self.accelerated else None
+        return ldoc
+
+    def xpath(self, ldoc, path, context=None):
+        result = xpath(ldoc, path, context, accelerator=self.accelerator)
+        if self.accelerator is not None:
+            # Positions still current after the query: they, not the
+            # whole-document map, ordered its merges.
+            ordered = self.accelerator.document_order(result)
+            assert ordered is not None, path
+            assert_same_nodes(ordered, result, path)
+        return result
 
 
 class TestParsing:
@@ -62,159 +107,263 @@ class TestParsing:
             parse_path("sideways::a")
 
 
-class TestEvaluation:
+class TestEvaluation(ScanPath):
+    @pytest.fixture
+    def ldoc(self):
+        return self.label(sample_document(), "qed")
+
     def test_absolute_root_match(self, ldoc):
-        assert names(xpath(ldoc, "/book")) == ["book"]
+        assert names(self.xpath(ldoc, "/book")) == ["book"]
 
     def test_absolute_root_mismatch(self, ldoc):
-        assert xpath(ldoc, "/magazine") == []
+        assert self.xpath(ldoc, "/magazine") == []
 
     def test_child_chain(self, ldoc):
-        assert names(xpath(ldoc, "/book/publisher/editor/name")) == ["name"]
+        result = self.xpath(ldoc, "/book/publisher/editor/name")
+        assert names(result) == ["name"]
 
     def test_descendant_search(self, ldoc):
-        assert names(xpath(ldoc, "//name")) == ["name"]
+        assert names(self.xpath(ldoc, "//name")) == ["name"]
 
     def test_absolute_descendant_includes_root(self, ldoc):
         # //book must select the root element itself (the abbreviation
         # expands from the virtual document node, not the root).
-        assert names(xpath(ldoc, "//book")) == ["book"]
-        assert names(xpath(ldoc, "//book//name")) == ["name"]
+        assert names(self.xpath(ldoc, "//book")) == ["book"]
+        assert names(self.xpath(ldoc, "//book//name")) == ["name"]
 
     def test_wildcard(self, ldoc):
-        assert names(xpath(ldoc, "//editor/*")) == ["name", "address"]
+        assert names(self.xpath(ldoc, "//editor/*")) == ["name", "address"]
 
     def test_attribute_selection(self, ldoc):
-        result = xpath(ldoc, "//title/@genre")
+        result = self.xpath(ldoc, "//title/@genre")
         assert [node.value for node in result] == ["Fantasy"]
 
     def test_attribute_wildcard(self, ldoc):
-        result = xpath(ldoc, "//edition/@*")
+        result = self.xpath(ldoc, "//edition/@*")
         assert [node.name for node in result] == ["year"]
 
     def test_positional_predicate(self, ldoc):
-        assert names(xpath(ldoc, "/book/*[2]")) == ["author"]
+        assert names(self.xpath(ldoc, "/book/*[2]")) == ["author"]
 
     def test_attribute_equality_predicate(self, ldoc):
-        assert names(xpath(ldoc, "//edition[@year='2004']")) == ["edition"]
-        assert xpath(ldoc, "//edition[@year='1999']") == []
+        result = self.xpath(ldoc, "//edition[@year='2004']")
+        assert names(result) == ["edition"]
+        assert self.xpath(ldoc, "//edition[@year='1999']") == []
 
     def test_child_text_predicate(self, ldoc):
-        assert names(xpath(ldoc, "//editor[name='Destiny Image']")) == [
-            "editor"
-        ]
+        result = self.xpath(ldoc, "//editor[name='Destiny Image']")
+        assert names(result) == ["editor"]
 
     def test_existence_predicate(self, ldoc):
-        assert names(xpath(ldoc, "//*[@year]")) == ["edition"]
+        assert names(self.xpath(ldoc, "//*[@year]")) == ["edition"]
 
     def test_ancestor_axis(self, ldoc):
-        assert names(xpath(ldoc, "//name/ancestor::*")) == [
+        assert names(self.xpath(ldoc, "//name/ancestor::*")) == [
             "book", "publisher", "editor",
         ]
 
     def test_parent_axis(self, ldoc):
-        assert names(xpath(ldoc, "//name/..")) == ["editor"]
+        assert names(self.xpath(ldoc, "//name/..")) == ["editor"]
 
     def test_sibling_axes(self, ldoc):
-        assert names(xpath(ldoc, "//address/preceding-sibling::*")) == ["name"]
-        assert names(xpath(ldoc, "//name/following-sibling::*")) == ["address"]
+        result = self.xpath(ldoc, "//address/preceding-sibling::*")
+        assert names(result) == ["name"]
+        result = self.xpath(ldoc, "//name/following-sibling::*")
+        assert names(result) == ["address"]
 
     def test_following_axis(self, ldoc):
-        assert names(xpath(ldoc, "//author/following::*")) == [
+        assert names(self.xpath(ldoc, "//author/following::*")) == [
             "publisher", "editor", "name", "address", "edition",
         ]
 
     def test_results_deduplicated_in_document_order(self, ldoc):
         # Two steps that both reach the same nodes must not duplicate.
-        result = xpath(ldoc, "//editor/*/ancestor::*")
+        result = self.xpath(ldoc, "//editor/*/ancestor::*")
         assert names(result) == ["book", "publisher", "editor"]
 
     def test_relative_path_with_context(self, ldoc):
-        editor = xpath(ldoc, "//editor")[0]
-        assert names(xpath(ldoc, "name", context=editor)) == ["name"]
+        editor = self.xpath(ldoc, "//editor")[0]
+        assert names(self.xpath(ldoc, "name", context=editor)) == ["name"]
 
     def test_union(self, ldoc):
-        result = xpath(ldoc, "//name | //address")
+        result = self.xpath(ldoc, "//name | //address")
         assert names(result) == ["name", "address"]
 
     def test_union_deduplicates_in_document_order(self, ldoc):
-        result = xpath(ldoc, "//address | //editor/* | //name")
+        result = self.xpath(ldoc, "//address | //editor/* | //name")
         assert names(result) == ["name", "address"]
 
     def test_union_with_predicates(self, ldoc):
-        result = xpath(ldoc, "//edition[@year='2004'] | //title")
+        result = self.xpath(ldoc, "//edition[@year='2004'] | //title")
         assert names(result) == ["title", "edition"]
 
     def test_queries_after_updates(self, ldoc):
         root = ldoc.document.root
         ldoc.append_child(root, "index")
-        assert names(xpath(ldoc, "/book/index")) == ["index"]
+        assert names(self.xpath(ldoc, "/book/index")) == ["index"]
 
 
-@pytest.mark.parametrize("scheme_name", ["prepost", "vector", "dewey"])
-def test_same_answers_across_schemes(scheme_name):
+class TestEvaluationAccelerated(TestEvaluation):
+    accelerated = True
+
+
+#: Scan-path runs keep the bare scheme ids; accelerator runs add a suffix.
+SCHEME_RUNS = [
+    pytest.param(name, accelerated,
+                 id=f"{name}-accelerator" if accelerated else name)
+    for accelerated in (False, True)
+    for name in ("prepost", "vector", "dewey")
+]
+
+
+@pytest.mark.parametrize("scheme_name, accelerated", SCHEME_RUNS)
+def test_same_answers_across_schemes(scheme_name, accelerated):
     """XPath results are scheme-independent (fallback where needed)."""
     ldoc = labeled(sample_document(), scheme_name)
-    assert names(xpath(ldoc, "//editor/*")) == ["name", "address"]
-    assert names(xpath(ldoc, "//name/ancestor::*")) == [
-        "book", "publisher", "editor",
+    accelerator = AxisAccelerator(ldoc) if accelerated else None
+    assert names(xpath(ldoc, "//editor/*", accelerator=accelerator)) == [
+        "name", "address",
     ]
+    assert names(
+        xpath(ldoc, "//name/ancestor::*", accelerator=accelerator)
+    ) == ["book", "publisher", "editor"]
 
 
-class TestConfirmedBugs:
+class TestConfirmedBugs(ScanPath):
     """Regression tests for the four confirmed evaluation bugs."""
 
     def _parsed(self, text, scheme_name="dewey"):
-        from repro.xmlmodel.parser import parse
-
-        return labeled(parse(text), scheme_name)
+        return self.label(parse(text), scheme_name)
 
     def test_unterminated_predicate_raises_xpath_error(self):
         # Used to escape as ValueError('substring not found') from
         # rest.index("]").
         ldoc = self._parsed("<a><b/></a>")
         with pytest.raises(XPathError, match="unterminated predicate"):
-            xpath(ldoc, "/a/b[")
+            self.xpath(ldoc, "/a/b[")
 
     def test_positional_predicate_is_per_context_node(self):
         # /a/b/c[1] selects the first c of *each* b (XPath 1.0), not the
         # first of the merged node-set.
-        ldoc = self._parsed("<a><b><c i='1'/><c i='2'/></b><b><c i='3'/></b></a>")
-        result = xpath(ldoc, "/a/b/c[1]")
+        ldoc = self._parsed(
+            "<a><b><c i='1'/><c i='2'/></b><b><c i='3'/></b></a>"
+        )
+        result = self.xpath(ldoc, "/a/b/c[1]")
         assert [node.attribute("i").value for node in result] == ["1", "3"]
 
     def test_reverse_axis_counts_in_proximity_order(self):
         # ancestor::*[1] is the nearest ancestor, not the root.
         ldoc = self._parsed("<a><b><c><d/></c></b></a>")
-        leaf = xpath(ldoc, "//d")[0]
-        assert names(xpath(ldoc, "ancestor::*[1]", context=leaf)) == ["c"]
-        assert names(xpath(ldoc, "ancestor::*[3]", context=leaf)) == ["a"]
+        leaf = self.xpath(ldoc, "//d")[0]
         assert names(
-            xpath(ldoc, "preceding-sibling::*[1]",
-                  context=xpath(ldoc, "//b")[0])
+            self.xpath(ldoc, "ancestor::*[1]", context=leaf)
+        ) == ["c"]
+        assert names(
+            self.xpath(ldoc, "ancestor::*[3]", context=leaf)
+        ) == ["a"]
+        assert names(
+            self.xpath(ldoc, "preceding-sibling::*[1]",
+                       context=self.xpath(ldoc, "//b")[0])
         ) == []
 
     def test_preceding_positional_counts_backwards(self):
         ldoc = self._parsed("<a><x/><y/><z/></a>")
-        z = xpath(ldoc, "//z")[0]
-        assert names(xpath(ldoc, "preceding-sibling::*[1]", context=z)) == ["y"]
-        assert names(xpath(ldoc, "preceding::*[2]", context=z)) == ["x"]
+        z = self.xpath(ldoc, "//z")[0]
+        assert names(
+            self.xpath(ldoc, "preceding-sibling::*[1]", context=z)
+        ) == ["y"]
+        assert names(
+            self.xpath(ldoc, "preceding::*[2]", context=z)
+        ) == ["x"]
 
     def test_bracket_inside_quoted_literal(self):
         # A ']' inside a predicate string literal must not close the
         # predicate during bracket scanning.
         ldoc = self._parsed("<a><b x=']'/><b x='other'/></a>")
-        result = xpath(ldoc, "/a/b[@x=']']")
+        result = self.xpath(ldoc, "/a/b[@x=']']")
         assert len(result) == 1
         assert result[0].attribute("x").value == "]"
 
     def test_union_bar_inside_quoted_literal(self):
         ldoc = self._parsed("<a><b x='|'/><b x='other'/></a>")
-        result = xpath(ldoc, "/a/b[@x='|']")
+        result = self.xpath(ldoc, "/a/b[@x='|']")
         assert len(result) == 1
         assert result[0].attribute("x").value == "|"
 
     def test_slash_inside_quoted_literal(self):
         ldoc = self._parsed("<a><b x='p/q'/></a>")
-        result = xpath(ldoc, "/a/b[@x='p/q']")
+        result = self.xpath(ldoc, "/a/b[@x='p/q']")
         assert len(result) == 1
+
+
+class TestConfirmedBugsAccelerated(TestConfirmedBugs):
+    accelerated = True
+
+
+#: Paths whose merges cover every ordering case: duplicates from many
+#: contexts, reverse-axis proximity predicates, attributes and unions.
+MERGE_PATHS = (
+    "//*", "//*/..", "//*/@*", "//*/ancestor::*[1]",
+    "//*/preceding-sibling::*[1]", "//*/following::*[2]",
+    "//*[@id] | //*/*[1]", "//@* | //*",
+)
+
+
+def assert_merges_agree(ldoc, accelerator):
+    """Every merge path answers alike on the scan and accelerator paths."""
+    for path in MERGE_PATHS:
+        expected = xpath(ldoc, path)
+        got = xpath(ldoc, path, accelerator=accelerator)
+        assert not accelerator.stale  # its positions ordered the merges
+        assert_same_nodes(got, expected, path)
+
+
+class TestPositionOrderedMerge:
+    """The accelerator orders results only from current positions."""
+
+    @pytest.mark.parametrize("scheme_name", all_scheme_names())
+    @settings(max_examples=3, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(applied=programs(max_size=5), undone=programs(max_size=5))
+    def test_matches_scan_path_under_updates(self, scheme_name, applied,
+                                             undone):
+        ldoc = labeled(fresh_random_document(30, seed=5), scheme_name)
+        accelerator = AxisAccelerator(ldoc)
+        assert_merges_agree(ldoc, accelerator)
+        run_program(ldoc, ldoc.updates, applied)
+        assert_merges_agree(ldoc, accelerator)
+        with pytest.raises(RuntimeError):
+            with ldoc.transaction() as txn:
+                run_program(ldoc, txn, undone, start=len(applied))
+                raise RuntimeError("roll back")
+        assert_merges_agree(ldoc, accelerator)
+
+    def test_current_index_never_lists_the_document(self, monkeypatch):
+        repository = open_repository("memory://")
+        stored = repository.add(
+            "doc", "<a><b><c/><c/></b><b><c/></b></a>", scheme="qed"
+        )
+        stored.indexes.axis_accelerator()
+        root = stored.ldoc.document.root
+        stored.ldoc.updates.prepend_child(root, "c")  # a splice, no rebuild
+
+        def whole_document_scan(document):
+            raise AssertionError("Document.labeled_nodes() was called")
+
+        monkeypatch.setattr(Document, "labeled_nodes", whole_document_scan)
+        assert names(stored.xpath("//c/.. | //b")) == ["a", "b", "b"]
+        assert len(stored.xpath("//c")) == 4
+
+    def test_stale_index_never_orders_results(self):
+        ldoc = labeled(parse("<a><b><c/></b><d><e/></d></a>"), "qed")
+        stale = AxisAccelerator(ldoc)
+        stale.detach()
+        root = ldoc.document.root
+        ldoc.updates.move(root.element_children()[-1], root, 0)
+        expected = xpath(ldoc, "//* | /a/b")
+        assert names(expected) == ["a", "d", "e", "b", "c"]
+        evaluator = XPathEvaluator(
+            ldoc, accelerator=stale,
+            recorder=PlanRecorder(StatsCollector.collect(ldoc)),
+        )
+        assert_same_nodes(evaluator.evaluate("//* | /a/b"), expected)

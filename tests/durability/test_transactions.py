@@ -227,12 +227,13 @@ class TestRepositoryTransactions:
         assert len(stored.find("annex")) == 1
 
     def test_repository_rollback_refreshes_indexes(self):
-        """Regression: a pre-transaction index must not survive rollback.
+        """A rollback leaves the name index answering with live nodes.
 
-        The index refresh stamp is built from update-log counters, which
-        rollback restores; without the monotonic ``rollbacks`` counter
-        the stale index (referencing the replaced node objects) would
-        look current.
+        A rollback puts back the very node objects it removed, so the
+        books an index found before the transaction are the live books
+        after it.  The hazard the stamp's monotonic ``rollbacks``
+        counter guards is an index built *inside* the transaction: see
+        the next test.
         """
         repo = XMLRepository()
         repo.add("lib", SAMPLE, scheme="cdqs")
@@ -251,6 +252,31 @@ class TestRepositoryTransactions:
             if node.name == "book"
         }
         assert live_ids <= current_ids
+
+    def test_index_built_inside_rolled_back_transaction_is_rebuilt(self):
+        """Regression: rolled-back counters must not revive an index.
+
+        The index is built after an insert inside the transaction, so
+        it holds the inserted node.  The rollback detaches that node and
+        restores the update-log counters; a later insert moves them back
+        to the values the index was stamped with.  Only the monotonic
+        ``rollbacks`` counter in the stamp tells the two states apart.
+        """
+        repo = XMLRepository()
+        repo.add("lib", SAMPLE, scheme="cdqs")
+        stored = repo.get("lib")
+        root = stored.ldoc.document.root
+        with pytest.raises(RuntimeError):
+            with repo.transaction("lib") as txn:
+                txn.append_child(root, "annex")
+                (doomed,) = stored.find("annex")  # built mid-transaction
+                raise RuntimeError("boom")
+        assert doomed.parent is None
+        with repo.transaction("lib") as txn:
+            txn.append_child(root, "annex")
+        (annex,) = stored.find("annex")
+        assert annex is not doomed
+        assert annex.parent is root
 
 
 class TestUndoRecord:
