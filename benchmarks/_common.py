@@ -9,7 +9,6 @@ standalone programs (``python benchmarks/bench_figure4_ordpath.py`` or
 from __future__ import annotations
 
 import argparse
-import contextlib
 
 from repro.data.sample import sample_document
 from repro.updates.document import LabeledDocument
@@ -20,15 +19,15 @@ def bench_args(doc: str, argv=None) -> argparse.Namespace:
     """The uniform bench-module argument surface.
 
     Every ``bench_*`` module's ``main(argv=None)`` parses through this,
-    so the telemetry harness (``python -m repro bench run``) can pass
-    ``["--quick"]`` to any section.  Modules whose workload has one
-    fixed (tiny) size simply ignore ``args.quick``.
+    so ``run_all.py --quick`` can pass ``["--quick"]`` to any section.
+    Modules whose workload has one fixed (tiny) size simply ignore
+    ``args.quick``.
     """
     parser = argparse.ArgumentParser(
         description=(doc or "").splitlines()[0] if doc else None
     )
     parser.add_argument("--quick", action="store_true",
-                        help="small smoke-test sizes (CI / bench run)")
+                        help="small smoke-test sizes (CI)")
     return parser.parse_args(argv)
 
 
@@ -39,38 +38,3 @@ def fresh(scheme_name: str, document=None, **kwargs) -> LabeledDocument:
         make_scheme(scheme_name, **kwargs),
         on_collision="record",
     )
-
-
-@contextlib.contextmanager
-def maybe_traced(capture: bool = False, export_path=None):
-    """Opt-in trace capture around one benchmark round.
-
-    With ``capture=False`` (the default) this is a bare passthrough —
-    the global tracer stays disabled and instrumented code runs its
-    no-op fast path, so untraced benchmark numbers are unaffected.
-    With ``capture=True`` it yields an
-    :class:`~repro.observability.tracing.InMemorySpanExporter` holding
-    the finished spans; pass ``export_path`` to also stream them to a
-    JSON-lines file.
-    """
-    if not capture:
-        yield None
-        return
-    from repro.observability.tracing import (
-        InMemorySpanExporter,
-        JSONLinesSpanExporter,
-        tracing_enabled,
-    )
-
-    buffer = InMemorySpanExporter()
-    sink = None
-    if export_path is not None:
-        sink = JSONLinesSpanExporter(export_path)
-    try:
-        with tracing_enabled(buffer) as tracer:
-            if sink is not None:
-                tracer.add_exporter(sink)
-            yield buffer
-    finally:
-        if sink is not None:
-            sink.close()

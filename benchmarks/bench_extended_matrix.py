@@ -2,7 +2,7 @@
 
 "Using our existing framework, we will now seek to evaluate these and
 other schemes" — the paper's conclusion names the Prime number scheme
-[25] and DDE [28].  This bench runs the unmodified probe suite over all
+[25] and DDE [28].  This benchmark runs the unmodified probe suite over all
 five implemented extensions (CDBS, Cohen, Com-D, DDE, Prime) and prints
 the extended matrix, with the measured grades asserted against what each
 scheme's design predicts.

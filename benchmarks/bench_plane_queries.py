@@ -1,7 +1,7 @@
 """The XPath Accelerator's acceleration: plane windows vs label scans.
 
 Section 3.1.1 quotes Grust: major-axis steps are "rectangular region
-queries in the pre/post labelled plane".  This bench compares the
+queries in the pre/post labelled plane".  This benchmark compares the
 plane's window evaluation against the generic full-table label scan for
 the same axes on the same document — the windows avoid visiting nodes
 outside the answer's pre range.

@@ -7,12 +7,9 @@ the Compact Encoding column.
 
 A second section measures the pluggable storage backends themselves:
 ingest, cold load after a fresh open, and point-query cost per engine
-(``memory``, ``sqlite``, ``pagefile``), plus bytes at rest.  Set
-``REPRO_BENCH_BACKEND`` (or ``repro bench run --backend NAME``) to
-restrict the rows to one engine.
+(``memory``, ``sqlite``, ``pagefile``), plus bytes at rest.
 """
 
-import os
 import tempfile
 import time
 
@@ -115,14 +112,6 @@ def bench_bulk_labelling_cost_prepost(benchmark):
     assert len(labels) == document.labeled_size()
 
 
-def selected_backends():
-    """The engines to measure; REPRO_BENCH_BACKEND narrows to one."""
-    chosen = os.environ.get("REPRO_BENCH_BACKEND", "").strip()
-    if chosen:
-        return [name for name in BACKENDS if name == chosen]
-    return list(BACKENDS)
-
-
 def _backend_url(name, workdir):
     if name == "memory":
         return "memory://"
@@ -142,7 +131,7 @@ def backend_rows(scale=XMARK_SCALE, backends=None):
     """
     corpus = XMarkGenerator(scale=scale, seed=77).generate()
     rows = []
-    for backend_name in (backends or selected_backends()):
+    for backend_name in (backends or BACKENDS):
         with tempfile.TemporaryDirectory() as workdir:
             url = _backend_url(backend_name, workdir)
 

@@ -33,8 +33,6 @@ from repro.schemes import (
     make_scheme,
 )
 from repro.observability import (
-    BenchRun,
-    ComparisonReport,
     HealthReport,
     InMemorySpanExporter,
     IntervalSampler,
@@ -42,30 +40,22 @@ from repro.observability import (
     MetricsRegistry,
     OpEvent,
     OpLog,
-    Thresholds,
     Tracer,
-    compare_runs,
     configure_oplog,
-    find_latest_run,
     get_oplog,
     get_registry,
     get_tracer,
-    load_baseline,
-    load_run,
     load_trace,
     oplog_enabled,
-    render_comparison,
     render_health,
     render_metrics,
     render_openmetrics,
     render_span_tree,
     run_health,
-    run_sections,
     start_metrics_server,
     summarize_trace,
     traced,
     tracing_enabled,
-    write_run,
 )
 from repro.store import (
     StorageBackend,
@@ -88,8 +78,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "BatchResult",
-    "BenchRun",
-    "ComparisonReport",
     "Document",
     "FIGURE7_ORDER",
     "FaultInjector",
@@ -106,7 +94,6 @@ __all__ = [
     "OpLog",
     "SchemeMetadata",
     "StorageBackend",
-    "Thresholds",
     "Tracer",
     "Transaction",
     "UpdateBatch",
@@ -116,30 +103,23 @@ __all__ = [
     "XMLRepository",
     "apply_batch",
     "available_schemes",
-    "compare_runs",
     "configure_oplog",
-    "find_latest_run",
     "get_oplog",
     "get_registry",
     "get_tracer",
-    "load_baseline",
-    "load_run",
     "load_trace",
     "open_repository",
     "oplog_enabled",
-    "render_comparison",
     "render_health",
     "render_metrics",
     "render_openmetrics",
     "render_span_tree",
     "run_health",
-    "run_sections",
     "start_metrics_server",
     "suggest_scheme",
     "summarize_trace",
     "traced",
     "tracing_enabled",
-    "write_run",
     "extension_schemes",
     "figure7_schemes",
     "make_scheme",

@@ -19,10 +19,6 @@
     python -m repro store ingest URL NAME FILE      # load into a backend
     python -m repro store ls URL                    # list stored documents
     python -m repro store query URL NAME title      # point query from disk
-    python -m repro bench run --quick               # BENCH_<sha>.json
-    python -m repro bench run --backend sqlite      # storage bench, one engine
-    python -m repro bench compare                   # diff vs baseline
-    python -m repro bench report --profile P.collapsed  # + profile hotspots
     python -m repro health --workload --json        # watchdog verdict
     python -m repro health --inject transaction.commit  # fault drill
     python -m repro serve-metrics --port 9464       # /metrics + /health
@@ -291,54 +287,49 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0 if matrix.matches_paper() else 1
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    import importlib
+def _run_all_module():
+    """``benchmarks/run_all.py``: the reproduction's sections, in order.
 
-    modules = {
-        1: "bench_figure1_prepost",
-        2: "bench_figure2_encoding",
-        3: "bench_figure3_dewey",
-        4: "bench_figure4_ordpath",
-        5: "bench_figure5_lsdx",
-        6: "bench_figure6_improved_binary",
-        7: "bench_figure7_matrix",
-    }
+    The ``bench_*`` scripts behind ``figure`` and ``report`` live in the
+    source checkout beside ``src/``, not in the package; importing
+    ``run_all`` puts that directory on ``sys.path`` for them too.
+    Returns ``None``, after saying why, when the checkout is absent.
+    """
+    import importlib
     import os
-    import sys as _sys
 
     benchmarks_dir = os.path.join(
         os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
         "benchmarks",
     )
-    if os.path.isdir(benchmarks_dir) and benchmarks_dir not in _sys.path:
-        _sys.path.insert(0, benchmarks_dir)
-    try:
-        module = importlib.import_module(modules[args.number])
-    except ImportError:
+    if not os.path.isfile(os.path.join(benchmarks_dir, "run_all.py")):
         print("the benchmarks/ directory is not available in this install",
               file=sys.stderr)
+        return None
+    if benchmarks_dir not in sys.path:
+        sys.path.insert(0, benchmarks_dir)
+    return importlib.import_module("run_all")
+
+
+def _cmd_figure(args: argparse.Namespace) -> int:
+    import importlib
+
+    run_all = _run_all_module()
+    if run_all is None:
         return 1
+    prefix = f"bench_figure{args.number}_"
+    (module_name,) = [name for kind, name in run_all.SECTIONS
+                      if kind == "figure" and name.startswith(prefix)]
     # explicit empty argv: main(None) would parse this process's sys.argv
-    module.main([])
+    importlib.import_module(module_name).main([])
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """Regenerate every figure/claim report in one run."""
-    import importlib
-    import os
-
-    benchmarks_dir = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-        "benchmarks",
-    )
-    if not os.path.isdir(benchmarks_dir):
-        print("the benchmarks/ directory is not available in this install",
-              file=sys.stderr)
+    run_all = _run_all_module()
+    if run_all is None:
         return 1
-    if benchmarks_dir not in sys.path:
-        sys.path.insert(0, benchmarks_dir)
-    run_all = importlib.import_module("run_all")
     return run_all.main(args.kinds)
 
 
@@ -783,184 +774,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Benchmark telemetry: machine-readable runs, baselines, health."""
-    if args.bench_action == "run":
-        return _bench_run(args)
-    if args.bench_action == "compare":
-        return _bench_compare(args)
-    return _bench_report(args)
-
-
-def _bench_run(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.observability.benchtel import run_sections, write_run
-
-    if args.backend:
-        # The storage-growth section reads this to restrict its
-        # per-backend rows to one engine (CI runs one job per backend).
-        os.environ["REPRO_BENCH_BACKEND"] = args.backend
-
-    def progress(section):
-        mark = "ok" if section.status == "ok" else "FAILED"
-        wall = section.wall_median_s
-        timing = f"{wall:8.3f} s" if wall is not None else " " * 10
-        print(f"  {section.name:32s} {timing}  {mark}")
-
-    kinds = set(args.kinds) if args.kinds else None
-    run = run_sections(quick=args.quick, repeats=args.repeats,
-                       label=args.label, kinds=kinds,
-                       verbose=args.verbose, progress=progress)
-    if not run.sections:
-        print("no sections matched", file=sys.stderr)
-        return 1
-    path = write_run(run, args.out)
-    totals = run.to_payload()["totals"]
-    print(f"\nwrote {path}")
-    print(f"-- {totals['ok']}/{totals['sections']} sections ok, "
-          f"total median wall {totals['wall_median_s']:.3f} s")
-    if run.failed:
-        print("-- FAILED: "
-              + ", ".join(section.name for section in run.failed),
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _bench_compare(args: argparse.Namespace) -> int:
-    from repro.observability.benchtel import find_latest_run, load_run
-    from repro.observability.jsonio import emit_json
-    from repro.observability.regression import (
-        Thresholds,
-        compare_runs,
-        load_baseline,
-        render_comparison,
-    )
-
-    current_path = args.current or find_latest_run()
-    current = load_run(current_path)
-    baseline = load_baseline(args.baseline)
-    thresholds = Thresholds(regression=args.regression,
-                            improvement=args.improvement,
-                            noise_floor_s=args.noise_floor)
-    report = compare_runs(current, baseline, thresholds)
-    if args.json:
-        emit_json(report.to_payload())
-    else:
-        print(f"current:  {current_path}")
-        print(render_comparison(report))
-    return report.exit_code(soft=args.soft)
-
-
-def _bench_report(args: argparse.Namespace) -> int:
-    """One consolidated health document: bench + metrics + trace."""
-    from repro.observability.benchtel import find_latest_run, load_run
-    from repro.observability.jsonio import emit_json
-
-    from repro.observability.health import health_from_snapshot
-
-    bench_path = args.bench or find_latest_run()
-    payload = load_run(bench_path)
-    trace_rows = []
-    if args.trace:
-        from repro.observability.tracing import (
-            load_trace,
-            summarize_trace,
-        )
-
-        trace_rows = summarize_trace(load_trace(args.trace))
-    profile_counts = {}
-    if args.profile:
-        from repro.observability.profiler import load_collapsed
-
-        profile_counts = load_collapsed(args.profile)
-    health = health_from_snapshot(payload.get("metrics_snapshot") or {})
-
-    if args.json:
-        document = {
-            "bench": payload,
-            "trace_hotspots": [dict(row) for row in trace_rows],
-            "health": health.to_payload(),
-        }
-        if profile_counts:
-            from repro.observability.profiler import top_functions
-
-            document["profile_hotspots"] = top_functions(profile_counts,
-                                                         limit=10)
-        emit_json(document)
-        return 1 if payload["totals"]["failed"] else 0
-
-    totals = payload["totals"]
-    print(f"Benchmark health report — {payload['label']} "
-          f"({payload['created']})")
-    print(f"  python {payload['python']}  quick={payload['quick']}  "
-          f"source {bench_path}")
-    print(f"  sections: {totals['ok']}/{totals['sections']} ok, "
-          f"total median wall {totals['wall_median_s']:.3f} s")
-    print()
-    print(f"  {'section':32s} {'median s':>9s} {'peak MiB':>9s} "
-          f"{'cache hit%':>11s}")
-    for section in payload["sections"]:
-        wall = section.get("wall_median_s")
-        timing = f"{wall:9.3f}" if wall is not None else f"{'-':>9s}"
-        peak = section.get("peak_memory_bytes")
-        memory = (f"{peak / (1024 * 1024):9.1f}"
-                  if peak is not None else f"{'-':>9s}")
-        cache = section.get("compare_cache") or {}
-        rate = cache.get("hit_rate")
-        hit = f"{100 * rate:10.1f}%" if rate is not None else f"{'-':>11s}"
-        flag = "" if section["status"] == "ok" else "  !! FAILED"
-        print(f"  {section['name']:32s} {timing} {memory} {hit}{flag}")
-    failed = [s for s in payload["sections"] if s["status"] != "ok"]
-    for section in failed:
-        error = section.get("error") or {}
-        print(f"\n  {section['name']}: {error.get('type', '?')}: "
-              f"{error.get('message', '')}")
-
-    hot = []
-    for section in payload["sections"]:
-        for row in section.get("hotspots") or []:
-            hot.append((row["self_s"], section["name"], row))
-    if hot:
-        hot.sort(reverse=True, key=lambda item: item[0])
-        print(f"\n  top hotspots (self time, across sections)")
-        for self_s, name, row in hot[:10]:
-            print(f"    {row['name']:28s} {self_s:8.4f} s  "
-                  f"x{row['count']:<6d} in {name}")
-    if trace_rows:
-        print(f"\n  trace hotspots ({args.trace})")
-        for row in trace_rows[:10]:
-            print(f"    {row['name']:28s} {row['self_s']:8.4f} s  "
-                  f"x{row['count']}")
-    if profile_counts:
-        from repro.observability.profiler import top_functions
-
-        total = max(1, sum(profile_counts.values()))
-        print(f"\n  profile hotspots ({args.profile}, {total} samples)")
-        for row in top_functions(profile_counts, limit=10):
-            print(f"    {row['function']:44s} {row['self']:6.0f} self "
-                  f"({100.0 * row['self'] / total:4.1f}%)  "
-                  f"{row['total']:6.0f} total")
-
-    snapshot = payload.get("metrics_snapshot") or {}
-    interesting = {
-        name: value for name, value in snapshot.items()
-        if name.startswith("compare_cache.") or name.endswith(".count")
-    }
-    if interesting:
-        print("\n  metrics snapshot (cache + histogram counts)")
-        for name in sorted(interesting):
-            print(f"    {name:44s} {interesting[name]:12.0f}")
-
-    print(f"\n  watchdog verdict over the run's metrics: {health.status}")
-    for result in health.results:
-        if result.status != "ok":
-            print(f"    {result.probe}: {result.status} — "
-                  f"{result.evidence}")
-    return 1 if failed else 0
-
-
 def _cmd_suggest(args: argparse.Namespace) -> int:
     from repro.store.repository import REQUIREMENT_PROPERTIES, suggest_scheme
 
@@ -1190,74 +1003,6 @@ def build_parser() -> argparse.ArgumentParser:
     store_rm.add_argument("url")
     store_rm.add_argument("name")
 
-    bench = commands.add_parser(
-        "bench", help="benchmark telemetry: run / compare / report"
-    )
-    bench_actions = bench.add_subparsers(dest="bench_action", required=True)
-
-    bench_run = bench_actions.add_parser(
-        "run", help="run bench sections under the telemetry harness"
-    )
-    bench_run.add_argument("--quick", action="store_true",
-                           help="CI-sized workloads in every section")
-    bench_run.add_argument("--repeats", type=int, default=None,
-                           help="timing repeats per section "
-                                "(default 3, 1 with --quick)")
-    bench_run.add_argument("--label", default=None,
-                           help="run label (default: short git sha)")
-    bench_run.add_argument("--out", metavar="FILE", default=None,
-                           help="output path (default: repo-root "
-                                "BENCH_<label>.json)")
-    bench_run.add_argument("--kinds", nargs="*", metavar="kind",
-                           default=None,
-                           help="restrict to section kinds: figure, "
-                                "claim, extension")
-    bench_run.add_argument("--verbose", action="store_true",
-                           help="let sections print their reports")
-    bench_run.add_argument("--backend", default=None,
-                           choices=["memory", "sqlite", "pagefile"],
-                           help="restrict the storage-growth backend rows "
-                                "to one engine")
-
-    bench_compare = bench_actions.add_parser(
-        "compare", help="diff a bench run against the committed baseline"
-    )
-    bench_compare.add_argument("current", nargs="?", default=None,
-                               help="BENCH_*.json to judge "
-                                    "(default: latest at repo root)")
-    bench_compare.add_argument("--baseline", metavar="FILE", default=None,
-                               help="baseline run (default: "
-                                    "benchmarks/baselines/default.json)")
-    bench_compare.add_argument("--regression", type=float, default=0.25,
-                               help="relative slowdown flagged as a "
-                                    "regression (default 0.25)")
-    bench_compare.add_argument("--improvement", type=float, default=0.20,
-                               help="relative speedup reported as "
-                                    "improved (default 0.20)")
-    bench_compare.add_argument("--noise-floor", type=float, default=0.005,
-                               help="seconds below which both runs are "
-                                    "noise (default 0.005)")
-    bench_compare.add_argument("--soft", action="store_true",
-                               help="report regressions but exit 0")
-    bench_compare.add_argument("--json", action="store_true",
-                               help="emit the comparison as JSON")
-
-    bench_report = bench_actions.add_parser(
-        "report", help="consolidated health report from a bench run"
-    )
-    bench_report.add_argument("--bench", metavar="FILE", default=None,
-                              help="BENCH_*.json to read "
-                                   "(default: latest at repo root)")
-    bench_report.add_argument("--trace", metavar="FILE", default=None,
-                              help="also fold in a JSONL span export "
-                                   "(from `repro trace --export`)")
-    bench_report.add_argument("--profile", metavar="FILE", default=None,
-                              help="fold a collapsed-stack profile (from "
-                                   "`repro profile` or --profile) into the "
-                                   "hotspot section")
-    bench_report.add_argument("--json", action="store_true",
-                              help="emit the health document as JSON")
-
     def _add_workload_options(command: argparse.ArgumentParser) -> None:
         command.add_argument("file", nargs="?", default=None,
                              help="XML file for the workload "
@@ -1411,7 +1156,6 @@ _HANDLERS = {
     "trace": _cmd_trace,
     "journal": _cmd_journal,
     "store": _cmd_store,
-    "bench": _cmd_bench,
     "health": _cmd_health,
     "serve-metrics": _cmd_serve_metrics,
     "top": _cmd_top,

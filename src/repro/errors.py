@@ -89,29 +89,6 @@ class MetricsError(ReproError):
     """
 
 
-class BenchTelemetryError(ReproError):
-    """A benchmark telemetry file or baseline could not be used.
-
-    Raised by :mod:`repro.observability.benchtel` and
-    :mod:`repro.observability.regression` for files that are not bench
-    telemetry at all, and for baselines that cannot be located.
-    """
-
-
-class BenchSchemaError(BenchTelemetryError):
-    """A bench telemetry file declares an incompatible schema version.
-
-    Comparing runs written under different schemas would silently
-    misread fields, so the loader refuses instead.  Carries the
-    ``found`` and ``expected`` version numbers.
-    """
-
-    def __init__(self, message: str, found=None, expected=None):
-        super().__init__(message)
-        self.found = found
-        self.expected = expected
-
-
 class UpdateError(ReproError):
     """An update operation was invalid for the current document state."""
 

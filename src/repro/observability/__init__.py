@@ -15,12 +15,6 @@ its currency.  This package turns those measurements into two layers:
   individual operations — spans over inserts, relabel passes, journal
   writes and joins, with per-span metric deltas, head-based sampling
   and JSONL export, rendered by ``python -m repro trace``;
-* a **benchmark telemetry** layer
-  (:mod:`repro.observability.benchtel`) that runs the whole bench suite
-  under a timed, metrics-capturing harness into schema-versioned
-  ``BENCH_*.json`` documents, and a **regression comparator**
-  (:mod:`repro.observability.regression`) that diffs a run against a
-  committed baseline — both behind ``python -m repro bench``;
 * a structured **operations log** (:mod:`repro.observability.ops`) —
   a bounded ring of typed per-operation events with outcome, duration
   and trace correlation, behind the same zero-cost-when-disabled
@@ -46,14 +40,6 @@ its currency.  This package turns those measurements into two layers:
   behind ``--profile`` and ``python -m repro profile``.
 """
 
-from repro.observability.benchtel import (
-    BenchRun,
-    SectionResult,
-    find_latest_run,
-    load_run,
-    run_sections,
-    write_run,
-)
 from repro.observability.explain import (
     EXPLAIN_SCHEMA_VERSION,
     PlanRecorder,
@@ -108,14 +94,6 @@ from repro.observability.profiler import (
     top_functions,
     write_collapsed,
 )
-from repro.observability.regression import (
-    ComparisonReport,
-    SectionComparison,
-    Thresholds,
-    compare_runs,
-    load_baseline,
-    render_comparison,
-)
 from repro.observability.stats import (
     STATS_SCHEMA_VERSION,
     StatsCollector,
@@ -143,8 +121,6 @@ from repro.observability.tracing import (
 __all__ = [
     "AlwaysOffSampler",
     "AlwaysOnSampler",
-    "BenchRun",
-    "ComparisonReport",
     "Counter",
     "DEFAULT_HERTZ",
     "EXPLAIN_SCHEMA_VERSION",
@@ -168,34 +144,26 @@ __all__ = [
     "RatioSampler",
     "STATS_SCHEMA_VERSION",
     "SamplingProfiler",
-    "SectionComparison",
-    "SectionResult",
     "Span",
     "SpanRecord",
     "StatsCollector",
-    "Thresholds",
     "Timer",
     "Tracer",
     "UpdatePlan",
-    "compare_runs",
     "configure_oplog",
     "configure_tracing",
     "default_probes",
     "explain_batch",
     "explain_query",
-    "find_latest_run",
     "get_oplog",
     "get_registry",
     "get_tracer",
     "health_from_snapshot",
-    "load_baseline",
     "load_collapsed",
-    "load_run",
     "load_trace",
     "merge_collapsed",
     "openmetrics_name",
     "oplog_enabled",
-    "render_comparison",
     "render_health",
     "render_metrics",
     "render_oplog",
@@ -205,7 +173,6 @@ __all__ = [
     "render_summary",
     "render_top",
     "run_health",
-    "run_sections",
     "serve_metrics",
     "start_metrics_server",
     "summarize_trace",
@@ -213,5 +180,4 @@ __all__ = [
     "traced",
     "tracing_enabled",
     "write_collapsed",
-    "write_run",
 ]

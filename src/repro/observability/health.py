@@ -6,9 +6,8 @@ counters, accelerator staleness — yielding ``ok``/``warn``/``critical``
 with the *evidence* that produced the verdict (the numbers, not just
 the colour).  :func:`run_health` evaluates a probe catalogue and
 aggregates the results into a schema-versioned health document, which
-is what ``repro health``, the ``/health`` endpoint of
-``repro serve-metrics`` and the consolidated ``repro bench report``
-all emit.
+is what ``repro health`` and the ``/health`` endpoint of
+``repro serve-metrics`` emit.
 
 The built-in catalogue watches the failure modes the update-mechanism
 experiments actually exhibit:
@@ -469,10 +468,10 @@ def health_from_snapshot(metrics: Dict[str, float],
                          ) -> HealthReport:
     """Evaluate the probes over a *saved* metrics snapshot.
 
-    This is how ``repro bench report`` folds the watchdog verdict into
-    a bench run recorded by another process: the snapshot is the
-    evidence, no live registry or op-log required.  ``registry`` is
-    only used to count probe failures.
+    :func:`run_health` passes the live registry's snapshot; a snapshot
+    saved by another process works the same way, because the snapshot
+    is the evidence and no live registry or op-log is required.
+    ``registry`` is only used to count probe failures.
     """
     if registry is None:
         registry = get_registry()

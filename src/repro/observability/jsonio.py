@@ -1,10 +1,10 @@
 """One JSON emitter for every ``--json`` CLI surface.
 
-``metrics --json``, ``bench compare/report --json`` and ``lint --json``
-all print machine-readable documents; routing them through one helper
-keeps the dialect identical (two-space indent, sorted keys, trailing
-newline) so downstream tooling can diff any two outputs without
-caring which subcommand produced them.
+``metrics``, ``explain``, ``stats``, ``health``, ``update`` and ``lint``
+all print machine-readable documents under ``--json``; routing them
+through one helper keeps the dialect identical (two-space indent,
+sorted keys, trailing newline) so downstream tooling can diff any two
+outputs without caring which subcommand produced them.
 """
 
 from __future__ import annotations

@@ -156,8 +156,9 @@ class Histogram:
         The estimate is the upper bound of the power-of-two bucket
         holding the ``q``-th observation, clamped to the observed
         minimum and maximum — exact at the extremes, within one bucket
-        width in between.  That is all the regression comparator and the
-        bench reports need from a fixed-memory summary.
+        width in between.  That is all the snapshot's p50/p95/p99, the
+        OpenMetrics summaries and ``repro top`` need from a fixed-memory
+        summary.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q!r}")

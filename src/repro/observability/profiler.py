@@ -23,8 +23,7 @@ Design points:
   so short CI smoke runs still produce a usable artifact.
 
 Attach to any CLI workload with the top-level ``--profile FILE`` flag,
-run one under ``repro profile -- <subcommand> ...``, or merge a saved
-profile into ``repro bench report --profile FILE``.
+or run one under ``repro profile -- <subcommand> ...``.
 """
 
 from __future__ import annotations

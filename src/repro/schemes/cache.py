@@ -132,8 +132,8 @@ def cache_stats(snapshot: Optional[Dict[str, float]] = None) -> Dict[str, Any]:
 
     ``hit_rate`` is ``None`` until at least one cacheable lookup has
     happened — a fresh process has no cache effectiveness to report.
-    The health watchdog's hit-rate-collapse probe and the bench report
-    both read this, so the arithmetic lives in one place.
+    The health watchdog's hit-rate-collapse probe reads this, so the
+    arithmetic lives next to the counters it reads.
     """
     if snapshot is None:
         snapshot = get_registry().snapshot()

@@ -1,10 +1,9 @@
 """The shared JSON emitter, and the CLI surfaces that ride on it.
 
-``metrics --json``, ``bench report --json`` and ``lint --json`` all
-serialise through :mod:`repro.observability.jsonio`; these tests pin the
-dialect (sorted keys, two-space indent, no NaN, trailing newline) and
-that the two telemetry commands emit valid JSON even on empty state —
-an empty metric selection and a bench run with zero sections.
+``metrics --json`` and ``lint --json`` both serialise through
+:mod:`repro.observability.jsonio`; these tests pin the dialect (sorted
+keys, two-space indent, no NaN, trailing newline) and that ``metrics
+--json`` emits valid JSON even on an empty metric selection.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.observability.benchtel import BenchRun, write_run
 from repro.observability.jsonio import dump_json, emit_json
 
 
@@ -60,24 +58,3 @@ class TestMetricsJson:
         assert main(["metrics", "--ops", "5", "--json",
                      "--prefix", "no.such.prefix"]) == 0
         assert json.loads(capsys.readouterr().out) == {}
-
-
-class TestBenchReportJson:
-    def _empty_run_path(self, tmp_path):
-        run = BenchRun(label="empty", quick=True)
-        run.created = "2026-01-01T00:00:00+00:00"
-        return write_run(run, str(tmp_path / "BENCH_empty.json"))
-
-    def test_empty_run_is_valid_json(self, tmp_path, capsys):
-        path = self._empty_run_path(tmp_path)
-        assert main(["bench", "report", "--bench", path, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["bench"]["totals"] == {
-            "sections": 0, "ok": 0, "failed": 0, "wall_median_s": 0.0,
-        }
-        assert payload["trace_hotspots"] == []
-
-    def test_empty_run_renders_without_crashing(self, tmp_path, capsys):
-        path = self._empty_run_path(tmp_path)
-        assert main(["bench", "report", "--bench", path]) == 0
-        assert "sections: 0/0 ok" in capsys.readouterr().out

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from conftest import all_scheme_names, labeled
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import MetricsRegistry, get_registry
 from repro.observability.tracing import (
     AlwaysOffSampler,
     InMemorySpanExporter,
@@ -325,3 +325,14 @@ class TestTracedPathEquivalence:
         assert inserts
         assert inserts[0].attributes["scheme"] == "ordpath"
         assert "overflow" in inserts[0].attributes
+
+    def test_traced_updates_publish_label_histograms(self):
+        # A Dewey insert before the first book labels one node and
+        # relabels its following siblings in one pass.
+        ldoc = labeled(parse(SAMPLE), "dewey")
+        book = ldoc.document.root.element_children()[0].element_children()[0]
+        with get_registry().scoped() as delta:
+            with tracing_enabled(InMemorySpanExporter()):
+                ldoc.updates.insert_before(book, "new")
+        assert delta["scheme.dewey.label_bits.count"] == 1
+        assert delta["scheme.dewey.relabel_extent.count"] == 1

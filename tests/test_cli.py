@@ -88,16 +88,43 @@ class TestFigure:
 
 
 class TestReport:
-    def test_figure_reports_only(self, capsys):
-        assert main(["report", "figure"]) == 0
+    @pytest.mark.parametrize("kind, count, shown, other", [
+        ("figure", 7, "All 120 cells agree", "claim"),
+        ("claim", 6, "bench_claim_overflow", "figure"),
+    ], ids=["figure", "claim"])
+    def test_reports_only_one_kind(self, kind, count, shown, other, capsys):
+        assert main(["report", kind]) == 0
         out = capsys.readouterr().out
-        assert "bench_figure7_matrix" in out
-        assert "All 120 cells agree" in out
-        assert "bench_claim_overflow" not in out
+        assert shown in out
+        assert f"({other})" not in out
+        assert f"regenerated {count} reports" in out
 
     def test_unknown_kind_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["report", "everything"])
+
+    def test_failed_section_fails_the_run_and_is_named(self, monkeypatch,
+                                                       capsys):
+        from repro.cli import _run_all_module
+
+        monkeypatch.setattr(_run_all_module(), "SECTIONS", [
+            ("figure", "no_such_bench_module"),
+            ("figure", "bench_figure1_prepost"),
+        ])
+        assert main(["report"]) == 1
+        out = capsys.readouterr().out
+        # the sections after the failure still run
+        assert "matches paper: True" in out
+        assert "regenerated 2 reports" in out
+        assert "1 section(s) FAILED: no_such_bench_module" in out
+
+    def test_failed_section_is_recorded_not_raised(self):
+        from repro.cli import _run_all_module
+
+        failure = _run_all_module().run_section("no_such_bench_module", [])
+        assert failure["section"] == "no_such_bench_module"
+        assert failure["type"] == "ModuleNotFoundError"
+        assert failure["traceback_tail"]
 
 
 class TestGrowth:
@@ -295,123 +322,6 @@ class TestTraceCommand:
         assert main(["trace", "--scheme", "qed", "--ops", "10"]) == 0
         assert get_tracer().enabled is False
         assert get_tracer().exporters == []
-
-
-class TestBench:
-    @pytest.fixture
-    def one_section(self, monkeypatch):
-        """Shrink the default section list so CLI runs stay fast."""
-        import repro.observability.benchtel as benchtel
-
-        monkeypatch.setattr(
-            benchtel, "default_sections",
-            lambda: [("figure", "bench_figure4_ordpath")],
-        )
-
-    def test_run_writes_bench_json(self, one_section, tmp_path, capsys):
-        import json
-
-        target = tmp_path / "BENCH_cli.json"
-        assert main(["bench", "run", "--quick", "--label", "cli",
-                     "--out", str(target)]) == 0
-        out = capsys.readouterr().out
-        assert "bench_figure4_ordpath" in out
-        assert "wrote" in out
-        payload = json.loads(target.read_text(encoding="utf-8"))
-        assert payload["schema_version"] == 1
-        assert payload["label"] == "cli"
-        assert payload["sections"][0]["status"] == "ok"
-
-    def test_run_reports_section_failures(self, monkeypatch, tmp_path,
-                                          capsys):
-        import repro.observability.benchtel as benchtel
-
-        monkeypatch.setattr(
-            benchtel, "default_sections",
-            lambda: [("figure", "no_such_bench_module")],
-        )
-        assert main(["bench", "run", "--quick",
-                     "--out", str(tmp_path / "BENCH_f.json")]) == 1
-        assert "FAILED" in capsys.readouterr().err
-
-    def _payload(self, tmp_path, name, wall):
-        import json
-
-        path = tmp_path / name
-        path.write_text(json.dumps({
-            "schema_version": 1, "label": name,
-            "sections": [{"name": "s", "kind": "figure", "status": "ok",
-                          "wall_median_s": wall}],
-        }), encoding="utf-8")
-        return str(path)
-
-    def test_compare_flags_injected_slowdown(self, tmp_path, capsys):
-        baseline = self._payload(tmp_path, "base.json", 1.0)
-        current = self._payload(tmp_path, "BENCH_now.json", 2.0)
-        assert main(["bench", "compare", current,
-                     "--baseline", baseline]) == 1
-        out = capsys.readouterr().out
-        assert "regressed" in out
-        assert "HARD REGRESSIONS" in out
-
-    def test_compare_soft_gate_exits_zero(self, tmp_path):
-        baseline = self._payload(tmp_path, "base.json", 1.0)
-        current = self._payload(tmp_path, "BENCH_now.json", 2.0)
-        assert main(["bench", "compare", current,
-                     "--baseline", baseline, "--soft"]) == 0
-
-    def test_compare_json_output(self, tmp_path, capsys):
-        import json
-
-        baseline = self._payload(tmp_path, "base.json", 1.0)
-        current = self._payload(tmp_path, "BENCH_now.json", 1.0)
-        assert main(["bench", "compare", current,
-                     "--baseline", baseline, "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["counts"]["unchanged"] == 1
-
-    def test_compare_missing_baseline_fails_cleanly(self, tmp_path,
-                                                    capsys):
-        current = self._payload(tmp_path, "BENCH_now.json", 1.0)
-        assert main(["bench", "compare", current, "--baseline",
-                     str(tmp_path / "absent.json")]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_report_renders_health_document(self, one_section, tmp_path,
-                                            capsys):
-        target = tmp_path / "BENCH_cli.json"
-        assert main(["bench", "run", "--quick", "--label", "cli",
-                     "--out", str(target)]) == 0
-        capsys.readouterr()
-        assert main(["bench", "report", "--bench", str(target)]) == 0
-        out = capsys.readouterr().out
-        assert "Benchmark health report" in out
-        assert "bench_figure4_ordpath" in out
-        assert "top hotspots" in out
-
-    def test_report_json_merges_trace(self, one_section, tmp_path,
-                                      capsys):
-        import json
-
-        target = tmp_path / "BENCH_cli.json"
-        trace = tmp_path / "spans.jsonl"
-        assert main(["bench", "run", "--quick",
-                     "--out", str(target)]) == 0
-        assert main(["trace", "--scheme", "qed", "--ops", "20",
-                     "--export", str(trace)]) == 0
-        capsys.readouterr()
-        assert main(["bench", "report", "--bench", str(target),
-                     "--trace", str(trace), "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["bench"]["schema_version"] == 1
-        assert any(row["name"] == "document.insert"
-                   for row in document["trace_hotspots"])
-
-
-class TestReportKindValidation:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["report", "bogus"])
 
 
 class TestLint:
@@ -618,32 +528,6 @@ class TestProfileCommand:
         assert "node(s)" in captured.out
         assert "-- profile:" in captured.err
         assert out_file.read_text().strip()
-
-
-class TestBenchReportProfile:
-    BASELINE = str(__import__("pathlib").Path(__file__).resolve().parents[1]
-                   / "benchmarks" / "baselines" / "default.json")
-
-    def test_profile_hotspots_folded_in(self, tmp_path, capsys):
-        collapsed = tmp_path / "p.collapsed"
-        collapsed.write_text("repro.cli:main;repro.axes.xpath:xpath 7\n")
-        assert main(["bench", "report", "--bench", self.BASELINE,
-                     "--profile", str(collapsed)]) == 0
-        out = capsys.readouterr().out
-        assert "profile hotspots" in out
-        assert "repro.axes.xpath:xpath" in out
-
-    def test_json_gains_profile_hotspots(self, tmp_path, capsys):
-        import json
-
-        collapsed = tmp_path / "p.collapsed"
-        collapsed.write_text("a;b 3\na 1\n")
-        assert main(["bench", "report", "--bench", self.BASELINE,
-                     "--profile", str(collapsed), "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        rows = document["profile_hotspots"]
-        assert rows[0]["function"] == "b"
-        assert rows[0]["self"] == 3
 
 
 class TestUpdateCommand:

@@ -2,6 +2,8 @@
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -80,3 +82,32 @@ def test_scheme_public_methods_documented():
         if name.startswith("_"):
             continue
         assert member.__doc__ and member.__doc__.strip(), name
+
+
+def _toml_table(text, name):
+    """The body of ``[name]`` in a TOML document, up to the next table."""
+    body = text.split(f"\n[{name}]\n", 1)[1]
+    return re.split(r"^\[", body, maxsplit=1, flags=re.M)[0]
+
+
+def test_installed_version_is_the_package_version():
+    """pyproject.toml declares the version ``repro.__version__`` reports.
+
+    Read without ``tomllib``, which Python 3.10 lacks.
+    """
+    import repro
+
+    text = "\n" + (Path(__file__).resolve().parents[1]
+                   / "pyproject.toml").read_text(encoding="utf-8")
+    project = _toml_table(text, "project")
+    static = re.search(r'^version\s*=\s*"([^"]+)"', project, re.M)
+    if static:
+        declared = static.group(1)
+    else:
+        assert re.search(r'^dynamic\s*=\s*\[[^\]]*"version"', project, re.M)
+        attr = re.search(r'^version\s*=\s*\{\s*attr\s*=\s*"([\w.]+)"\s*\}',
+                         _toml_table(text, "tool.setuptools.dynamic"),
+                         re.M).group(1)
+        module_name, name = attr.rsplit(".", 1)
+        declared = getattr(importlib.import_module(module_name), name)
+    assert declared == repro.__version__
