@@ -85,7 +85,7 @@ class UndoRecord:
         A no-op once the record is closed: released, or rolled back —
         directly or by a record opened before it.
         """
-        from repro.schemes.cache import comparison_cache_for
+        from repro.schemes.cache import invalidate_comparison_cache
 
         ldoc = self._ldoc
         if not ldoc._close_undo_scope(self, rollback=True):
@@ -97,7 +97,7 @@ class UndoRecord:
         # indexes (their refresh stamp includes it) and memoized
         # comparisons of labels that no longer exist are dropped.
         ldoc.log.record("rollbacks")
-        comparison_cache_for(ldoc.scheme).invalidate()
+        invalidate_comparison_cache(ldoc.scheme)
 
     def release(self) -> None:
         """Keep every change since the capture and close the record."""

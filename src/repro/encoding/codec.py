@@ -39,8 +39,11 @@ from repro.schemes.prefix import ordpath as ordpath_module
 _COUNT_BITS = 32
 _DEPTH_BITS = 8
 
-#: Two-bit unit values: 00 is the reserved separator, digits map 1..3.
-_QUATERNARY_SEPARATOR = 0
+#: Each byte as its four 2-bit units, in base-4 digits, MSB first.
+_BYTE_DIGITS = tuple(
+    f"{byte >> 6}{byte >> 4 & 3}{byte >> 2 & 3}{byte & 3}"
+    for byte in range(256)
+)
 
 
 class LabelStreamCodec(abc.ABC):
@@ -57,22 +60,28 @@ class LabelStreamCodec(abc.ABC):
     def read_label(self, reader: BitReader) -> Any:
         """Consume and rebuild one label."""
 
+    def write_labels(self, writer: BitWriter, labels: Sequence[Any]) -> None:
+        """Append every label's bits (a layout may encode all at once)."""
+        for label in labels:
+            self.write_label(writer, label)
+
+    def read_labels(self, reader: BitReader, count: int) -> List[Any]:
+        """Consume and rebuild ``count`` labels."""
+        return [self.read_label(reader) for _ in range(count)]
+
     # ------------------------------------------------------------------
 
     def encode_labels(self, labels: Sequence[Any]) -> Tuple[bytes, int]:
         """Encode a label sequence; returns (bytes, payload_bit_count)."""
         writer = BitWriter()
         writer.write_bits(len(labels), _COUNT_BITS)
-        before = writer.bit_length
-        for label in labels:
-            self.write_label(writer, label)
-        return writer.getvalue(), writer.bit_length - before
+        self.write_labels(writer, labels)
+        return writer.getvalue(), writer.bit_length - _COUNT_BITS
 
     def decode_labels(self, data: bytes) -> List[Any]:
         """Invert :meth:`encode_labels`."""
         reader = BitReader(data)
-        count = reader.read_bits(_COUNT_BITS)
-        return [self.read_label(reader) for _ in range(count)]
+        return self.read_labels(reader, reader.read_bits(_COUNT_BITS))
 
 
 # ----------------------------------------------------------------------
@@ -86,27 +95,62 @@ class QuaternaryStreamCodec(LabelStreamCodec):
     separator (an "empty code") closing the label.  Because valid codes
     never contain the digit 0, the decoder needs no length information —
     precisely the section 4 mechanism that defeats the overflow problem.
+
+    The codec works on the whole stream as one base-4 digit string, one
+    digit per 2-bit unit: ``int(digits, 4)`` packs it, and a
+    byte-to-four-digits table and a split on the ``0`` separators unpack
+    it.  A code must be a non-empty string of the digits 1-3; anything
+    else could not be told apart from a separator, so it is refused.
     """
 
     def write_label(self, writer: BitWriter, label: Tuple[str, ...]) -> None:
-        for code in label:
-            for digit in code:
-                writer.write_bits(int(digit), 2)
-            writer.write_bits(_QUATERNARY_SEPARATOR, 2)
-        writer.write_bits(_QUATERNARY_SEPARATOR, 2)
+        self.write_labels(writer, (label,))
 
     def read_label(self, reader: BitReader) -> Tuple[str, ...]:
+        return self.read_labels(reader, 1)[0]
+
+    def write_labels(self, writer: BitWriter,
+                     labels: Sequence[Tuple[str, ...]]) -> None:
+        if not all(map(all, labels)) or "".join(map("".join, labels)).strip(
+            "123"
+        ):
+            raise InvalidLabelError(
+                "a QED/CDQS code must be a non-empty string of the digits 1-3"
+            )
+        digits = "".join([
+            "0".join(label) + "00" if label else "0" for label in labels
+        ])
+        writer.write_bits(int(digits or "0", 4), 2 * len(digits))
+
+    def read_labels(self, reader: BitReader,
+                    count: int) -> List[Tuple[str, ...]]:
+        if not count:
+            return []
+        units = reader.remaining >> 1
+        padding = -units & 3
+        window = reader.peek_bits(2 * units) << 2 * padding
+        digits = "".join(map(
+            _BYTE_DIGITS.__getitem__,
+            window.to_bytes((units + padding) >> 2, "big"),
+        ))[:units]
+        # Every token but the last ends at a separator; an empty token
+        # closes a label.
+        tokens = digits.split("0")[:-1]
+        labels: List[Tuple[str, ...]] = []
         codes: List[str] = []
-        digits: List[str] = []
-        while True:
-            unit = reader.read_bits(2)
-            if unit == _QUATERNARY_SEPARATOR:
-                if not digits:
-                    return tuple(codes)
-                codes.append("".join(digits))
-                digits = []
-            else:
-                digits.append(str(unit))
+        for token in tokens:
+            if token:
+                codes.append(token)
+                continue
+            labels.append(tuple(codes))
+            if len(labels) == count:
+                break
+            codes = []
+        else:
+            raise InvalidLabelError("bit stream exhausted")
+        used = sum(map(len, labels)) + count
+        reader.read_bits(2 * (used + sum(map(len, tokens[:used]))))
+        return labels
 
 
 class VectorStreamCodec(LabelStreamCodec):

@@ -7,67 +7,100 @@ bit-level I/O layer: ``BitWriter`` packs most-significant-bit-first into
 bytes, ``BitReader`` replays them, and both track the exact bit count so
 tests can assert the codecs match each scheme's declared
 ``label_size_bits`` model bit for bit.
+
+Both work a machine word at a time rather than a bit at a time: the
+writer shifts each field into a small integer accumulator and moves its
+whole bytes to a ``bytearray`` once it holds a word, and the reader
+decodes each field from the byte window that covers it with
+``int.from_bytes``.  The accumulator stays bounded on purpose — one
+ever-growing integer would copy itself on every shift.
 """
 
 from __future__ import annotations
 
-from typing import List
+import re
 
 from repro.errors import InvalidLabelError
+
+#: The writer moves whole bytes out once its accumulator holds this many.
+_FLUSH_BITS = 64
+
+_NOT_A_BIT = re.compile("[^01]")
 
 
 class BitWriter:
     """Accumulates bits MSB-first; pads the final byte with zeros."""
 
     def __init__(self):
-        self._bits: List[int] = []
+        self._buffer = bytearray()
+        self._accumulator = 0
+        self._pending = 0  # bits held in the accumulator
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return self.bit_length
 
     @property
     def bit_length(self) -> int:
-        return len(self._bits)
+        return 8 * len(self._buffer) + self._pending
 
     def write_bit(self, bit: int) -> None:
-        self._bits.append(1 if bit else 0)
+        self._accumulator = (self._accumulator << 1) | (1 if bit else 0)
+        self._pending += 1
+        if self._pending >= _FLUSH_BITS:
+            self._flush()
 
     def write_bits(self, value: int, width: int) -> None:
         """Write ``width`` bits of ``value``, most significant first."""
         if width < 0:
             raise InvalidLabelError("bit width must be non-negative")
-        if value < 0 or value >= (1 << width):
+        if value < 0 or value >> width:
             raise InvalidLabelError(
                 f"value {value} does not fit in {width} bits"
             )
-        for position in range(width - 1, -1, -1):
-            self._bits.append((value >> position) & 1)
+        self._accumulator = (self._accumulator << width) | value
+        self._pending += width
+        if self._pending >= _FLUSH_BITS:
+            self._flush()
 
     def write_bitstring(self, bits: str) -> None:
-        """Write a string of '0'/'1' characters verbatim."""
-        for char in bits:
-            if char not in "01":
-                raise InvalidLabelError(f"not a bit: {char!r}")
-            self._bits.append(int(char))
+        """Write a string of '0'/'1' characters verbatim.
+
+        A bad character is refused after the bits before it are written,
+        as a writer consuming one character at a time would.
+        """
+        bad = _NOT_A_BIT.search(bits)
+        valid = bits if bad is None else bits[: bad.start()]
+        if valid:
+            self.write_bits(int(valid, 2), len(valid))
+        if bad is not None:
+            raise InvalidLabelError(f"not a bit: {bad.group()!r}")
 
     def write_bytes(self, data: bytes) -> None:
-        for byte in data:
-            self.write_bits(byte, 8)
+        self.write_bits(int.from_bytes(data, "big"), 8 * len(data))
+
+    def _flush(self) -> None:
+        """Move the accumulator's whole bytes to the buffer."""
+        spare = self._pending & 7
+        self._buffer += (self._accumulator >> spare).to_bytes(
+            self._pending >> 3, "big"
+        )
+        self._accumulator &= (1 << spare) - 1
+        self._pending = spare
 
     def getvalue(self) -> bytes:
-        out = bytearray()
-        for start in range(0, len(self._bits), 8):
-            chunk = self._bits[start : start + 8]
-            chunk += [0] * (8 - len(chunk))
-            byte = 0
-            for bit in chunk:
-                byte = (byte << 1) | bit
-            out.append(byte)
-        return bytes(out)
+        padding = -self._pending & 7
+        tail = (self._accumulator << padding).to_bytes(
+            (self._pending + padding) >> 3, "big"
+        )
+        return bytes(self._buffer) + tail
 
 
 class BitReader:
-    """Replays bits MSB-first from bytes."""
+    """Replays bits MSB-first from bytes.
+
+    A read that runs past the end consumes what is left, then raises
+    :class:`~repro.errors.InvalidLabelError`.
+    """
 
     def __init__(self, data: bytes, bit_length: int = None):
         self._data = data
@@ -89,24 +122,34 @@ class BitReader:
         return self._position >= self._limit
 
     def read_bit(self) -> int:
-        if self.exhausted:
+        position = self._position
+        if position >= self._limit:
             raise InvalidLabelError("bit stream exhausted")
-        byte = self._data[self._position >> 3]
-        bit = (byte >> (7 - (self._position & 7))) & 1
-        self._position += 1
-        return bit
+        self._position = position + 1
+        return (self._data[position >> 3] >> (7 - (position & 7))) & 1
 
     def read_bits(self, width: int) -> int:
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | self.read_bit()
-        return value
+        if width <= 0:
+            return 0
+        start = self._position
+        end = start + width
+        if end > self._limit:
+            self._position = self._limit
+            raise InvalidLabelError("bit stream exhausted")
+        last = (end + 7) >> 3
+        window = int.from_bytes(self._data[start >> 3 : last], "big")
+        self._position = end
+        return (window >> ((last << 3) - end)) & ((1 << width) - 1)
 
     def read_bitstring(self, width: int) -> str:
-        return "".join(str(self.read_bit()) for _ in range(width))
+        if width <= 0:
+            return ""
+        return format(self.read_bits(width), f"0{width}b")
 
     def read_bytes(self, count: int) -> bytes:
-        return bytes(self.read_bits(8) for _ in range(count))
+        if count <= 0:
+            return b""
+        return self.read_bits(8 * count).to_bytes(count, "big")
 
     def peek_bits(self, width: int) -> int:
         """Read ahead without consuming (used by prefix-code decoders)."""

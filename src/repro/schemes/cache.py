@@ -21,7 +21,6 @@ workload avoided, and how often the working set outgrew the cap.
 from __future__ import annotations
 
 import functools
-import weakref
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.observability.metrics import get_registry
@@ -153,18 +152,26 @@ def cache_stats(snapshot: Optional[Dict[str, float]] = None) -> Dict[str, Any]:
     }
 
 
-_CACHES: "weakref.WeakKeyDictionary[LabelingScheme, ComparisonCache]" = (
-    weakref.WeakKeyDictionary()
-)
+#: The attribute a scheme instance keeps its cache under.
+_CACHE_ATTRIBUTE = "_comparison_cache"
 
 
 def comparison_cache_for(scheme: LabelingScheme) -> ComparisonCache:
-    """The process-wide :class:`ComparisonCache` for ``scheme``.
+    """The :class:`ComparisonCache` for ``scheme``.
 
-    One cache per scheme *instance*, held weakly so dropping the scheme
-    drops its cache.
+    One cache per scheme *instance*, kept on the instance: dropping the
+    scheme drops its cache.  (A table keyed weakly by scheme would not,
+    because the cache refers to its scheme.)
     """
-    cache = _CACHES.get(scheme)
+    cache = getattr(scheme, _CACHE_ATTRIBUTE, None)
     if cache is None:
-        cache = _CACHES[scheme] = ComparisonCache(scheme)
+        cache = ComparisonCache(scheme)
+        setattr(scheme, _CACHE_ATTRIBUTE, cache)
     return cache
+
+
+def invalidate_comparison_cache(scheme: LabelingScheme) -> None:
+    """Empty ``scheme``'s cache if it has one; never creates one."""
+    cache = getattr(scheme, _CACHE_ATTRIBUTE, None)
+    if cache is not None:
+        cache.invalidate()

@@ -52,23 +52,42 @@ class NodeRecord:
     label: Any
 
 
+def _node_record(ldoc: LabeledDocument, node, ordinal: int,
+                 ordinals: Dict[int, int]) -> NodeRecord:
+    parent = node.parent
+    return NodeRecord(
+        ordinal=ordinal,
+        parent_ordinal=(ordinals.get(parent.node_id)
+                        if parent is not None else None),
+        kind="attribute" if node.is_attribute else "element",
+        name=node.name,
+        value=(node.value or "") if node.is_attribute else node.text_value(),
+        label=ldoc.labels[node.node_id],
+    )
+
+
 def node_records(ldoc: LabeledDocument) -> List[NodeRecord]:
     """The edge-model rows of a labelled document, in document order."""
     ordinals: Dict[int, int] = {}
     records: List[NodeRecord] = []
     for ordinal, node in enumerate(ldoc.document.labeled_nodes()):
         ordinals[node.node_id] = ordinal
-        parent = node.parent
-        records.append(NodeRecord(
-            ordinal=ordinal,
-            parent_ordinal=(ordinals.get(parent.node_id)
-                            if parent is not None else None),
-            kind="attribute" if node.is_attribute else "element",
-            name=node.name,
-            value=(node.value or "") if node.is_attribute
-            else node.text_value(),
-            label=ldoc.labels[node.node_id],
-        ))
+        records.append(_node_record(ldoc, node, ordinal, ordinals))
+    return records
+
+
+def named_node_records(ldoc: LabeledDocument, name: str) -> List[NodeRecord]:
+    """The :func:`node_records` rows of the nodes called ``name``.
+
+    Every node is numbered, since ordinals count all of them, but only
+    the matches are built into records.
+    """
+    ordinals: Dict[int, int] = {}
+    records: List[NodeRecord] = []
+    for ordinal, node in enumerate(ldoc.document.labeled_nodes()):
+        ordinals[node.node_id] = ordinal
+        if node.name == name:
+            records.append(_node_record(ldoc, node, ordinal, ordinals))
     return records
 
 

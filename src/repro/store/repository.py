@@ -35,8 +35,8 @@ from repro.store.backends import (
     NodeRecord,
     StorageBackend,
     backend_for_url,
-    node_records,
 )
+from repro.store.backends.base import named_node_records
 from repro.store.indexes import DocumentIndexes
 from repro.store.joins import path_join
 from repro.store.snapshots import (
@@ -394,9 +394,7 @@ class XMLRepository:
                 raise UpdateError(f"no document named {name!r}") from None
             if records is not None:
                 return records
-        stored = self.get(name)
-        return [record for record in node_records(stored.ldoc)
-                if record.name == node_name]
+        return named_node_records(self.get(name).ldoc, node_name)
 
     # -- transactions --------------------------------------------------------
 

@@ -296,7 +296,7 @@ class UpdateBatch:
         from repro.durability.faults import maybe_fail
         from repro.observability.ops import get_oplog
         from repro.observability.tracing import get_tracer
-        from repro.schemes.cache import comparison_cache_for
+        from repro.schemes.cache import invalidate_comparison_cache
 
         self._check_open()
         maybe_fail("batch.apply")
@@ -325,7 +325,7 @@ class UpdateBatch:
                         ldoc._rebuild_label_index()
                         ldoc.log.record("relabel_events")
                         ldoc.log.record("relabeled_nodes", relabeled_nodes)
-                        comparison_cache_for(ldoc.scheme).invalidate()
+                        invalidate_comparison_cache(ldoc.scheme)
                         relabel_span.set_attribute("nodes", relabeled_nodes)
                     if tracer.enabled:
                         get_registry().histogram(

@@ -232,7 +232,7 @@ class LabeledDocument:
         publish a ``relabel`` delta and invalidate the comparison
         cache.  Returns how many nodes changed label.
         """
-        from repro.schemes.cache import comparison_cache_for
+        from repro.schemes.cache import invalidate_comparison_cache
 
         old = self.labels
         new = self.scheme.label_tree(self.document)
@@ -242,7 +242,7 @@ class LabeledDocument:
         )
         self._replace_labels(new)
         self._rebuild_label_index()
-        comparison_cache_for(self.scheme).invalidate()
+        invalidate_comparison_cache(self.scheme)
         self._publish_relabel(changed)
         return changed
 
@@ -789,7 +789,7 @@ class LabeledDocument:
 
     def _apply_relabeling_core(self, relabeled: Dict[int, Any]) -> None:
         from repro.durability.faults import maybe_fail
-        from repro.schemes.cache import comparison_cache_for
+        from repro.schemes.cache import invalidate_comparison_cache
 
         self.log.record("relabel_events")
         self.log.record("relabeled_nodes", len(relabeled))
@@ -804,7 +804,7 @@ class LabeledDocument:
         # A relabelling pass retires label values wholesale; drop the
         # scheme's memoized comparisons rather than let results for
         # recycled values linger past the state change.
-        comparison_cache_for(self.scheme).invalidate()
+        invalidate_comparison_cache(self.scheme)
         self._publish_relabel(len(relabeled))
 
     def _assign(self, node_id: int, label: Any) -> None:

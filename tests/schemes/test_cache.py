@@ -1,5 +1,8 @@
 """ComparisonCache: memoized compare/is_ancestor correctness and reuse."""
 
+import gc
+import weakref
+
 import pytest
 
 from conftest import labeled
@@ -7,6 +10,7 @@ from repro.data.sample import sample_document
 from repro.observability.metrics import get_registry
 from repro.schemes.cache import ComparisonCache, comparison_cache_for
 from repro.schemes.registry import make_scheme
+from repro.store.repository import open_repository
 
 
 @pytest.fixture
@@ -149,3 +153,58 @@ class TestSharedCache:
         ldoc.verify_order()
         # The second verification replays the same label pairs.
         assert hits.value > before
+
+
+def _live_caches():
+    gc.collect()
+    return sum(isinstance(obj, ComparisonCache) for obj in gc.get_objects())
+
+
+class TestCacheLifetime:
+    """The cache lives on its scheme: dropping the scheme frees both."""
+
+    @pytest.mark.parametrize("use", [
+        lambda cache: cache.compare(("2",), ("3",)),
+        lambda cache: cache.is_ancestor(("2",), ("2", "3")),
+        lambda cache: cache.invalidate(),
+    ], ids=["compare", "is_ancestor", "invalidate"])
+    def test_dropped_scheme_is_collected(self, use):
+        scheme = make_scheme("qed")
+        use(comparison_cache_for(scheme))
+        dropped = weakref.ref(scheme)
+        del scheme
+        gc.collect()
+        assert dropped() is None
+
+    def test_dropped_schemes_leave_no_caches(self):
+        before = _live_caches()
+        for _ in range(5):
+            comparison_cache_for(make_scheme("qed")).compare(("2",), ("3",))
+        assert _live_caches() <= before
+
+    def test_relabelling_does_not_create_a_cache(self):
+        ldoc = labeled(sample_document(), "dewey")
+        before = _live_caches()
+        first = ldoc.document.root.element_children()[0]
+        ldoc.updates.insert_before(first, "front")  # relabels the followers
+        with ldoc.batch() as batch:
+            batch.insert_before(first, "again")
+        with pytest.raises(RuntimeError):
+            with ldoc.transaction():
+                ldoc.updates.insert_before(first, "undone")
+                raise RuntimeError("roll back")
+        ldoc.relabel_document()
+        assert _live_caches() == before
+
+    def test_reopened_documents_leave_at_most_one_cache(self, tmp_path):
+        url = f"sqlite:///{tmp_path / 'catalog.db'}"
+        with open_repository(url) as repository:
+            repository.add("doc", sample_document(), scheme="qed")
+        before = _live_caches()
+        for _ in range(5):
+            repository = open_repository(url)
+            stored = repository.get("doc")
+            assert stored.descendant_path(["book", "publisher", "name"])
+            repository.close()
+        del repository, stored
+        assert _live_caches() - before <= 1

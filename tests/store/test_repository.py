@@ -4,6 +4,7 @@ import pytest
 
 from repro.data.sample import SAMPLE_XML
 from repro.errors import SnapshotMismatchError, StorageError, UpdateError
+from repro.store.backends import node_records
 from repro.store.repository import (
     Snapshot,
     XMLRepository,
@@ -11,6 +12,8 @@ from repro.store.repository import (
     suggest_scheme,
     warn_on_legacy_repository,
 )
+from repro.xmlmodel.serializer import serialize
+from repro.xmlmodel.xmark import xmark_document
 
 LIBRARY = (
     "<library><shelf><book><title>Dune</title></book>"
@@ -335,3 +338,46 @@ class TestRegisteredQueries:
         report = repo.get("library").check_update("delete //book;")
         assert report.prediction["scheme"] == "cdqs"
         assert report.prediction["persistent_labels"] is True
+
+
+class TestPointQueryOracle:
+    """The materialising point query builds records only for matches;
+    it must return exactly the filtered rows of every node."""
+
+    @staticmethod
+    def assert_matches_filtered_rows(repository, ldoc):
+        names = {node.name for node in ldoc.document.labeled_nodes()}
+        assert len(names) > 20
+        rows = node_records(ldoc)
+        for name in sorted(names) + ["no-such-name"]:
+            assert repository.point_query("xmark", name) == [
+                row for row in rows if row.name == name
+            ], name
+
+    @pytest.fixture(scope="class")
+    def xmark_xml(self):
+        return serialize(xmark_document(scale=2, seed=3))
+
+    def test_live_document(self, xmark_xml):
+        repository = open_repository("memory://")
+        stored = repository.add("xmark", xmark_xml, scheme="qed")
+        self.assert_matches_filtered_rows(repository, stored.ldoc)
+
+    def test_memory_backend(self, xmark_xml):
+        writer = open_repository("memory://")
+        writer.add("xmark", xmark_xml, scheme="dewey")
+        repository = XMLRepository(backend=writer.backend)
+        assert repository.live_names() == []
+        assert repository.backend.point_query("xmark", "item") is None
+        ldoc = XMLRepository(backend=writer.backend).get("xmark").ldoc
+        self.assert_matches_filtered_rows(repository, ldoc)
+
+    def test_pagefile_backend(self, xmark_xml, tmp_path):
+        url = f"pagefile:///{tmp_path / 'xmark.pages'}"
+        with open_repository(url) as writer:
+            writer.add("xmark", xmark_xml, scheme="ordpath")
+        with open_repository(url) as repository:
+            assert repository.backend.point_query("xmark", "item") is None
+            with open_repository(url) as other:
+                ldoc = other.get("xmark").ldoc
+                self.assert_matches_filtered_rows(repository, ldoc)
