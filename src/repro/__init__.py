@@ -45,6 +45,7 @@ from repro.observability import (
     get_oplog,
     get_registry,
     get_tracer,
+    instrument,
     load_trace,
     oplog_enabled,
     render_health,
@@ -54,7 +55,6 @@ from repro.observability import (
     run_health,
     start_metrics_server,
     summarize_trace,
-    traced,
     tracing_enabled,
 )
 from repro.store import (
@@ -107,6 +107,7 @@ __all__ = [
     "get_oplog",
     "get_registry",
     "get_tracer",
+    "instrument",
     "load_trace",
     "open_repository",
     "oplog_enabled",
@@ -118,7 +119,6 @@ __all__ = [
     "start_metrics_server",
     "suggest_scheme",
     "summarize_trace",
-    "traced",
     "tracing_enabled",
     "extension_schemes",
     "figure7_schemes",

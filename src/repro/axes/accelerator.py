@@ -44,12 +44,11 @@ silently answering from dead positions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NoReturn, Optional
 
 from repro.errors import StaleIndexError, UnsupportedRelationshipError
 from repro.observability.metrics import get_registry
-from repro.observability.ops import get_oplog
-from repro.observability.tracing import get_tracer
+from repro.observability.ops import instrument
 from repro.updates.document import LabeledDocument, StructuralDelta
 from repro.xmlmodel.tree import XMLNode
 
@@ -125,52 +124,37 @@ class AxisAccelerator:
 
     def refresh(self) -> None:
         """Rebuild the whole index from the document and resync the stamp."""
-        tracer = get_tracer()
-        oplog = get_oplog()
-        if not tracer.enabled and not oplog.enabled:
-            self._build()
-            return
-        with oplog.op("accelerator.build",
-                      scheme=self.ldoc.scheme.metadata.name) as op:
-            if tracer.enabled:
-                with tracer.span("accelerator.build",
-                                 scheme=self.ldoc.scheme.metadata.name) as span:
-                    self._build()
-                    span.set_attribute("nodes", len(self._nodes))
-                    op.link(span)
-            else:
-                self._build()
-            op.set(nodes=len(self._nodes))
-
-    def _build(self) -> None:
-        # Nodes a batch has deferred are structurally present but carry
-        # no label yet; they are invisible to label-side evaluation and
-        # stay off the index too (the pending-batch gate refuses queries
-        # until the batch applies anyway).
-        labels = self.ldoc.labels
-        nodes = [
-            node for node in self.document.labeled_nodes()
-            if node.node_id in labels
-        ]
-        total = len(nodes)
-        end = [0] * total
-        pos: Dict[int, int] = {}
-        stack: List[tuple] = []  # (node_id, position) of open subtrees
-        for index, node in enumerate(nodes):
-            parent = node.parent
-            parent_id = parent.node_id if parent is not None else None
-            while stack and stack[-1][0] != parent_id:
-                end[stack.pop()[1]] = index
-            stack.append((node.node_id, index))
-            pos[node.node_id] = index
-        while stack:
-            end[stack.pop()[1]] = total
-        self._nodes = nodes
-        self._end = end
-        self._pos = pos
-        self._dirty = False
-        self._stamp = self.document.structure_version
-        self._metric_builds.increment()
+        with instrument("accelerator.build",
+                        scheme=self.ldoc.scheme.metadata.name) as event:
+            # Nodes a batch has deferred are structurally present but
+            # carry no label yet; they are invisible to label-side
+            # evaluation and stay off the index too (the pending-batch
+            # gate refuses queries until the batch applies anyway).
+            labels = self.ldoc.labels
+            nodes = [
+                node for node in self.document.labeled_nodes()
+                if node.node_id in labels
+            ]
+            total = len(nodes)
+            end = [0] * total
+            pos: Dict[int, int] = {}
+            stack: List[tuple] = []  # (node_id, position) of open subtrees
+            for index, node in enumerate(nodes):
+                parent = node.parent
+                parent_id = parent.node_id if parent is not None else None
+                while stack and stack[-1][0] != parent_id:
+                    end[stack.pop()[1]] = index
+                stack.append((node.node_id, index))
+                pos[node.node_id] = index
+            while stack:
+                end[stack.pop()[1]] = total
+            self._nodes = nodes
+            self._end = end
+            self._pos = pos
+            self._dirty = False
+            self._stamp = self.document.structure_version
+            self._metric_builds.increment()
+            event.set(nodes=total)
 
     def detach(self) -> None:
         """Stop consuming deltas; the index becomes a static snapshot."""
@@ -228,27 +212,20 @@ class AxisAccelerator:
         """Fold one structural change into the index."""
         if not self._dirty:
             if delta.kind in ("insert", "delete"):
-                oplog = get_oplog()
-                if not oplog.enabled:
-                    self._apply_splice(delta)
-                else:
-                    with oplog.op("accelerator.splice",
-                                  scheme=self.ldoc.scheme.metadata.name
-                                  ) as op:
-                        self._apply_splice(delta)
-                        op.set(nodes=1 + len(delta.removed_ids or ()),
-                               kind=delta.kind)
+                with instrument("accelerator.splice",
+                                scheme=self.ldoc.scheme.metadata.name,
+                                kind=delta.kind) as event:
+                    if delta.kind == "insert":
+                        self._splice_insert(delta.node)
+                    else:
+                        self._splice_delete(delta.node_id,
+                                            delta.removed_ids or [])
+                    event.set(nodes=1 + len(delta.removed_ids or ()))
             elif delta.kind == "relabel":
                 self._on_relabel(delta.count)
             else:  # rebuild
                 self._dirty = True
         self._stamp = delta.structure_version
-
-    def _apply_splice(self, delta: StructuralDelta) -> None:
-        if delta.kind == "insert":
-            self._splice_insert(delta.node)
-        else:
-            self._splice_delete(delta.node_id, delta.removed_ids or [])
 
     def _splice_insert(self, node: XMLNode) -> None:
         """Insert one freshly labelled node at its document-order position.
@@ -334,16 +311,13 @@ class AxisAccelerator:
     # Staleness gate
     # ------------------------------------------------------------------
 
-    def _refuse_stale(self, message: str) -> StaleIndexError:
-        """Count and op-log one staleness refusal; returns the error."""
+    def _refuse_stale(self, message: str) -> NoReturn:
+        """Count one staleness refusal and raise it as an error event."""
         self._metric_stale.increment()
-        get_oplog().record(
-            "accelerator.stale_refusal", outcome="error",
-            error_type="StaleIndexError",
-            scheme=self.ldoc.scheme.metadata.name,
-            attributes={"message": message},
-        )
-        return StaleIndexError(message)
+        with instrument("accelerator.stale_refusal",
+                        scheme=self.ldoc.scheme.metadata.name,
+                        message=message):
+            raise StaleIndexError(message)
 
     def _batch_pending(self) -> bool:
         batch = self.ldoc._active_batch
@@ -351,7 +325,7 @@ class AxisAccelerator:
 
     def _ensure_current(self) -> None:
         if self._batch_pending():
-            raise self._refuse_stale(
+            self._refuse_stale(
                 "document has a batch with unlabelled pending nodes; "
                 "apply the batch before querying the accelerator"
             )
@@ -359,14 +333,14 @@ class AxisAccelerator:
             if self._attached or self.auto_refresh:
                 self.refresh()
                 return
-            raise self._refuse_stale(
+            self._refuse_stale(
                 "accelerator index marked for rebuild; call refresh()"
             )
         if self._stamp != self.document.structure_version:
             if self.auto_refresh:
                 self.refresh()
                 return
-            raise self._refuse_stale(
+            self._refuse_stale(
                 f"document structure version "
                 f"{self.document.structure_version} is ahead of index "
                 f"stamp {self._stamp}; the index missed structural "
@@ -379,7 +353,7 @@ class AxisAccelerator:
         # can collide with a live id.
         position = self._pos.get(node.node_id)
         if position is None or self._nodes[position] is not node:
-            raise self._refuse_stale(
+            self._refuse_stale(
                 f"node {node.node_id} is not on the index "
                 f"(refresh needed?)"
             )

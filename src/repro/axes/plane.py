@@ -49,9 +49,6 @@ class PrePostPlane(AxisAccelerator):
         # order index and label arrays are rebuilt.
         self.ldoc.relabel_document()
         super().refresh()
-
-    def _build(self) -> None:
-        super()._build()
         self._labels: List[PrePostLabel] = [
             self.ldoc.label_of(node) for node in self._nodes
         ]

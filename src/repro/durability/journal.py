@@ -25,9 +25,11 @@ implementations:
 * ``"commit"`` — flush per append, fsync only at commit (the default);
 * ``"never"`` — leave buffering to the OS until :meth:`close`.
 
-Appends, syncs, commits, rollbacks and recovery timings are published to
-the :mod:`repro.observability` registry under ``durability.journal.*``
-and ``durability.recover``.
+Appends, syncs, commits, rollbacks and recoveries are counted in the
+:mod:`repro.observability` registry under ``durability.journal.*`` and
+``durability.recover*``; appends, fsyncs and recovery are also
+``journal.*`` instrumentation events, whose durations the op-log
+publishes as ``ops.journal.<kind>.ms``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.durability.faults import InjectedFault, get_injector, maybe_fail
 from repro.errors import JournalError, RecoveryError, StorageError
 from repro.observability.metrics import get_registry
-from repro.observability.tracing import get_tracer
+from repro.observability.ops import instrument
 from repro.store.snapshots import (
     Snapshot,
     restore_snapshot,
@@ -94,7 +96,6 @@ class Journal:
         self._metric_rollbacks = registry.counter(
             "durability.journal.rollbacks"
         )
-        self._timer_append = registry.timer("durability.journal.append")
 
     @classmethod
     def create(cls, path, ldoc: LabeledDocument, name: str = "document",
@@ -143,14 +144,8 @@ class Journal:
         self._require_base()
         if self._open_txn is None:
             self.begin()
-        from repro.observability.ops import get_oplog
-
-        with get_oplog().op("journal.append") as op, \
-                get_tracer().span("journal.append",
-                                  kind=operation.kind.value,
-                                  sync=self.sync_policy), \
-                self._timer_append.time():
-            op.set(kind=operation.kind.value, sync=self.sync_policy)
+        with instrument("journal.append", kind=operation.kind.value,
+                        sync=self.sync_policy):
             record = {"type": "op", "txn": self._open_txn}
             record.update(operation.to_dict())
             line = json.dumps(record, separators=(",", ":"))
@@ -226,10 +221,7 @@ class Journal:
             self._fsync()
 
     def _fsync(self) -> None:
-        from repro.observability.ops import get_oplog
-
-        with get_oplog().op("journal.fsync"), \
-                get_tracer().span("journal.fsync", sync=self.sync_policy):
+        with instrument("journal.fsync", sync=self.sync_policy):
             os.fsync(self._file.fileno())
         self._metric_syncs.increment()
 
@@ -313,13 +305,9 @@ def recover(path) -> RecoveryResult:
     always a commit boundary: the base state, or the state after some
     prefix of the committed transactions — never a half-applied update.
     """
-    from repro.observability.ops import get_oplog
-
     registry = get_registry()
     registry.counter("durability.recoveries").increment()
-    with get_oplog().op("journal.recover") as op, \
-            get_tracer().span("journal.recover") as span, \
-            registry.timer("durability.recover").time():
+    with instrument("journal.recover") as event:
         records, torn_tail = read_journal(path)
         if not records or records[0]["type"] != "base":
             raise RecoveryError(
@@ -371,14 +359,9 @@ def recover(path) -> RecoveryResult:
         registry.counter(
             "durability.recover.records_discarded"
         ).increment(discarded_ops)
-        span.set_attribute("transactions_applied", applied)
-        span.set_attribute("records_replayed", operations)
-        span.set_attribute("records_discarded", discarded_ops)
-        span.set_attribute("torn_tail", torn_tail)
-        op.link(span)
-        op.set(nodes=operations, document=base["name"],
-               scheme=base["scheme"], transactions_applied=applied,
-               records_discarded=discarded_ops, torn_tail=torn_tail)
+        event.set(nodes=operations, document=base["name"],
+                  scheme=base["scheme"], transactions_applied=applied,
+                  records_discarded=discarded_ops, torn_tail=torn_tail)
 
     return RecoveryResult(
         ldoc=ldoc,

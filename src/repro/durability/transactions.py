@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.durability.faults import maybe_fail
 from repro.errors import TransactionError, UpdateError
 from repro.observability.metrics import get_registry
-from repro.observability.tracing import get_tracer
+from repro.observability.ops import instrument
 from repro.updates.operations import (
     OpKind,
     Operation,
@@ -194,41 +194,31 @@ class Transaction:
                 "cannot commit while a batch is open; apply or roll it "
                 "back first"
             )
-        from repro.observability.ops import get_oplog
-
-        with get_oplog().op("transaction.commit",
-                            scheme=ldoc.scheme.metadata.name) as op:
-            with get_tracer().span("transaction.commit",
-                                   scheme=ldoc.scheme.metadata.name,
-                                   journaled=self._journal is not None) as span:
-                op.link(span)
-                try:
-                    maybe_fail("transaction.commit")
-                    if self._journal is not None:
-                        self._journal.commit()
-                except Exception:
-                    self.rollback()
-                    raise
-                self._state = "committed"
-                self._undo.release()
-                self._undo = None
-                ldoc._active_txn = None
-                self._metric_commits.increment()
+        with instrument("transaction.commit",
+                        scheme=ldoc.scheme.metadata.name,
+                        journaled=self._journal is not None):
+            try:
+                maybe_fail("transaction.commit")
+                if self._journal is not None:
+                    self._journal.commit()
+            except Exception:
+                self.rollback()
+                raise
+            self._state = "committed"
+            self._undo.release()
+            self._undo = None
+            ldoc._active_txn = None
+            self._metric_commits.increment()
 
     def rollback(self) -> None:
         """Restore the document to its pre-transaction state."""
         if self._state != "active":
             return
-        from repro.observability.ops import get_oplog
-
         ldoc = self._ldoc
-        oplog = get_oplog()
-        with oplog.op("transaction.rollback",
-                      scheme=ldoc.scheme.metadata.name) as op, \
-                get_tracer().span("transaction.rollback",
-                                  scheme=ldoc.scheme.metadata.name,
-                                  journaled=self._journal is not None):
-            op.set(outcome="rollback")
+        with instrument("transaction.rollback",
+                        scheme=ldoc.scheme.metadata.name,
+                        journaled=self._journal is not None) as event:
+            event.set(outcome="rollback")
             # A batch opened inside the scope and still live at rollback
             # time is subsumed: its savepoint lies after this one, and the
             # replay closes it.  Close the batch object too, so a caller

@@ -83,7 +83,7 @@ class MetricsError(ReproError):
     """The observability registry was misused.
 
     Raised when one instrument name is requested as two different
-    instrument types (a ``counter`` and later a ``timer``, say): the
+    instrument types (a ``counter`` and later a ``histogram``, say): the
     registry refuses to shadow or clobber, because both callers would
     silently publish into diverging instruments.
     """

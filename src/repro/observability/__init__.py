@@ -4,7 +4,7 @@ The survey's whole argument is that update mechanisms must be *measured*,
 not assumed — overflow events, relabel passes and comparison counts are
 its currency.  This package turns those measurements into two layers:
 
-* a uniform, process-wide **metrics** registry — counters, timers and
+* a uniform, process-wide **metrics** registry — counters and
   histograms collected in a
   :class:`~repro.observability.metrics.MetricsRegistry`, fed by the
   scheme instrumentation, the update log, the batch engine, the
@@ -17,8 +17,10 @@ its currency.  This package turns those measurements into two layers:
   and JSONL export, rendered by ``python -m repro trace``;
 * a structured **operations log** (:mod:`repro.observability.ops`) —
   a bounded ring of typed per-operation events with outcome, duration
-  and trace correlation, behind the same zero-cost-when-disabled
-  switch as the tracer;
+  and trace correlation.  Its :func:`~repro.observability.ops.instrument`
+  scope is the one instrumentation event every hot path opens: it feeds
+  the op-log, the span tree and the per-kind ``ops.<kind>.ms``
+  histogram, and costs one shared no-op object while both are off;
 * a **health watchdog** (:mod:`repro.observability.health`) — pluggable
   probes reading the metrics snapshot and the op-log, aggregated into
   one ok/warn/critical document behind ``python -m repro health``;
@@ -73,7 +75,6 @@ from repro.observability.metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
-    Timer,
     get_registry,
     render_metrics,
 )
@@ -82,6 +83,7 @@ from repro.observability.ops import (
     OpLog,
     configure_oplog,
     get_oplog,
+    instrument,
     oplog_enabled,
     render_oplog,
 )
@@ -114,7 +116,6 @@ from repro.observability.tracing import (
     render_span_tree,
     render_summary,
     summarize_trace,
-    traced,
     tracing_enabled,
 )
 
@@ -147,7 +148,6 @@ __all__ = [
     "Span",
     "SpanRecord",
     "StatsCollector",
-    "Timer",
     "Tracer",
     "UpdatePlan",
     "configure_oplog",
@@ -159,6 +159,7 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "health_from_snapshot",
+    "instrument",
     "load_collapsed",
     "load_trace",
     "merge_collapsed",
@@ -177,7 +178,6 @@ __all__ = [
     "start_metrics_server",
     "summarize_trace",
     "top_functions",
-    "traced",
     "tracing_enabled",
     "write_collapsed",
 ]

@@ -5,10 +5,10 @@ Three ways out of the process for the registry and the health document:
 * :func:`render_openmetrics` — the registry as OpenMetrics/Prometheus
   exposition text.  Dotted registry names map to underscore metric
   names (``updates.insertions`` → ``updates_insertions_total``);
-  counters become ``counter`` families with a ``_total`` sample, timers
-  and histograms become ``summary`` families with ``_count``/``_sum``
-  and (for histograms with observations) ``quantile``-labelled samples
-  from the power-of-two bucket estimates.  The text ends with the
+  counters become ``counter`` families with a ``_total`` sample, and
+  histograms become ``summary`` families with ``_count``/``_sum`` and
+  (once observed) ``quantile``-labelled samples from the power-of-two
+  bucket estimates.  The text ends with the
   ``# EOF`` terminator the OpenMetrics spec requires.
 * :class:`IntervalSampler` — a daemon thread appending one JSON line
   ``{"ts": ..., "metrics": {...}}`` per interval to a file: the
@@ -80,8 +80,6 @@ def render_openmetrics(registry: Optional[MetricsRegistry] = None) -> str:
     with registry._lock:
         counters = [(name, counter.value)
                     for name, counter in sorted(registry._counters.items())]
-        timers = [(name, timer.total_seconds, timer.count)
-                  for name, timer in sorted(registry._timers.items())]
         histograms = [
             (name, histogram.count, histogram.total,
              {label: histogram.quantile(float(label))
@@ -92,11 +90,6 @@ def render_openmetrics(registry: Optional[MetricsRegistry] = None) -> str:
         metric = openmetrics_name(name)
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric}_total {_format_value(value)}")
-    for name, total_seconds, count in timers:
-        metric = openmetrics_name(name) + "_seconds"
-        lines.append(f"# TYPE {metric} summary")
-        lines.append(f"{metric}_count {count}")
-        lines.append(f"{metric}_sum {_format_value(total_seconds)}")
     for name, count, total, quantiles in histograms:
         metric = openmetrics_name(name)
         lines.append(f"# TYPE {metric} summary")

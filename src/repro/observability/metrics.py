@@ -1,4 +1,4 @@
-"""A lightweight in-process metrics registry: counters, timers, histograms.
+"""A lightweight in-process metrics registry: counters and histograms.
 
 The evaluation framework already counts divisions, recursions and
 comparisons inside each scheme (:mod:`repro.analysis.instrumentation`);
@@ -14,6 +14,10 @@ ones a hot path dictates:
   objects again;
 * scoping must be easy — :meth:`MetricsRegistry.scoped` diffs two
   snapshots so a benchmark can report exactly what one phase cost.
+
+Durations are not a separate instrument: every instrumented operation
+is one :func:`~repro.observability.ops.instrument` event, and the
+op-log publishes its duration as the ``ops.<kind>.ms`` histogram.
 
 Thread-safety: the registry itself is thread-safe — a single
 :class:`threading.RLock` serialises instrument creation,
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -60,49 +63,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Counter {self.name}={self.value}>"
-
-
-class Timer:
-    """Accumulated wall-clock time over any number of timed sections."""
-
-    __slots__ = ("name", "total_seconds", "count")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.total_seconds = 0.0
-        self.count = 0
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        """Context manager measuring one section::
-
-            with registry.timer("batch.apply").time():
-                batch.apply()
-        """
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.total_seconds += time.perf_counter() - started
-            self.count += 1
-
-    def record(self, seconds: float) -> None:
-        """Record an externally measured duration."""
-        self.total_seconds += seconds
-        self.count += 1
-
-    @property
-    def mean_seconds(self) -> float:
-        """Mean duration per timed section (0.0 when never used)."""
-        return self.total_seconds / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        """Zero the accumulated time and count."""
-        self.total_seconds = 0.0
-        self.count = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Timer {self.name} {self.total_seconds:.6f}s/{self.count}>"
 
 
 class Histogram:
@@ -204,7 +164,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters, timers and histograms under one roof.
+    """Named counters and histograms under one roof.
 
     Instruments are created on first access and live for the registry's
     lifetime, so hot paths fetch them once and increment a cached
@@ -214,7 +174,6 @@ class MetricsRegistry:
 
     def __init__(self):
         self._counters: Dict[str, Counter] = {}
-        self._timers: Dict[str, Timer] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._lock = threading.RLock()
 
@@ -231,17 +190,6 @@ class MetricsRegistry:
                     counter = self._counters[name] = Counter(name)
         return counter
 
-    def timer(self, name: str) -> Timer:
-        """The timer called ``name``, created on first use."""
-        timer = self._timers.get(name)
-        if timer is None:
-            with self._lock:
-                timer = self._timers.get(name)
-                if timer is None:
-                    self._check_free(name, "timer")
-                    timer = self._timers[name] = Timer(name)
-        return timer
-
     def histogram(self, name: str) -> Histogram:
         """The histogram called ``name``, created on first use."""
         histogram = self._histograms.get(name)
@@ -256,7 +204,6 @@ class MetricsRegistry:
     def _check_free(self, name: str, wanted: str) -> None:
         """Refuse to register one name as two instrument types."""
         for kind, instruments in (("counter", self._counters),
-                                  ("timer", self._timers),
                                   ("histogram", self._histograms)):
             if name in instruments:
                 raise MetricsError(
@@ -269,9 +216,8 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, float]:
         """A flat name -> value dict of every instrument.
 
-        Counters contribute their value, timers their total seconds
-        (plus a ``.count`` entry), histograms their count, sum, mean,
-        min/max and estimated p50/p95/p99 — a usable distribution
+        Counters contribute their value, histograms their count, sum,
+        mean, min/max and estimated p50/p95/p99 — a usable distribution
         summary, not just the moments.  An *empty* histogram contributes
         only its ``.count`` and ``.sum`` keys: there is no distribution
         to summarise, and emitting ``0.0`` stats made "never observed"
@@ -284,9 +230,6 @@ class MetricsRegistry:
         with self._lock:
             for name, counter in self._counters.items():
                 values[name] = counter.value
-            for name, timer in self._timers.items():
-                values[name + ".seconds"] = timer.total_seconds
-                values[name + ".count"] = timer.count
             for name, histogram in self._histograms.items():
                 values[name + ".count"] = histogram.count
                 values[name + ".sum"] = histogram.total
@@ -325,13 +268,11 @@ class MetricsRegistry:
         with self._lock:
             for counter in self._counters.values():
                 counter.reset()
-            for timer in self._timers.values():
-                timer.reset()
             for histogram in self._histograms.values():
                 histogram.reset()
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._timers) + len(self._histograms)
+        return len(self._counters) + len(self._histograms)
 
 
 #: The process-wide registry every built-in instrumented path publishes to.

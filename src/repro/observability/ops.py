@@ -1,4 +1,4 @@
-"""Structured operations log: a bounded ring of typed op events.
+"""Structured operations log, and the one instrumentation event.
 
 The metrics registry aggregates (*how much*, in total) and the tracer
 attributes (*which region*, per call tree); neither answers the
@@ -10,14 +10,15 @@ operation, with its kind (``document.insert``, ``journal.append``,
 duration, node counts, outcome (``ok``/``error``/``rollback``), error
 type, and the trace span it correlates with when tracing is on.
 
-Design constraints, matching :mod:`repro.observability.tracing`:
+Every instrumented site goes through :func:`instrument`, one scope that
+produces one event for both consumers: the op-log records it, and the
+tracer records a span of the same name whose ``span_id`` the op event
+carries.  Design constraints:
 
-* **Disabled logging must cost nothing.**  Hot paths keep the
-  ``*_core`` split discipline: the wrapper checks ``tracer.enabled``
-  *and* ``oplog.enabled`` and jumps straight to the ``*_core`` twin
-  when both are off — no event object, no timestamps, no allocation.
-  :meth:`OpLog.op` returns one shared no-op scope when disabled, so
-  mid-hot-path call sites never branch twice.
+* **Disabled instrumentation must cost nothing.**  With the op-log and
+  the tracer both off, :func:`instrument` returns one shared, falsy
+  no-op event — no event object, no timestamps, no allocation beyond
+  the call itself.  Sites compute extra attributes only ``if event:``.
 * **Bounded memory.**  The ring holds the most recent ``capacity``
   events; the oldest are evicted and only counted
   (``ops.evicted``), never resurrected.  Monotonic counters
@@ -40,20 +41,23 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, Optional
 
 from repro.observability.metrics import (
     Histogram,
     MetricsRegistry,
     get_registry,
 )
+from repro.observability.tracing import Span, Tracer, get_tracer
 
 __all__ = [
     "OpEvent",
     "OpLog",
     "get_oplog",
     "configure_oplog",
+    "instrument",
     "iso_ts",
     "oplog_enabled",
     "render_oplog",
@@ -117,102 +121,19 @@ class OpEvent:
         }
 
 
-class _NoopOpScope:
-    """Shared do-nothing scope returned while the op-log is disabled.
-
-    Mirrors ``_NoopSpan`` in the tracing module: one instance serves
-    every disabled call site, and entering/exiting/attributing it are
-    empty ``__slots__`` methods.
-    """
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopOpScope":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> bool:
-        return False
-
-    def set(self, **attributes: Any) -> None:
-        pass
-
-    def link(self, span: Any) -> None:
-        pass
-
-
-_NOOP_OP = _NoopOpScope()
-
-
-class _OpScope:
-    """Context manager timing one operation and recording its event.
-
-    The exception path records ``outcome="error"`` with the exception's
-    type name and re-raises; :meth:`set` attaches node counts and
-    attributes; :meth:`link` correlates the trace span opened for the
-    same operation.
-    """
-
-    __slots__ = ("_oplog", "kind", "document", "scheme", "nodes",
-                 "outcome", "attributes", "_started", "_span")
-
-    def __init__(self, oplog: "OpLog", kind: str,
-                 document: Optional[str] = None,
-                 scheme: Optional[str] = None):
-        self._oplog = oplog
-        self.kind = kind
-        self.document = document
-        self.scheme = scheme
-        self.nodes = 0
-        self.outcome = "ok"
-        self.attributes: Optional[Dict[str, Any]] = None
-        self._started = 0.0
-        self._span: Any = None
-
-    def __enter__(self) -> "_OpScope":
-        self._started = time.perf_counter()
-        return self
-
-    def set(self, nodes: Optional[int] = None,
-            outcome: Optional[str] = None,
-            **attributes: Any) -> None:
-        """Attach node counts, a non-default outcome, and attributes."""
-        if nodes is not None:
-            self.nodes = nodes
-        if outcome is not None:
-            self.outcome = outcome
-        if attributes:
-            if self.attributes is None:
-                self.attributes = attributes
-            else:
-                self.attributes.update(attributes)
-
-    def link(self, span: Any) -> None:
-        """Correlate the trace span recording the same operation."""
-        self._span = span
-
-    def __exit__(self, exc_type, exc_value, traceback) -> bool:
-        duration = time.perf_counter() - self._started
-        outcome = self.outcome
-        error_type = None
-        if exc_type is not None:
-            outcome = "error"
-            error_type = exc_type.__name__
-        self._oplog.record(
-            self.kind, duration,
-            document=self.document, scheme=self.scheme,
-            nodes=self.nodes, outcome=outcome, error_type=error_type,
-            span=self._span, attributes=self.attributes,
-        )
-        return False
+def _valid_capacity(capacity: int) -> int:
+    if capacity < 1:
+        raise ValueError("op-log capacity must be >= 1")
+    return capacity
 
 
 class OpLog:
     """Bounded, thread-safe ring of :class:`OpEvent` records.
 
-    ``enabled`` is the single switch instrumented wrappers check (the
-    global instance starts disabled, like the tracer).  ``capacity``
-    bounds the ring; ``slow_threshold_s`` flags outliers and preserves
-    their attributes.
+    ``enabled`` is the switch :func:`instrument` checks (the global
+    instance starts disabled, like the tracer).  ``capacity`` bounds the
+    ring (assigning a smaller one evicts the oldest events);
+    ``slow_threshold_s`` flags outliers and preserves their attributes.
     """
 
     DEFAULT_CAPACITY = 4096
@@ -222,13 +143,10 @@ class OpLog:
                  slow_threshold_s: float = DEFAULT_SLOW_THRESHOLD_S,
                  enabled: bool = False,
                  registry: Optional[MetricsRegistry] = None):
-        if capacity < 1:
-            raise ValueError("op-log capacity must be >= 1")
         self.enabled = enabled
-        self.capacity = capacity
         self.slow_threshold_s = slow_threshold_s
         self._registry = registry if registry is not None else get_registry()
-        self._events: List[OpEvent] = []
+        self._events: Deque[OpEvent] = deque(maxlen=_valid_capacity(capacity))
         self._lock = threading.RLock()
         self._seq = 0
         self._kind_histograms: Dict[str, Histogram] = {}
@@ -238,19 +156,20 @@ class OpLog:
         self._rollbacks = self._registry.counter("ops.rollbacks")
         self._slow = self._registry.counter("ops.slow")
 
+    @property
+    def capacity(self) -> int:
+        return self._events.maxlen
+
+    @capacity.setter
+    def capacity(self, capacity: int) -> None:
+        capacity = _valid_capacity(capacity)
+        with self._lock:
+            evicted = len(self._events) - capacity
+            if evicted > 0:
+                self._evicted.increment(evicted)
+            self._events = deque(self._events, maxlen=capacity)
+
     # -- recording --------------------------------------------------------
-
-    def op(self, kind: str, document: Optional[str] = None,
-           scheme: Optional[str] = None):
-        """A context manager recording one operation; no-op when disabled::
-
-            with oplog.op("batch.apply", scheme=scheme.name) as op:
-                result = batch._apply_core()
-                op.set(nodes=result.operations)
-        """
-        if not self.enabled:
-            return _NOOP_OP
-        return _OpScope(self, kind, document=document, scheme=scheme)
 
     def record(self, kind: str, duration_s: float = 0.0, *,
                document: Optional[str] = None,
@@ -286,11 +205,9 @@ class OpLog:
                 slow=slow,
                 attributes=dict(keep_attributes or {}),
             )
+            if len(self._events) == self._events.maxlen:
+                self._evicted.increment()
             self._events.append(event)
-            if len(self._events) > self.capacity:
-                evicted = len(self._events) - self.capacity
-                del self._events[:evicted]
-                self._evicted.increment(evicted)
             histogram = self._kind_histograms.get(kind)
             if histogram is None:
                 histogram = self._registry.histogram(f"ops.{kind}.ms")
@@ -399,18 +316,136 @@ def configure_oplog(enabled: bool = True,
     """
     oplog = _GLOBAL_OPLOG
     if capacity is not None:
-        if capacity < 1:
-            raise ValueError("op-log capacity must be >= 1")
-        with oplog._lock:
-            oplog.capacity = capacity
-            if len(oplog._events) > capacity:
-                evicted = len(oplog._events) - capacity
-                del oplog._events[:evicted]
-                oplog._evicted.increment(evicted)
+        oplog.capacity = capacity
     if slow_threshold_s is not None:
         oplog.slow_threshold_s = slow_threshold_s
     oplog.enabled = enabled
     return oplog
+
+
+class _NoopEvent:
+    """The shared, falsy event :func:`instrument` returns while both
+    consumers are off: entering, exiting and setting it do nothing."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return False
+
+    def __enter__(self) -> "_NoopEvent":
+        return self
+
+    def __exit__(self, exc_type, exc_value, traceback) -> bool:
+        return False
+
+    def set(self, **attributes: Any) -> None:
+        pass
+
+
+_NOOP_EVENT = _NoopEvent()
+
+
+class _Event:
+    """One live instrumentation event (see :func:`instrument`).
+
+    ``attributes`` is the span's view: the typed fields ``document``,
+    ``scheme`` and ``nodes`` sit beside the free-form ones, and are
+    split out into :class:`OpEvent` fields when the op event is
+    recorded.
+    """
+
+    __slots__ = ("kind", "outcome", "error_type", "attributes",
+                 "_oplog", "_scope", "_span", "_started")
+
+    def __init__(self, kind: str, attributes: Dict[str, Any],
+                 oplog: OpLog, tracer: Tracer):
+        self.kind = kind
+        self.outcome = "ok"
+        self.error_type: Optional[str] = None
+        self.attributes = attributes
+        self._oplog = oplog if oplog.enabled else None
+        self._scope = (tracer.span(kind, **attributes) if tracer.enabled
+                       else None)
+        self._span: Optional[Span] = None
+        self._started = 0.0
+
+    def __enter__(self) -> "_Event":
+        if self._scope is not None:
+            span = self._scope.__enter__()
+            if isinstance(span, Span):  # not head-sampled out
+                self._span = span
+        self._started = time.perf_counter()
+        return self
+
+    def set(self, nodes: Optional[int] = None,
+            outcome: Optional[str] = None,
+            error_type: Optional[str] = None,
+            document: Optional[str] = None,
+            scheme: Optional[str] = None,
+            **attributes: Any) -> None:
+        """Fill the op event's typed fields and the span's attributes."""
+        if outcome is not None:
+            self.outcome = outcome
+        if error_type is not None:
+            self.error_type = error_type
+        typed = {name: value for name, value in (
+            ("document", document), ("scheme", scheme), ("nodes", nodes),
+        ) if value is not None}
+        typed.update(attributes)
+        self.attributes.update(typed)
+        if self._span is not None:
+            self._span.attributes.update(typed)
+
+    def __exit__(self, exc_type, exc_value, traceback) -> bool:
+        duration = time.perf_counter() - self._started
+        if exc_type is not None:
+            self.outcome = "error"
+            self.error_type = exc_type.__name__
+        span = self._span
+        if span is not None and self.outcome == "error":
+            span.status = "error"
+            span.error = self.error_type
+        if self._scope is not None:
+            # A raised exception overwrites the error with its message.
+            self._scope.__exit__(exc_type, exc_value, traceback)
+        if self._oplog is not None:
+            attributes = self.attributes
+            document, scheme, nodes = (attributes.pop(name, None) for name
+                                       in ("document", "scheme", "nodes"))
+            self._oplog.record(
+                self.kind, duration, document=document, scheme=scheme,
+                nodes=nodes or 0, outcome=self.outcome,
+                error_type=self.error_type, span=span,
+                attributes=attributes,
+            )
+        return False
+
+
+_GLOBAL_TRACER = get_tracer()
+
+
+def instrument(kind: str, /, **attributes: Any) -> "_Event | _NoopEvent":
+    """One instrumentation event around a block::
+
+        with instrument("document.insert", scheme=scheme.name) as event:
+            result = insert()
+            if event:
+                event.set(nodes=1 + result.relabeled_nodes,
+                          overflow=bool(result.overflow_events))
+
+    With the op-log on, the block becomes one :class:`OpEvent` (with
+    the ``ops.<kind>.ms`` histogram); with tracing on, one span named
+    ``kind``, which the op event links by ``span_id``.  ``document``,
+    ``scheme`` and ``nodes`` fill the op event's typed fields; every
+    attribute also lands on the span.  An exception records
+    ``outcome="error"`` with its type (and an ``error`` span) and is
+    re-raised.  With both consumers off this returns one shared, falsy
+    no-op event.  ``kind`` is positional-only, so a site may carry an
+    attribute called ``kind``.
+    """
+    if _GLOBAL_OPLOG.enabled or _GLOBAL_TRACER.enabled:
+        return _Event(kind, attributes, _GLOBAL_OPLOG, _GLOBAL_TRACER)
+    return _NOOP_EVENT
 
 
 class oplog_enabled:

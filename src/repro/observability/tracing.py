@@ -13,11 +13,12 @@ anonymous contributions to a flat total.
 
 Design constraints, in order:
 
-* **Disabled tracing must cost nothing.**  Every instrumented call site
-  runs ``tracer.span(...)`` unconditionally; when the tracer is disabled
-  (the default) that returns one shared no-op object whose ``__enter__``
-  / ``__exit__`` / ``set_attribute`` are empty ``__slots__`` methods.
-  The overhead bound is asserted in the test suite.
+* **Disabled tracing must cost nothing.**  Instrumented sites open their
+  spans through :func:`repro.observability.ops.instrument`, the one
+  event that also feeds the op-log; with both off (the default) it
+  returns one shared no-op object and never reaches the tracer.  A
+  direct :meth:`Tracer.span` on a disabled tracer likewise returns one
+  shared no-op span.  Both overhead bounds are asserted in the tests.
 * **Head-based sampling.**  The keep/drop decision is made once, when a
   *root* span starts; a dropped root suppresses its whole subtree, so a
   sampled trace is always structurally complete.  Samplers are seeded
@@ -25,23 +26,24 @@ Design constraints, in order:
 * **Exporters are dumb sinks.**  Each finished span is handed to every
   exporter (children finish before parents, so export order is
   postorder).  :class:`InMemorySpanExporter` is a bounded ring buffer
-  for tests and the CLI; :class:`JSONLinesSpanExporter` writes one JSON
-  record per line, and :func:`load_trace` reads them back into
-  :class:`SpanRecord` trees for offline analysis —
+  (O(1) eviction) for tests and the CLI;
+  :class:`JSONLinesSpanExporter` writes one JSON record per line, and
+  :func:`load_trace` reads them back into :class:`SpanRecord` trees for
+  offline analysis —
   :func:`summarize_trace` works identically on live spans and loaded
   records.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Any,
-    Callable,
+    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -65,7 +67,6 @@ __all__ = [
     "get_tracer",
     "configure_tracing",
     "tracing_enabled",
-    "traced",
     "load_trace",
     "summarize_trace",
     "render_span_tree",
@@ -293,13 +294,14 @@ class InMemorySpanExporter:
     def __init__(self, capacity: int = 65536):
         if capacity < 1:
             raise ValueError("exporter capacity must be >= 1")
-        self.capacity = capacity
-        self._spans: List[Span] = []
+        self._spans: Deque[Span] = deque(maxlen=capacity)
+
+    @property
+    def capacity(self) -> int:
+        return self._spans.maxlen
 
     def export(self, span: Span) -> None:
         self._spans.append(span)
-        if len(self._spans) > self.capacity:
-            del self._spans[: len(self._spans) - self.capacity]
 
     @property
     def spans(self) -> List[Span]:
@@ -353,10 +355,11 @@ class JSONLinesSpanExporter:
 class Tracer:
     """Process-wide span factory with an explicit on/off switch.
 
-    Instrumented code calls :meth:`span` unconditionally and the tracer
-    decides whether that costs anything: disabled → the shared no-op
-    span; enabled but head-sampled out → a suppression scope; otherwise
-    a recording :class:`Span` parented under the current one.
+    :meth:`span` decides whether a region costs anything: disabled → the
+    shared no-op span; enabled but head-sampled out → a suppression
+    scope; otherwise a recording :class:`Span` parented under the
+    current one.  The package's own hot paths reach it through
+    :func:`repro.observability.ops.instrument`.
 
     ``capture_metrics`` controls whether each recording span diffs the
     metrics registry around its body (cost attribution per span); turn
@@ -378,7 +381,7 @@ class Tracer:
 
     # -- span creation ---------------------------------------------------
 
-    def span(self, name: str, **attributes: Any):
+    def span(self, name: str, /, **attributes: Any):
         """A context manager timing one region; no-op when disabled::
 
             with tracer.span("document.relabel", scheme="ordpath") as span:
@@ -486,33 +489,6 @@ class tracing_enabled:
         tracer = _GLOBAL_TRACER
         (tracer.enabled, tracer.sampler,
          tracer.exporters, tracer.capture_metrics) = self._saved
-
-
-def traced(name: Optional[str] = None, **attributes: Any) -> Callable:
-    """Decorator tracing every call of a function as one span::
-
-        @traced("analysis.growth", schemes=3)
-        def growth_pass(...): ...
-
-    The span name defaults to the function's qualified name; the tracer
-    is resolved at call time, so decorating is free while tracing is
-    disabled.
-    """
-
-    def decorate(function: Callable) -> Callable:
-        span_name = name or function.__qualname__
-
-        @functools.wraps(function)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            tracer = _GLOBAL_TRACER
-            if not tracer.enabled:
-                return function(*args, **kwargs)
-            with tracer.span(span_name, **attributes):
-                return function(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
 
 
 # ----------------------------------------------------------------------

@@ -97,9 +97,6 @@ class FunctionFacts:
     divisions: List[DivisionOp] = field(default_factory=list)
     instrumented: List[InstrumentedOp] = field(default_factory=list)
     counter_writes: List[CounterWrite] = field(default_factory=list)
-    references_enabled: bool = False
-    span_calls: List[int] = field(default_factory=list)
-    tracer_calls: List[int] = field(default_factory=list)
 
 
 def _attr_chain(node: ast.expr) -> Optional[List[str]]:
@@ -187,9 +184,6 @@ class _FactsWalker:
         elif isinstance(node, ast.Assign):
             for target in node.targets:
                 self._visit_counter_target(target, node.lineno)
-        elif isinstance(node, ast.Attribute):
-            if node.attr == "enabled":
-                self.facts.references_enabled = True
         self.walk(node)
 
     def _visit_counter_target(self, target: ast.expr, line: int) -> None:
@@ -211,8 +205,6 @@ class _FactsWalker:
                     DivisionOp(line=node.lineno, col=node.col_offset,
                                op="divmod")
                 )
-            elif func.id == "get_tracer":
-                self.facts.tracer_calls.append(node.lineno)
             self.facts.calls.append(CallSite(
                 line=node.lineno, form="name", parts=(func.id,),
             ))
@@ -228,9 +220,6 @@ class _FactsWalker:
                 ))
                 return
             chain = _attr_chain(func)
-            if func.attr == "span":
-                self.facts.span_calls.append(node.lineno)
-                self.facts.tracer_calls.append(node.lineno)
             if chain is not None:
                 receiver = chain[:-1]
                 if "instruments" in receiver:

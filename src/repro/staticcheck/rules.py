@@ -33,9 +33,6 @@ ARITHMETIC_SCOPE = ("repro.schemes.", "repro.labels.", "repro.strategies.")
 MUTATION_SCOPE = ("repro.updates.", "repro.durability.", "repro.schemes.",
                   "repro.xmlmodel.", "repro.store.")
 
-#: Modules whose span usage must follow the enabled-check ``*_core`` split.
-TRACED_HOT_SCOPE = ("repro.updates.",)
-
 _METRIC_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
 _METRIC_PREFIX_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*\.$")
 
@@ -298,50 +295,11 @@ class NakedMutationRule:
                         )
 
 
-class TracedCoreSplitRule:
-    """REP005: hot-path tracing must follow the enabled-check split.
-
-    In ``repro.updates``, a function that opens spans must gate on
-    ``tracer.enabled`` and delegate the real work to a ``*_core`` twin
-    (the PR 3 convention that keeps the untraced path allocation-free);
-    and a ``*_core`` function must never touch tracer machinery itself.
-    """
-
-    id = "REP005"
-    name = "traced-core-split"
-    severity = "error"
-    description = ("span-opening update functions need the enabled-check "
-                   "*_core split; *_core functions must stay trace-free")
-
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        for module in ctx.project.modules.values():
-            for function in module.functions.values():
-                facts = ctx.graph.facts(function)
-                if (ctx.in_scope(module, TRACED_HOT_SCOPE)
-                        and facts.span_calls
-                        and not facts.references_enabled):
-                    yield ctx.finding(
-                        self, module, function.lineno,
-                        function.node.col_offset,
-                        f"{function.qualname} opens spans without checking "
-                        f"tracer.enabled; split the work into a *_core "
-                        f"twin behind the gate",
-                    )
-                if function.name.endswith("_core") and facts.tracer_calls:
-                    yield ctx.finding(
-                        self, module, facts.tracer_calls[0],
-                        function.node.col_offset,
-                        f"{function.qualname} is a *_core function but "
-                        f"calls tracer machinery; keep the traced half in "
-                        f"the wrapper",
-                    )
-
-
 class MetricNameRule:
     """REP006: metric names must be registry-made and well-formed.
 
     Instruments come from :class:`MetricsRegistry` (never direct
-    ``Counter()``/``Timer()``/``Histogram()`` construction outside the
+    ``Counter()``/``Histogram()`` construction outside the
     metrics module), and literal names follow the dotted-lowercase
     convention (``"updates.insertions"``) so dashboards and baselines
     sort stably.  F-string names must carry a dotted literal prefix.
@@ -357,8 +315,8 @@ class MetricNameRule:
     description = ("metric instruments must come from MetricsRegistry "
                    "with dotted lowercase names in a known family")
 
-    _METHODS = ("counter", "timer", "histogram")
-    _CLASSES = ("Counter", "Timer", "Histogram")
+    _METHODS = ("counter", "histogram")
+    _CLASSES = ("Counter", "Histogram")
     _HOME = "repro.observability.metrics"
 
     #: The metric families dashboards, probes and baselines know about.
@@ -677,7 +635,6 @@ ALL_RULES: List[Rule] = [
     FloatEqualityRule(),
     OverbroadExceptRule(),
     NakedMutationRule(),
-    TracedCoreSplitRule(),
     MetricNameRule(),
     ExportDriftRule(),
     MutableDefaultRule(),

@@ -13,8 +13,9 @@ lets a disk backend serve documents larger than RAM.
 Backends register a URL scheme (``memory://``, ``sqlite:///…``,
 ``pagefile:///…``) so :func:`repro.store.open_repository` can pick the
 engine from one string.  Every backend publishes its traffic as
-``store.backend.*`` metrics and opens ``store.backend.*`` tracing
-spans, so the observability surface is uniform across engines.
+``store.backend.*`` counters and ``backend.*`` instrumentation events
+(op-log records and tracing spans of the same name), so the
+observability surface is uniform across engines.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import BackendLockedError, StorageError
 from repro.observability.metrics import get_registry
-from repro.observability.ops import get_oplog
-from repro.observability.tracing import get_tracer
+from repro.observability.ops import instrument
 from repro.store.snapshots import Snapshot, restore_snapshot
 from repro.updates.document import LabeledDocument
 
@@ -95,9 +95,9 @@ class StorageBackend(abc.ABC):
     """One storage engine behind the repository API.
 
     Concrete backends implement the ``_do_*`` primitives; the public
-    methods here wrap them uniformly in ``store.backend.*`` metrics and
-    tracing spans, and enforce the open/closed lifecycle.  Backends are
-    context managers; :meth:`close` is safe to call twice.
+    methods here wrap them uniformly in ``store.backend.*`` counters and
+    ``backend.*`` events, and enforce the open/closed lifecycle.
+    Backends are context managers; :meth:`close` is safe to call twice.
     """
 
     #: The URL scheme :func:`backend_for_url` dispatches on.
@@ -115,8 +115,6 @@ class StorageBackend(abc.ABC):
         self._metric_lock_refusals = registry.counter(
             "store.backend.lock_refusals"
         )
-        self._timer_put = registry.timer("store.backend.put")
-        self._timer_get = registry.timer("store.backend.get")
 
     # -- lifecycle -------------------------------------------------------
 
@@ -124,20 +122,14 @@ class StorageBackend(abc.ABC):
         """Acquire the underlying storage (idempotent); returns self."""
         if self._opened:
             return self
-        with get_tracer().span("store.backend.open",
-                               backend=self.url_scheme):
+        # A refusal leaves an error event: contention evidence for the
+        # health watchdog (another process, or another handle in this
+        # one, holds the engine's single-writer lock).
+        with instrument("backend.open", scheme=self.url_scheme):
             try:
                 self._do_open()
             except BackendLockedError:
-                # Contention evidence for the health watchdog: another
-                # process (or another handle in this one) holds the
-                # engine's single-writer lock.
                 self._metric_lock_refusals.increment()
-                get_oplog().record(
-                    "backend.open", outcome="error",
-                    error_type="BackendLockedError",
-                    scheme=self.url_scheme,
-                )
                 raise
         self._opened = True
         return self
@@ -166,24 +158,16 @@ class StorageBackend(abc.ABC):
         edge-model rows without re-parsing ``snapshot.xml``.
         """
         self._require_open()
-        with get_oplog().op("backend.put", document=snapshot.name,
-                            scheme=self.url_scheme), \
-                get_tracer().span("store.backend.put",
-                                  backend=self.url_scheme,
-                                  document=snapshot.name), \
-                self._timer_put.time():
+        with instrument("backend.put", document=snapshot.name,
+                        scheme=self.url_scheme):
             self._do_put(snapshot, ldoc)
         self._metric_puts.increment()
 
     def get(self, name: str) -> Snapshot:
         """Load one document state; :class:`StorageError` when absent."""
         self._require_open()
-        with get_oplog().op("backend.get", document=name,
-                            scheme=self.url_scheme), \
-                get_tracer().span("store.backend.get",
-                                  backend=self.url_scheme,
-                                  document=name), \
-                self._timer_get.time():
+        with instrument("backend.get", document=name,
+                        scheme=self.url_scheme):
             snapshot = self._do_get(name)
         self._metric_gets.increment()
         return snapshot
@@ -191,10 +175,8 @@ class StorageBackend(abc.ABC):
     def delete(self, name: str) -> None:
         """Forget one document; :class:`StorageError` when absent."""
         self._require_open()
-        with get_oplog().op("backend.delete", document=name,
-                            scheme=self.url_scheme), \
-                get_tracer().span("store.backend.delete",
-                                  backend=self.url_scheme, document=name):
+        with instrument("backend.delete", document=name,
+                        scheme=self.url_scheme):
             self._do_delete(name)
         self._metric_deletes.increment()
 
@@ -228,15 +210,13 @@ class StorageBackend(abc.ABC):
         included, without re-parsing the document text.
         """
         self._require_open()
-        with get_oplog().op("backend.point_query", document=document,
-                            scheme=self.url_scheme) as op, \
-                get_tracer().span("store.backend.point_query",
-                                  backend=self.url_scheme,
-                                  document=document, node_name=node_name):
+        with instrument("backend.point_query", document=document,
+                        scheme=self.url_scheme,
+                        node_name=node_name) as event:
             records = self._do_point_query(document, node_name)
             if records is not None:
                 self._metric_point_queries.increment()
-                op.set(nodes=len(records))
+                event.set(nodes=len(records))
         return records
 
     def _do_point_query(self, document: str,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, List, Sequence, Tuple
 
 from repro.observability.metrics import get_registry
-from repro.observability.tracing import get_tracer
+from repro.observability.ops import instrument
 from repro.schemes.base import LabelingScheme
 from repro.schemes.cache import comparison_cache_for
 
@@ -34,10 +34,9 @@ def nested_loop_join(scheme: LabelingScheme, ancestors: Sequence[Item],
                      descendants: Sequence[Item]) -> List[Tuple[Any, Any]]:
     """The O(|A| * |D|) baseline: test every pair."""
     get_registry().counter("store.joins.nested_loop").increment()
-    with get_tracer().span("store.join.nested_loop",
-                           scheme=scheme.metadata.name,
-                           ancestors=len(ancestors),
-                           descendants=len(descendants)) as span:
+    with instrument("store.join.nested_loop", scheme=scheme.metadata.name,
+                    ancestors=len(ancestors),
+                    descendants=len(descendants)) as event:
         cache = comparison_cache_for(scheme)
         output = [
             (a_payload, d_payload)
@@ -45,7 +44,7 @@ def nested_loop_join(scheme: LabelingScheme, ancestors: Sequence[Item],
             for d_label, d_payload in descendants
             if cache.is_ancestor(a_label, d_label)
         ]
-        span.set_attribute("output", len(output))
+        event.set(nodes=len(output))
         return output
 
 
@@ -60,10 +59,9 @@ def stack_tree_join(scheme: LabelingScheme, ancestors: Sequence[Item],
     O(|A| + |D| + output) label operations.
     """
     get_registry().counter("store.joins.stack_tree").increment()
-    with get_tracer().span("store.join.stack_tree",
-                           scheme=scheme.metadata.name,
-                           ancestors=len(ancestors),
-                           descendants=len(descendants)) as span:
+    with instrument("store.join.stack_tree", scheme=scheme.metadata.name,
+                    ancestors=len(ancestors),
+                    descendants=len(descendants)) as event:
         cache = comparison_cache_for(scheme)
         output: List[Tuple[Any, Any]] = []
         stack: List[Item] = []
@@ -88,7 +86,7 @@ def stack_tree_join(scheme: LabelingScheme, ancestors: Sequence[Item],
             for a_label, a_payload in stack:
                 output.append((a_payload, d_payload))
             d_index += 1
-        span.set_attribute("output", len(output))
+        event.set(nodes=len(output))
         return output
 
 
@@ -100,10 +98,9 @@ def semi_join(scheme: LabelingScheme, ancestors: Sequence[Item],
     descendant at most once.
     """
     get_registry().counter("store.joins.semi").increment()
-    with get_tracer().span("store.join.semi",
-                           scheme=scheme.metadata.name,
-                           ancestors=len(ancestors),
-                           descendants=len(descendants)) as span:
+    with instrument("store.join.semi", scheme=scheme.metadata.name,
+                    ancestors=len(ancestors),
+                    descendants=len(descendants)) as event:
         cache = comparison_cache_for(scheme)
         kept: List[Item] = []
         stack: List[Any] = []
@@ -121,7 +118,7 @@ def semi_join(scheme: LabelingScheme, ancestors: Sequence[Item],
                 stack.pop()
             if stack:
                 kept.append((d_label, d_payload))
-        span.set_attribute("output", len(kept))
+        event.set(nodes=len(kept))
         return kept
 
 

@@ -167,21 +167,18 @@ class StoredDocument:
         Index scans feed the stack-based joins of
         :mod:`repro.store.joins`; no tree navigation happens.
         """
-        from repro.observability.tracing import get_tracer
+        from repro.observability.ops import instrument
 
         get_registry().counter("repository.path_queries").increment()
-        with get_tracer().span("repository.path_query",
-                               scheme=self.ldoc.scheme.metadata.name,
-                               steps=len(names)) as span:
+        with instrument("repository.path_query", document=self.name,
+                        scheme=self.ldoc.scheme.metadata.name,
+                        steps=len(names)) as event:
             levels = [self.indexes.by_name(step) for step in names]
-            if any(not level for level in levels):
-                span.set_attribute("matches", 0)
-                return []
-            matches = [
+            matches = [] if any(not level for level in levels) else [
                 node for _label, node in path_join(self.ldoc.scheme, levels)
             ]
-            span.set_attribute("matches", len(matches))
-            return matches
+            event.set(nodes=len(matches))
+        return matches
 
     def xpath(self, path: str) -> List[XMLNode]:
         """Full mini-XPath over this document.
@@ -192,13 +189,13 @@ class StoredDocument:
         label-table scans.
         """
         from repro.axes.xpath import xpath as evaluate
-        from repro.observability.ops import get_oplog
+        from repro.observability.ops import instrument
 
-        with get_oplog().op("repository.xpath", document=self.name,
-                            scheme=self.ldoc.scheme.metadata.name) as op:
+        with instrument("repository.xpath", document=self.name,
+                        scheme=self.ldoc.scheme.metadata.name) as event:
             matches = evaluate(self.ldoc, path,
                                accelerator=self.indexes.axis_accelerator())
-            op.set(nodes=len(matches))
+            event.set(nodes=len(matches))
         return matches
 
     def explain(self, path: str, analyze: bool = False):
@@ -267,26 +264,19 @@ class XMLRepository:
         """Ingest a document (XML text or an existing tree)."""
         if name in self:
             raise UpdateError(f"document {name!r} already exists")
-        from repro.observability.ops import get_oplog
-        from repro.observability.tracing import get_tracer
+        from repro.observability.ops import instrument
 
-        registry = get_registry()
         document = parse(source) if isinstance(source, str) else source
         scheme_name = scheme or self.default_scheme
-        with get_oplog().op("repository.ingest", document=name,
-                            scheme=scheme_name) as op, \
-                get_tracer().span("repository.ingest", scheme=scheme_name,
-                                  document=name) as span, \
-                registry.timer("repository.ingest").time():
-            op.link(span)
+        with instrument("repository.ingest", document=name,
+                        scheme=scheme_name) as event:
             ldoc = LabeledDocument(
                 document, make_scheme(scheme_name, **scheme_config)
             )
             stored = StoredDocument(name, ldoc)
             self.backend.put(stored.snapshot(), ldoc)
-            span.set_attribute("labels", len(ldoc.labels))
-            op.set(nodes=len(ldoc.labels))
-        registry.counter("repository.documents_added").increment()
+            event.set(nodes=len(ldoc.labels))
+        get_registry().counter("repository.documents_added").increment()
         self._live[name] = stored
         return stored
 

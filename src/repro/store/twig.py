@@ -94,11 +94,11 @@ class TwigMatcher:
 
     def match(self, pattern: TwigNode) -> List[XMLNode]:
         """Nodes bound to the pattern's output node, in document order."""
-        from repro.observability.tracing import get_tracer
+        from repro.observability.ops import instrument
 
-        with get_tracer().span("store.twig.match",
-                               scheme=self.ldoc.scheme.metadata.name,
-                               root=pattern.name) as span:
+        with instrument("store.twig.match",
+                        scheme=self.ldoc.scheme.metadata.name,
+                        root=pattern.name) as event:
             output = pattern.output_node()
             bindings = self._satisfy(pattern)
             if pattern is output:
@@ -113,7 +113,7 @@ class TwigMatcher:
                         pattern, bindings, output
                     )
                 ]
-            span.set_attribute("matches", len(matches))
+            event.set(nodes=len(matches))
             return matches
 
     def count(self, pattern: TwigNode) -> int:

@@ -294,49 +294,43 @@ class UpdateBatch:
         context manager's exception path — restores the pre-batch state.
         """
         from repro.durability.faults import maybe_fail
-        from repro.observability.ops import get_oplog
-        from repro.observability.tracing import get_tracer
+        from repro.observability.ops import instrument
         from repro.schemes.cache import invalidate_comparison_cache
 
         self._check_open()
         maybe_fail("batch.apply")
         ldoc = self._ldoc
         scheme_name = ldoc.scheme.metadata.name
-        tracer = get_tracer()
-        with get_oplog().op("batch.apply", scheme=scheme_name) as op:
-            with tracer.span("batch.apply", scheme=scheme_name,
-                             operations=self._operations,
-                             deferred=self._deferrals) as span:
-                passes = 0
-                relabeled_nodes = 0
-                if self._pending:
-                    with tracer.span("document.relabel", scheme=scheme_name,
-                                     consolidated=True,
-                                     overflow=False) as relabel_span:
-                        old_labels = ldoc.labels
-                        new_labels = ldoc.scheme.label_tree(ldoc.document)
-                        relabeled_nodes = sum(
-                            1 for node_id, label in new_labels.items()
-                            if node_id in old_labels
-                            and old_labels[node_id] != label
-                        )
-                        ldoc._replace_labels(new_labels)
-                        maybe_fail("batch.relabel")
-                        ldoc._rebuild_label_index()
-                        ldoc.log.record("relabel_events")
-                        ldoc.log.record("relabeled_nodes", relabeled_nodes)
-                        invalidate_comparison_cache(ldoc.scheme)
-                        relabel_span.set_attribute("nodes", relabeled_nodes)
-                    if tracer.enabled:
-                        get_registry().histogram(
-                            f"scheme.{scheme_name}.relabel_extent"
-                        ).observe(relabeled_nodes)
-                    ldoc._publish_rebuild("batch-apply")
-                    passes = 1
-                    self._pending.clear()
-                span.set_attribute("relabel_passes", passes)
-                span.set_attribute("relabeled_nodes", relabeled_nodes)
-                op.link(span)
+        with instrument("batch.apply", scheme=scheme_name,
+                        operations=self._operations,
+                        deferred=self._deferrals) as event:
+            passes = 0
+            relabeled_nodes = 0
+            if self._pending:
+                with instrument("document.relabel", scheme=scheme_name,
+                                consolidated=True,
+                                overflow=False) as relabel:
+                    old_labels = ldoc.labels
+                    new_labels = ldoc.scheme.label_tree(ldoc.document)
+                    relabeled_nodes = sum(
+                        1 for node_id, label in new_labels.items()
+                        if node_id in old_labels
+                        and old_labels[node_id] != label
+                    )
+                    ldoc._replace_labels(new_labels)
+                    maybe_fail("batch.relabel")
+                    ldoc._rebuild_label_index()
+                    ldoc.log.record("relabel_events")
+                    ldoc.log.record("relabeled_nodes", relabeled_nodes)
+                    invalidate_comparison_cache(ldoc.scheme)
+                    relabel.set(nodes=relabeled_nodes)
+                if relabel:
+                    get_registry().histogram(
+                        f"scheme.{scheme_name}.relabel_extent"
+                    ).observe(relabeled_nodes)
+                ldoc._publish_rebuild("batch-apply")
+                passes = 1
+                self._pending.clear()
             for result in self._results:
                 if result.node is not None and result.kind != "delete":
                     result.label = ldoc.labels.get(result.node.node_id)
@@ -356,10 +350,10 @@ class UpdateBatch:
                 content_updates=self._content_updates,
                 results=list(self._results),
             )
-            op.set(nodes=batch_result.labels_assigned
-                   + batch_result.relabeled_nodes,
-                   operations=batch_result.operations,
-                   deferred=batch_result.deferred_labels)
+            event.set(nodes=batch_result.labels_assigned
+                      + batch_result.relabeled_nodes,
+                      relabel_passes=passes,
+                      relabeled_nodes=relabeled_nodes)
         ldoc.last_batch_result = batch_result
         if self._undo is not None:
             self._undo.release()
@@ -377,13 +371,13 @@ class UpdateBatch:
         included).  A no-op after a successful :meth:`apply` — committed
         work stays committed.  Used by the context manager on exception.
         """
-        from repro.observability.ops import get_oplog
+        from repro.observability.ops import instrument
 
         if self._applied:
             return
-        with get_oplog().op("batch.rollback",
-                            scheme=self._ldoc.scheme.metadata.name) as op:
-            op.set(nodes=self._operations, outcome="rollback")
+        with instrument("batch.rollback",
+                        scheme=self._ldoc.scheme.metadata.name) as event:
+            event.set(nodes=self._operations, outcome="rollback")
             if self._undo is not None:
                 self._undo.rollback()
                 self._undo = None

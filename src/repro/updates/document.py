@@ -33,8 +33,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import BatchError, LabelCollisionError, UpdateError
 from repro.observability.metrics import get_registry
-from repro.observability.ops import get_oplog
-from repro.observability.tracing import get_tracer
+from repro.observability.ops import instrument
 from repro.schemes.base import LabelingScheme, SiblingInsertContext
 from repro.updates.results import UpdateResult, UpdateSurface, _maybe_warn_legacy
 from repro.xmlmodel.tree import Document, NodeKind, XMLNode
@@ -404,35 +403,14 @@ class LabeledDocument:
 
     def _do_insert_subtree(self, parent: XMLNode, index: int,
                            fragment: XMLNode) -> UpdateResult:
-        # Same enabled-check split as _label_new_node: the untraced path
-        # must not touch span machinery (grafts label every node through
-        # the hottest call below).
-        tracer = get_tracer()
-        oplog = get_oplog()
-        if not tracer.enabled and not oplog.enabled:
-            return self._do_insert_subtree_core(parent, index, fragment)
-        scheme_name = self.scheme.metadata.name
-        with oplog.op("document.insert_subtree", scheme=scheme_name) as op:
-            if tracer.enabled:
-                with tracer.span("document.insert_subtree",
-                                 scheme=scheme_name) as span:
-                    combined = self._do_insert_subtree_core(
-                        parent, index, fragment)
-                    span.set_attribute("nodes", combined.labels_assigned)
-                    op.link(span)
-            else:
-                combined = self._do_insert_subtree_core(
-                    parent, index, fragment)
-            op.set(nodes=combined.labels_assigned)
-        return combined
-
-    def _do_insert_subtree_core(self, parent: XMLNode, index: int,
-                                fragment: XMLNode) -> UpdateResult:
-        root_copy = self._copy_shallow(fragment)
-        parent.insert_child(index, root_copy)
-        combined = self._label_new_node(root_copy)
-        combined.kind = "insert-subtree"
-        self._insert_children_of(fragment, root_copy, combined)
+        with instrument("document.insert_subtree",
+                        scheme=self.scheme.metadata.name) as event:
+            root_copy = self._copy_shallow(fragment)
+            parent.insert_child(index, root_copy)
+            combined = self._label_new_node(root_copy)
+            combined.kind = "insert-subtree"
+            self._insert_children_of(fragment, root_copy, combined)
+            event.set(nodes=combined.labels_assigned)
         return combined
 
     def _insert_children_of(self, source: XMLNode, target: XMLNode,
@@ -465,46 +443,28 @@ class LabeledDocument:
         self._do_delete(node)
 
     def _do_delete(self, node: XMLNode) -> UpdateResult:
-        tracer = get_tracer()
-        oplog = get_oplog()
-        if not tracer.enabled and not oplog.enabled:
-            return self._do_delete_core(node)
-        scheme_name = self.scheme.metadata.name
-        with oplog.op("document.delete", scheme=scheme_name) as op:
-            if tracer.enabled:
-                with tracer.span("document.delete",
-                                 scheme=scheme_name) as span:
-                    result = self._do_delete_core(node)
-                    span.set_attribute("nodes_removed",
-                                       result.nodes_detached)
-                    span.set_attribute("relabeled_nodes",
-                                       result.relabeled_nodes)
-                    op.link(span)
-            else:
-                result = self._do_delete_core(node)
-            op.set(nodes=result.nodes_detached,
-                   relabeled=result.relabeled_nodes)
-        return result
-
-    def _do_delete_core(self, node: XMLNode) -> UpdateResult:
-        parent = self._parent_of(node)
-        removed_ids = [
-            child.node_id for child in node.preorder()
-            if child.kind.is_labeled
-        ]
-        parent.remove_child(node)
-        self.log.record("deletions")
-        relabeled = self.scheme.on_delete(
-            self.document, self.labels, node.node_id
-        )
-        self._drop_labels(removed_ids)
-        self._publish_delete(node.node_id, removed_ids)
-        result = UpdateResult(kind="delete", node=None,
-                              nodes_detached=len(removed_ids))
-        if relabeled:
-            self._apply_relabeling(relabeled)
-            result.relabeled_nodes = len(relabeled)
-            result.relabel_events = 1
+        with instrument("document.delete",
+                        scheme=self.scheme.metadata.name) as event:
+            parent = self._parent_of(node)
+            removed_ids = [
+                child.node_id for child in node.preorder()
+                if child.kind.is_labeled
+            ]
+            parent.remove_child(node)
+            self.log.record("deletions")
+            relabeled = self.scheme.on_delete(
+                self.document, self.labels, node.node_id
+            )
+            self._drop_labels(removed_ids)
+            self._publish_delete(node.node_id, removed_ids)
+            result = UpdateResult(kind="delete", node=None,
+                                  nodes_detached=len(removed_ids))
+            if relabeled:
+                self._apply_relabeling(relabeled)
+                result.relabeled_nodes = len(relabeled)
+                result.relabel_events = 1
+            event.set(nodes=result.nodes_detached,
+                      relabeled_nodes=result.relabeled_nodes)
         return result
 
     # ------------------------------------------------------------------
@@ -534,55 +494,36 @@ class LabeledDocument:
             raise UpdateError("the root element cannot be moved")
         if node is new_parent or node.is_ancestor_of(new_parent):
             raise UpdateError("cannot move a node under itself")
-        tracer = get_tracer()
-        oplog = get_oplog()
-        if not tracer.enabled and not oplog.enabled:
-            return self._do_move_core(node, new_parent, index)
-        scheme_name = self.scheme.metadata.name
-        with oplog.op("document.move", scheme=scheme_name) as op:
-            if tracer.enabled:
-                with tracer.span("document.move",
-                                 scheme=scheme_name) as span:
-                    combined = self._do_move_core(node, new_parent, index)
-                    span.set_attribute("nodes_moved",
-                                       combined.nodes_detached)
-                    span.set_attribute("relabeled_nodes",
-                                       combined.relabeled_nodes)
-                    op.link(span)
-            else:
-                combined = self._do_move_core(node, new_parent, index)
-            op.set(nodes=combined.nodes_detached,
-                   relabeled=combined.relabeled_nodes)
-        return combined
-
-    def _do_move_core(self, node: XMLNode, new_parent: XMLNode,
-                      index: int) -> UpdateResult:
-        old_parent = node.parent
-        moved_ids = [
-            child.node_id for child in node.preorder()
-            if child.kind.is_labeled
-        ]
-        old_parent.remove_child(node)
-        relabeled = self.scheme.on_delete(
-            self.document, self.labels, node.node_id
-        )
-        self._drop_labels(moved_ids)
-        self._publish_delete(node.node_id, moved_ids)
-        combined = UpdateResult(kind="move", node=node,
-                                nodes_detached=len(moved_ids))
-        if relabeled:
-            self._apply_relabeling(relabeled)
-            combined.relabeled_nodes += len(relabeled)
-            combined.relabel_events += 1
-        new_parent.insert_child(index, node)
-        for child in node.preorder():
-            if child.kind.is_labeled:
-                result = self._label_new_node(child)
-                combined.labels_assigned += result.labels_assigned
-                combined.relabeled_nodes += result.relabeled_nodes
-                combined.relabel_events += result.relabel_events
-                combined.overflow_events += result.overflow_events
-        combined.label = self.labels.get(node.node_id)
+        with instrument("document.move",
+                        scheme=self.scheme.metadata.name) as event:
+            old_parent = node.parent
+            moved_ids = [
+                child.node_id for child in node.preorder()
+                if child.kind.is_labeled
+            ]
+            old_parent.remove_child(node)
+            relabeled = self.scheme.on_delete(
+                self.document, self.labels, node.node_id
+            )
+            self._drop_labels(moved_ids)
+            self._publish_delete(node.node_id, moved_ids)
+            combined = UpdateResult(kind="move", node=node,
+                                    nodes_detached=len(moved_ids))
+            if relabeled:
+                self._apply_relabeling(relabeled)
+                combined.relabeled_nodes += len(relabeled)
+                combined.relabel_events += 1
+            new_parent.insert_child(index, node)
+            for child in node.preorder():
+                if child.kind.is_labeled:
+                    result = self._label_new_node(child)
+                    combined.labels_assigned += result.labels_assigned
+                    combined.relabeled_nodes += result.relabeled_nodes
+                    combined.relabel_events += result.relabel_events
+                    combined.overflow_events += result.overflow_events
+            combined.label = self.labels.get(node.node_id)
+            event.set(nodes=combined.nodes_detached,
+                      relabeled_nodes=combined.relabeled_nodes)
         return combined
 
     # ------------------------------------------------------------------
@@ -690,53 +631,34 @@ class LabeledDocument:
 
     def _label_new_node(self, node: XMLNode) -> UpdateResult:
         # The hottest call in the package: every inserted node passes
-        # through here.  The explicit enabled check keeps the disabled
-        # path free of any span/op machinery (the no-op overhead bound
-        # the tests assert); the traced path additionally feeds the
-        # per-scheme label-size profile, and the op-log path records one
-        # ``document.insert`` event.
-        tracer = get_tracer()
-        oplog = get_oplog()
-        if not tracer.enabled and not oplog.enabled:
-            return self._label_new_node_core(node)
+        # through here.  A live event also feeds the per-scheme
+        # label-size profile.
         scheme_name = self.scheme.metadata.name
-        with oplog.op("document.insert", scheme=scheme_name) as op:
-            if tracer.enabled:
-                with tracer.span("document.insert",
-                                 scheme=scheme_name) as span:
-                    result = self._label_new_node_core(node)
-                    span.set_attribute("relabeled_nodes",
-                                       result.relabeled_nodes)
-                    span.set_attribute("overflow",
-                                       bool(result.overflow_events))
-                    if result.label is not None:
-                        get_registry().histogram(
-                            f"scheme.{scheme_name}.label_bits"
-                        ).observe(self.scheme.label_size_bits(result.label))
-                    op.link(span)
-            else:
-                result = self._label_new_node_core(node)
-            op.set(nodes=1 + result.relabeled_nodes,
-                   relabeled=result.relabeled_nodes,
-                   overflow=bool(result.overflow_events))
-        return result
-
-    def _label_new_node_core(self, node: XMLNode) -> UpdateResult:
-        context = self._insert_context_for(node)
-        outcome = self.scheme.insert_sibling(context)
-        self.log.record("insertions")
-        result = UpdateResult(kind="insert", node=node, labels_assigned=1)
-        if outcome.overflowed:
-            self.log.record("overflow_events")
-            result.overflow_events = 1
-        if outcome.relabeled:
-            self._apply_relabeling(outcome.relabeled,
-                                   overflowed=outcome.overflowed)
-            result.relabeled_nodes = len(outcome.relabeled)
-            result.relabel_events = 1
-        self._assign(node.node_id, outcome.label)
-        self._publish_insert(node)
-        result.label = outcome.label
+        with instrument("document.insert", scheme=scheme_name) as event:
+            context = self._insert_context_for(node)
+            outcome = self.scheme.insert_sibling(context)
+            self.log.record("insertions")
+            result = UpdateResult(kind="insert", node=node,
+                                  labels_assigned=1)
+            if outcome.overflowed:
+                self.log.record("overflow_events")
+                result.overflow_events = 1
+            if outcome.relabeled:
+                self._apply_relabeling(outcome.relabeled,
+                                       overflowed=outcome.overflowed)
+                result.relabeled_nodes = len(outcome.relabeled)
+                result.relabel_events = 1
+            self._assign(node.node_id, outcome.label)
+            self._publish_insert(node)
+            result.label = outcome.label
+            if event:
+                event.set(nodes=1 + result.relabeled_nodes,
+                          relabeled_nodes=result.relabeled_nodes,
+                          overflow=bool(result.overflow_events))
+                if outcome.label is not None:
+                    get_registry().histogram(
+                        f"scheme.{scheme_name}.label_bits"
+                    ).observe(self.scheme.label_size_bits(outcome.label))
         return result
 
     def _insert_context_for(self, node: XMLNode) -> SiblingInsertContext:
@@ -767,45 +689,31 @@ class LabeledDocument:
 
     def _apply_relabeling(self, relabeled: Dict[int, Any],
                           overflowed: bool = False) -> None:
-        tracer = get_tracer()
-        oplog = get_oplog()
-        if not tracer.enabled and not oplog.enabled:
-            self._apply_relabeling_core(relabeled)
-            return
-        scheme_name = self.scheme.metadata.name
-        with oplog.op("document.relabel", scheme=scheme_name) as op:
-            op.set(nodes=len(relabeled), overflow=overflowed)
-            if tracer.enabled:
-                with tracer.span("document.relabel", scheme=scheme_name,
-                                 nodes=len(relabeled),
-                                 overflow=overflowed) as span:
-                    self._apply_relabeling_core(relabeled)
-                    op.link(span)
-                get_registry().histogram(
-                    f"scheme.{scheme_name}.relabel_extent"
-                ).observe(len(relabeled))
-            else:
-                self._apply_relabeling_core(relabeled)
-
-    def _apply_relabeling_core(self, relabeled: Dict[int, Any]) -> None:
         from repro.durability.faults import maybe_fail
         from repro.schemes.cache import invalidate_comparison_cache
 
-        self.log.record("relabel_events")
-        self.log.record("relabeled_nodes", len(relabeled))
-        for node_id, label in relabeled.items():
-            maybe_fail("document.relabel")
-            old = self.labels.get(node_id)
-            if old is not None:
-                self._unindex(node_id, old)
-            self._set_label(node_id, label)
-        for node_id, label in relabeled.items():
-            self._index(node_id, label)
-        # A relabelling pass retires label values wholesale; drop the
-        # scheme's memoized comparisons rather than let results for
-        # recycled values linger past the state change.
-        invalidate_comparison_cache(self.scheme)
-        self._publish_relabel(len(relabeled))
+        scheme_name = self.scheme.metadata.name
+        with instrument("document.relabel", scheme=scheme_name,
+                        nodes=len(relabeled), overflow=overflowed) as event:
+            self.log.record("relabel_events")
+            self.log.record("relabeled_nodes", len(relabeled))
+            for node_id, label in relabeled.items():
+                maybe_fail("document.relabel")
+                old = self.labels.get(node_id)
+                if old is not None:
+                    self._unindex(node_id, old)
+                self._set_label(node_id, label)
+            for node_id, label in relabeled.items():
+                self._index(node_id, label)
+            # A relabelling pass retires label values wholesale; drop the
+            # scheme's memoized comparisons rather than let results for
+            # recycled values linger past the state change.
+            invalidate_comparison_cache(self.scheme)
+            self._publish_relabel(len(relabeled))
+        if event:
+            get_registry().histogram(
+                f"scheme.{scheme_name}.relabel_extent"
+            ).observe(len(relabeled))
 
     def _assign(self, node_id: int, label: Any) -> None:
         key = self._hashable(label)

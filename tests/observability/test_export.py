@@ -41,14 +41,6 @@ class TestOpenMetricsRendering:
         text = render_openmetrics(registry)
         assert text.endswith("# EOF\n")
 
-    def test_timer_rendered_as_summary_seconds(self, registry):
-        with registry.timer("store.backend.put").time():
-            pass
-        text = render_openmetrics(registry)
-        assert "# TYPE store_backend_put_seconds summary" in text
-        assert "store_backend_put_seconds_count 1" in text
-        assert "store_backend_put_seconds_sum" in text
-
     def test_histogram_quantiles_labelled(self, registry):
         histogram = registry.histogram("scheme.dewey.label_bits")
         for value in (1.0, 2.0, 3.0):

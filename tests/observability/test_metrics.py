@@ -1,4 +1,4 @@
-"""Metrics registry: counters, timers, histograms, scoped deltas."""
+"""Metrics registry: counters, histograms, scoped deltas."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.observability.metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
-    Timer,
     get_registry,
     render_metrics,
 )
@@ -32,28 +31,6 @@ class TestCounter:
 
     def test_distinct_names_distinct_objects(self, registry):
         assert registry.counter("x") is not registry.counter("y")
-
-
-class TestTimer:
-    def test_time_context_accumulates(self, registry):
-        timer = registry.timer("t")
-        with timer.time():
-            pass
-        with timer.time():
-            pass
-        assert timer.count == 2
-        assert timer.total_seconds >= 0.0
-        assert timer.mean_seconds == timer.total_seconds / 2
-
-    def test_record_external_duration(self, registry):
-        timer = registry.timer("t")
-        timer.record(1.5)
-        timer.record(0.5)
-        assert timer.total_seconds == 2.0
-        assert timer.mean_seconds == 1.0
-
-    def test_mean_of_unused_timer(self):
-        assert Timer("t").mean_seconds == 0.0
 
 
 class TestHistogram:
@@ -138,13 +115,11 @@ class TestHistogram:
 class TestRegistry:
     def test_snapshot_flattens_everything(self, registry):
         registry.counter("c").increment(2)
-        registry.timer("t").record(1.0)
         registry.histogram("h").observe(4)
         values = registry.snapshot()
         assert values["c"] == 2
-        assert values["t.seconds"] == 1.0
-        assert values["t.count"] == 1
         assert values["h.count"] == 1
+        assert values["h.sum"] == 4
         assert values["h.mean"] == 4
 
     def test_scoped_yields_deltas_only(self, registry):
@@ -155,16 +130,15 @@ class TestRegistry:
 
     def test_reset_zeroes_all(self, registry):
         registry.counter("c").increment()
-        registry.timer("t").record(1.0)
+        registry.histogram("h").observe(1.0)
         registry.reset()
         assert registry.snapshot()["c"] == 0
-        assert registry.snapshot()["t.seconds"] == 0.0
+        assert registry.snapshot()["h.count"] == 0
 
     def test_len_counts_instruments(self, registry):
         registry.counter("c")
-        registry.timer("t")
         registry.histogram("h")
-        assert len(registry) == 3
+        assert len(registry) == 2
 
     def test_two_thread_hammer(self, registry):
         """Registration + snapshot from concurrent threads must not race.
@@ -245,7 +219,7 @@ class TestRender:
     def test_render_is_sorted_by_name(self, registry):
         registry.counter("zeta").increment()
         registry.counter("alpha").increment()
-        registry.timer("mid").record(0.5)
+        registry.histogram("mid").observe(0.5)
         names = [line.split()[0] for line in render_metrics(registry).splitlines()]
         assert names == sorted(names)
 
@@ -253,18 +227,11 @@ class TestRender:
 class TestCrossTypeCollision:
     """One name, one instrument type: re-registration must not shadow."""
 
-    def test_counter_then_timer_raises(self, registry):
+    def test_counter_then_histogram_raises(self, registry):
         from repro.errors import MetricsError
 
         registry.counter("x")
         with pytest.raises(MetricsError, match="already registered as a counter"):
-            registry.timer("x")
-
-    def test_timer_then_histogram_raises(self, registry):
-        from repro.errors import MetricsError
-
-        registry.timer("x")
-        with pytest.raises(MetricsError, match="already registered as a timer"):
             registry.histogram("x")
 
     def test_histogram_then_counter_raises(self, registry):
@@ -276,7 +243,7 @@ class TestCrossTypeCollision:
             registry.counter("x")
 
     def test_same_type_reaccess_is_fine(self, registry):
-        assert registry.timer("x") is registry.timer("x")
+        assert registry.histogram("x") is registry.histogram("x")
 
     def test_snapshot_keys_are_sorted(self, registry):
         registry.counter("z").increment()

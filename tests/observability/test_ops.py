@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -13,9 +14,11 @@ from repro.observability.ops import (
     OpLog,
     configure_oplog,
     get_oplog,
+    instrument,
     oplog_enabled,
     render_oplog,
 )
+from repro.observability.tracing import InMemorySpanExporter, get_tracer
 from repro.schemes.registry import make_scheme
 from repro.updates.document import LabeledDocument
 from repro.xmlmodel.parser import parse
@@ -103,13 +106,15 @@ class TestSlowOpCapture:
         log.record("op.x", 0.001)
         assert registry.snapshot()["ops.slow"] == 1
 
-    def test_op_scope_records_error_outcome_and_reraises(self, oplog):
-        with pytest.raises(ValueError):
-            with oplog.op("op.x", scheme="dewey"):
-                raise ValueError("boom")
-        (event,) = oplog.events()
+    def test_op_scope_records_error_outcome_and_reraises(self):
+        with oplog_enabled() as log:
+            with pytest.raises(ValueError):
+                with instrument("op.x", scheme="dewey"):
+                    raise ValueError("boom")
+        (event,) = log.events()
         assert event.outcome == "error"
         assert event.error_type == "ValueError"
+        assert event.scheme == "dewey"
 
     def test_invalid_outcome_rejected(self, oplog):
         with pytest.raises(ValueError):
@@ -123,22 +128,45 @@ class TestDisabledCost:
         assert len(log) == 0
 
     def test_disabled_op_returns_shared_noop(self):
-        log = OpLog(enabled=False, registry=MetricsRegistry())
-        first = log.op("op.x")
-        second = log.op("op.y")
+        # Both consumers off: every kind gets the same falsy object.
+        first = instrument("op.x")
+        second = instrument("op.y", kind="insert", nodes=3)
         assert first is second
-        with first as scope:
-            scope.set(nodes=3)
-            scope.link(object())
+        assert not first
+        with first as event:
+            assert event is first
+            event.set(nodes=3, outcome="rollback", scheme="dewey")
+
+    def test_disabled_instrument_overhead_is_bounded(self):
+        calls = 20000
+        start = time.perf_counter()
+        for _ in range(calls):
+            with instrument("hot", scheme="dewey") as event:
+                if event:  # pragma: no cover - disabled
+                    event.set(nodes=1)
+        elapsed = time.perf_counter() - start
+        # The tracer test's ceiling: 10µs per disabled call.
+        assert elapsed / calls < 10e-6
 
     def test_global_oplog_disabled_by_default(self):
         assert get_oplog().enabled is False
 
     def test_document_insert_allocates_no_event_when_disabled(self):
         document = ldoc()
-        before = len(get_oplog())
-        document.updates.append_child(document.document.root, "quiet")
+        tracer = get_tracer()
+        assert not tracer.enabled
+        exporter = InMemorySpanExporter()
+        saved_exporters = tracer.exporters
+        tracer.exporters = [exporter]
+        try:
+            before = len(get_oplog())
+            next_span_id = tracer._next_span_id
+            document.updates.append_child(document.document.root, "quiet")
+        finally:
+            tracer.exporters = saved_exporters
         assert len(get_oplog()) == before
+        assert len(exporter) == 0
+        assert tracer._next_span_id == next_span_id
 
 
 class TestInstrumentedPaths:
@@ -210,6 +238,22 @@ class TestInstrumentedPaths:
         assert ingest and ingest[0].document == "lib"
         assert ingest[0].nodes == 6
         assert xpath and xpath[0].nodes == 3
+
+    def test_recover_event_carries_document_and_scheme(self, tmp_path):
+        from repro.durability.journal import Journal, recover
+
+        document = ldoc("ordpath")
+        path = tmp_path / "orders.journal"
+        with Journal.create(path, document, name="orders") as journal:
+            with document.transaction(journal=journal) as txn:
+                txn.append_child(document.document.root, "order")
+        with oplog_enabled() as log:
+            result = recover(path)
+        assert result.transactions_applied == 1
+        (event,) = log.events(kind="journal.recover")
+        assert event.document == "orders"
+        assert event.scheme == "ordpath"
+        assert event.nodes == 1
 
     def test_per_kind_histogram_published(self):
         with oplog_enabled():

@@ -20,7 +20,6 @@ from repro.observability.tracing import (
     render_span_tree,
     render_summary,
     summarize_trace,
-    traced,
     tracing_enabled,
 )
 from repro.xmlmodel.parser import parse
@@ -192,6 +191,18 @@ class TestSampling:
         assert RatioSampler(0.0).sample("s") is False
 
 
+class TestInMemoryExporter:
+    def test_full_ring_keeps_newest_in_finish_order(self):
+        exporter = InMemorySpanExporter(capacity=3)
+        t = Tracer(enabled=True, exporters=(exporter,), capture_metrics=False)
+        for index in range(5):
+            with t.span(f"s{index}"):
+                pass
+        assert [s.name for s in exporter.spans] == ["s2", "s3", "s4"]
+        assert [s.name for s in exporter.roots()] == ["s2", "s3", "s4"]
+        assert len(exporter) == exporter.capacity == 3
+
+
 class TestExportRoundTrip:
     def test_jsonl_export_then_load(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -245,32 +256,6 @@ class TestExportRoundTrip:
         assert "outer" in tree and "inner" in tree
         table = render_summary(rows, top=1)
         assert len(table.splitlines()) == 2  # header + one row
-
-
-class TestTracedDecorator:
-    def test_decorator_spans_each_call(self, tracer):
-        t, exporter = tracer
-
-        @traced("unit.work", kind="test")
-        def work(value):
-            return value * 2
-
-        # the decorator resolves the *global* tracer; scope it on.
-        with tracing_enabled(exporter):
-            assert work(21) == 42
-        assert exporter.spans[-1].name == "unit.work"
-        assert exporter.spans[-1].attributes == {"kind": "test"}
-
-    def test_decorator_defaults_to_qualified_name(self):
-        exporter = InMemorySpanExporter()
-
-        @traced()
-        def quiet_helper():
-            return 1
-
-        with tracing_enabled(exporter):
-            quiet_helper()
-        assert "quiet_helper" in exporter.spans[-1].name
 
 
 class TestTracingEnabledScope:

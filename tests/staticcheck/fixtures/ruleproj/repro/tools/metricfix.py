@@ -6,6 +6,6 @@ from repro.observability.metrics import Counter
 def register(registry, kind):
     registry.counter("UpdatesTotal")
     registry.counter("updates.insertions")
-    registry.timer(f"scheme.{kind}.latency")
+    registry.histogram(f"scheme.{kind}.latency")
     registry.histogram(f"{kind}.latency")
     return Counter("updates.drops")

@@ -105,21 +105,6 @@ class TestNakedMutation:
         assert not {f.line for f in findings}.intersection(local_write)
 
 
-class TestTracedCoreSplit:
-    def test_span_without_enabled_gate(self, rule_ctx):
-        findings = findings_for("REP005", rule_ctx)
-        assert any("apply_traced" in f.message for f in findings)
-
-    def test_core_function_touching_tracer(self, rule_ctx):
-        findings = findings_for("REP005", rule_ctx)
-        assert any("relabel_core" in f.message for f in findings)
-        assert len(findings) == 2
-
-    def test_gated_wrapper_is_clean(self, rule_ctx):
-        findings = findings_for("REP005", rule_ctx)
-        assert not any("apply_gated" in f.message for f in findings)
-
-
 class TestMetricName:
     def test_flags_bad_names_and_direct_construction(self, rule_ctx):
         findings = findings_for("REP006", rule_ctx)
