@@ -154,36 +154,6 @@ def _render(records, title):
     return "\n".join(lines)
 
 
-def run_cache_payoff(scheme_name, ops):
-    """Label comparisons of two order verifications after a bulk load.
-
-    The first verification populates the scheme's memoized comparison
-    cache; the second replays the same label pairs and should reach the
-    scheme's ``compare`` far less often — the ``compare_cache.hits``
-    payoff the joins and twig matcher also enjoy.
-    """
-    from repro.schemes.cache import comparison_cache_for
-
-    ldoc, _secs, _delta = run_skewed(scheme_name, ops, batched=True)
-    comparison_cache_for(ldoc.scheme).invalidate()  # start cold
-    registry = get_registry()
-    with registry.scoped() as first:
-        ldoc.verify_order()
-    with registry.scoped() as second:
-        ldoc.verify_order()
-    return {
-        "scheme": scheme_name,
-        "first_misses": first.get("compare_cache.misses", 0),
-        "second_misses": second.get("compare_cache.misses", 0),
-        "second_hits": second.get("compare_cache.hits", 0),
-    }
-
-
-def check_cache(record):
-    assert record["second_misses"] < record["first_misses"], record
-    assert record["second_hits"] > 0, record
-
-
 # ----------------------------------------------------------------------
 # pytest entry points (quick sizes keep the suite fast)
 # ----------------------------------------------------------------------
@@ -214,19 +184,6 @@ def bench_xmark_bulk_load(benchmark):
         check(record)
 
 
-def bench_comparison_cache_payoff(benchmark):
-    """Repeated order verification re-pays only uncached comparisons."""
-    def regenerate():
-        return [
-            run_cache_payoff(name, QUICK_OPS)
-            for name in ["dewey", "qed", "prepost"]
-        ]
-
-    records = benchmark.pedantic(regenerate, rounds=1, iterations=1)
-    for record in records:
-        check_cache(record)
-
-
 # ----------------------------------------------------------------------
 # standalone report
 # ----------------------------------------------------------------------
@@ -251,20 +208,6 @@ def main(argv=None):
     for record in xmark:
         check(record)
 
-    cache_records = [
-        run_cache_payoff(name, ops) for name in ["dewey", "qed", "prepost"]
-    ]
-    print()
-    print("Comparison cache: uncached label comparisons per verification")
-    print(f"  {'scheme':10s} {'1st verify':>11s} {'2nd verify':>11s} "
-          f"{'cache hits':>11s}")
-    for record in cache_records:
-        print(f"  {record['scheme']:10s} "
-              f"{record['first_misses']:11.0f} "
-              f"{record['second_misses']:11.0f} "
-              f"{record['second_hits']:11.0f}")
-        check_cache(record)
-
     wins = sum(
         1 for record in skewed + xmark
         if record["bat_relabel_passes"] < record["per_relabel_events"]
@@ -272,9 +215,7 @@ def main(argv=None):
     print(f"\nbatch consolidated relabelling on {wins} workload runs; "
           f"all claims hold")
     return ([{"workload": "skewed", **record} for record in skewed]
-            + [{"workload": "xmark", **record} for record in xmark]
-            + [{"workload": "cache_payoff", **record}
-               for record in cache_records])
+            + [{"workload": "xmark", **record} for record in xmark])
 
 
 if __name__ == "__main__":

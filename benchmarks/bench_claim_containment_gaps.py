@@ -20,7 +20,7 @@ PRESSURE = 120
 def inserts_before_first_relabel(ldoc, limit=PRESSURE):
     anchor = ldoc.document.root.element_children()[-1]
     for count in range(1, limit + 1):
-        ldoc.insert_before(anchor, "skew")
+        ldoc.updates.insert_before(anchor, "skew")
         if ldoc.log.relabel_events:
             return count
     return limit + 1

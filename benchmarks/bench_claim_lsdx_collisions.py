@@ -15,8 +15,8 @@ def collision_scenario(scheme_name):
     """Append past z, then insert between the last two children."""
     ldoc = fresh(scheme_name, wide_tree(25))  # children b..z for LSDX
     children = ldoc.document.root.element_children()
-    ldoc.append_child(ldoc.document.root, "tail")
-    ldoc.insert_after(children[-1], "squeeze")
+    ldoc.updates.append_child(ldoc.document.root, "tail")
+    ldoc.updates.insert_after(children[-1], "squeeze")
     return ldoc.log.collisions
 
 
@@ -26,7 +26,7 @@ def tight_interval_sweep(scheme_name, rounds=12):
     left, right = ldoc.document.root.element_children()
     collisions = 0
     for _ in range(rounds):
-        ldoc.insert_after(left, "wedge")
+        ldoc.updates.insert_after(left, "wedge")
         collisions = ldoc.log.collisions
     return collisions
 

@@ -22,13 +22,14 @@ def regenerate():
     node_11, node_13, node_15 = ldoc.document.root.element_children()
     inserted = {
         "before_first_under_1.1": ldoc.format_label(
-            ldoc.prepend_child(node_11, "new")
+            ldoc.updates.prepend_child(node_11, "new").node
         ),
         "after_last_under_1.3": ldoc.format_label(
-            ldoc.append_child(node_13, "new")
+            ldoc.updates.append_child(node_13, "new").node
         ),
         "between_1.5.1_and_1.5.3": ldoc.format_label(
-            ldoc.insert_after(node_15.element_children()[0], "new")
+            ldoc.updates.insert_after(
+                node_15.element_children()[0], "new").node
         ),
     }
     return initial, inserted, ldoc

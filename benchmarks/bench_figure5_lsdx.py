@@ -20,13 +20,13 @@ def regenerate():
     node_b, node_c, node_d = ldoc.document.root.element_children()
     inserted = {
         "before_first_under_1a.b": ldoc.format_label(
-            ldoc.prepend_child(node_b, "new")
+            ldoc.updates.prepend_child(node_b, "new").node
         ),
         "after_last_under_1a.c": ldoc.format_label(
-            ldoc.append_child(node_c, "new")
+            ldoc.updates.append_child(node_c, "new").node
         ),
         "between_2ad.b_and_2ad.c": ldoc.format_label(
-            ldoc.insert_after(node_d.element_children()[0], "new")
+            ldoc.updates.insert_after(node_d.element_children()[0], "new").node
         ),
     }
     return initial, inserted

@@ -17,19 +17,20 @@ def regenerate():
     node_01, node_0101, node_011 = ldoc.document.root.element_children()
     inserted = {
         "before_first_under_0101": ldoc.format_label(
-            ldoc.prepend_child(node_0101, "new")
+            ldoc.updates.prepend_child(node_0101, "new").node
         ),
         "after_last_under_0101": ldoc.format_label(
-            ldoc.append_child(node_0101, "new")
+            ldoc.updates.append_child(node_0101, "new").node
         ),
         "between_011.01_and_011.011": ldoc.format_label(
-            ldoc.insert_after(node_011.element_children()[0], "new")
+            ldoc.updates.insert_after(
+                node_011.element_children()[0], "new").node
         ),
         "between_root_children_01_and_0101": ldoc.format_label(
-            ldoc.insert_after(node_01, "new")
+            ldoc.updates.insert_after(node_01, "new").node
         ),
         "between_root_children_0101_and_011": ldoc.format_label(
-            ldoc.insert_after(node_0101, "new")
+            ldoc.updates.insert_after(node_0101, "new").node
         ),
     }
     return initial, inserted, ldoc

@@ -39,7 +39,7 @@ def bench_single_append(benchmark, scheme_name):
         return (ldoc, ldoc.document.root), {}
 
     def append_one(ldoc, root):
-        ldoc.append_child(root, "bench")
+        ldoc.updates.append_child(root, "bench")
         return ldoc
 
     ldoc = benchmark.pedantic(append_one, setup=setup, rounds=10)

@@ -32,7 +32,7 @@ def ingest(scheme_name, **scheme_config):
     hot_section = ldoc.document.root.element_children()[0]
     started = time.perf_counter()
     for index in range(HOT_INSERTS):
-        ldoc.prepend_child(hot_section, f"entry{index}")
+        ldoc.updates.prepend_child(hot_section, f"entry{index}")
     stream_ms = (time.perf_counter() - started) * 1000
     ldoc.verify_order()
     return ldoc, bulk_ms, stream_ms

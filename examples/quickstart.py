@@ -29,8 +29,8 @@ def main():
     # 3. Structural updates: a new author before the existing one, a new
     #    chapter at the end.  Watch the relabel counter stay at zero.
     author = next(n for n in document.labeled_nodes() if n.name == "author")
-    ldoc.insert_before(author, "translator")
-    ldoc.append_child(document.root, "appendix")
+    ldoc.updates.insert_before(author, "translator")
+    ldoc.updates.append_child(document.root, "appendix")
     print("\nAfter two insertions:")
     print("  relabelled nodes:", ldoc.log.relabeled_nodes)
     ldoc.verify_order()  # labels still sort into document order

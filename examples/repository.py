@@ -61,7 +61,7 @@ def main():
     # 4. Snapshot, edit, restore — labels survive bit-identically.
     snapshot = repo.snapshot("catalog")
     shelf = catalog.find("category")[0]
-    catalog.ldoc.append_child(shelf, "book")
+    catalog.ldoc.updates.append_child(shelf, "book")
     print("\nafter edit, live catalog has",
           len(catalog.find("book")), "books")
     frozen = repo.restore(snapshot, name="catalog@v1")

@@ -59,7 +59,8 @@ def run(scheme_name):
 
     # Revisions 2..6: heavy editing *before* the annotated node.
     for index in range(5):
-        ldoc.insert_before(body.element_children()[0], f"draft{index}")
+        ldoc.updates.insert_before(body.element_children()[0],
+                                   f"draft{index}")
 
     return ldoc.log.relabeled_nodes, store.resolve()
 

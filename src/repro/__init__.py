@@ -13,7 +13,7 @@ Quickstart::
     doc = parse("<a><b/><c/></a>")
     ldoc = LabeledDocument(doc, make_scheme("qed"))
     b = doc.root.element_children()[0]
-    ldoc.insert_after(b, "new")          # no relabelling, ever
+    ldoc.updates.insert_after(b, "new")  # no relabelling, ever
     ldoc.verify_order()
 """
 
@@ -70,7 +70,6 @@ from repro.updates import (
     UpdateResult,
     VersionedDocument,
     apply_batch,
-    warn_on_legacy_results,
 )
 from repro.xmlmodel import Document, NodeKind, XMLNode, parse, serialize
 
@@ -126,5 +125,4 @@ __all__ = [
     "parse",
     "recover",
     "serialize",
-    "warn_on_legacy_results",
 ]

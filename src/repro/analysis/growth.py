@@ -48,7 +48,7 @@ def skewed_growth_series(scheme_name: str, total_inserts: int,
     anchor = ldoc.document.root.element_children()[-1]
     series: List[GrowthPoint] = []
     for count in range(1, total_inserts + 1):
-        node = ldoc.insert_before(anchor, "skew")
+        node = ldoc.updates.insert_before(anchor, "skew").node
         if count % step == 0 or count == total_inserts:
             series.append(
                 GrowthPoint(

@@ -276,9 +276,9 @@ def _exercise_for_counters(scheme: LabelingScheme) -> LabeledDocument:
     ldoc = LabeledDocument(_probe_document(80, seed=13), scheme,
                            on_collision="record")
     root = ldoc.document.root
-    front = ldoc.prepend_child(root, "front")
-    ldoc.append_child(root, "back")
-    ldoc.insert_after(front, "mid")
+    front = ldoc.updates.prepend_child(root, "front").node
+    ldoc.updates.append_child(root, "back")
+    ldoc.updates.insert_after(front, "mid")
     return ldoc
 
 

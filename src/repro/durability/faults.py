@@ -11,7 +11,7 @@ into the update stack at the places a crash is most damaging:
 ========================  ====================================================
 point                     fires inside
 ========================  ====================================================
-``batch.operation``       :meth:`UpdateBatch._label_or_defer`, before a new
+``batch.operation``       :meth:`UpdateBatch._label_node`, before a new
                           node is labelled (mid-batch crash)
 ``batch.apply``           :meth:`UpdateBatch.apply`, before the consolidated
                           relabelling pass starts

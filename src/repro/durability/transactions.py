@@ -65,10 +65,10 @@ class UndoRecord:
     saves the seven restorable :class:`~repro.updates.document.UpdateLog`
     counters and ``last_batch_result`` by value.  :meth:`rollback`
     undoes every change logged since, onto the *same* document and node
-    objects, bumps the document's ``rollbacks`` counter (which versions
-    the repository indexes) and invalidates the scheme's comparison
-    cache, closing the record and any record opened after it;
-    :meth:`release` keeps the changes and closes the record alone.
+    objects and bumps the document's ``rollbacks`` counter (which
+    versions the repository indexes), closing the record and any record
+    opened after it; :meth:`release` keeps the changes and closes the
+    record alone.
     """
 
     def __init__(self, ldoc: "LabeledDocument"):
@@ -85,8 +85,6 @@ class UndoRecord:
         A no-op once the record is closed: released, or rolled back —
         directly or by a record opened before it.
         """
-        from repro.schemes.cache import invalidate_comparison_cache
-
         ldoc = self._ldoc
         if not ldoc._close_undo_scope(self, rollback=True):
             return
@@ -94,10 +92,8 @@ class UndoRecord:
             setattr(ldoc.log, name, value)
         ldoc.last_batch_result = self._last_batch_result
         # The rollback itself is observable: it versions the secondary
-        # indexes (their refresh stamp includes it) and memoized
-        # comparisons of labels that no longer exist are dropped.
+        # indexes (their refresh stamp includes it).
         ldoc.log.record("rollbacks")
-        invalidate_comparison_cache(ldoc.scheme)
 
     def release(self) -> None:
         """Keep every change since the capture and close the record."""
@@ -224,12 +220,8 @@ class Transaction:
             # replay closes it.  Close the batch object too, so a caller
             # still holding it cannot keep mutating the rolled-back
             # document as if its operations had survived.
-            batch = ldoc._active_batch
-            if batch is not None:
-                batch._applied = True
-                batch._undo = None
-                batch._pending.clear()
-            ldoc._active_batch = None
+            if ldoc._active_batch is not None:
+                ldoc._active_batch._close()
             self._undo.rollback()
             self._undo = None
             if self._journal is not None:

@@ -7,9 +7,8 @@ its currency.  This package turns those measurements into two layers:
 * a uniform, process-wide **metrics** registry — counters and
   histograms collected in a
   :class:`~repro.observability.metrics.MetricsRegistry`, fed by the
-  scheme instrumentation, the update log, the batch engine, the
-  structural joins and the comparison cache, and rendered by
-  ``python -m repro metrics``;
+  scheme instrumentation, the update log, the batch engine and the
+  structural joins, and rendered by ``python -m repro metrics``;
 * a hierarchical **tracing** layer
   (:mod:`repro.observability.tracing`) that attributes those costs to
   individual operations — spans over inserts, relabel passes, journal

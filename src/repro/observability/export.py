@@ -13,7 +13,7 @@ Three ways out of the process for the registry and the health document:
 * :class:`IntervalSampler` — a daemon thread appending one JSON line
   ``{"ts": ..., "metrics": {...}}`` per interval to a file: the
   poor-engineer's time-series database, good enough to plot journal
-  growth or cache collapse over a long soak run.  ``sample_once()`` is
+  growth or relabel storms over a long soak run.  ``sample_once()`` is
   public so the CLI's ``--watch`` mode reuses the same sampling.
 * :func:`serve_metrics` / :func:`start_metrics_server` — a stdlib
   ``http.server`` endpoint exposing ``GET /metrics`` (OpenMetrics) and

@@ -19,9 +19,9 @@ experiments actually exhibit:
   committing;
 * ``stale-index-rate`` — accelerator queries refused because the index
   lost its delta feed;
+* ``scan-fallback-rate`` — query steps scanning although an index
+  could have served them;
 * ``relabel-storms`` — wide relabel cascades forcing index rebuilds;
-* ``compare-cache-hit-rate`` — cache effectiveness collapsing under an
-  adversarial working set;
 * ``backend-lock-contention`` — concurrent opens refused by a storage
   backend's single-writer lock;
 * ``op-error-rate`` — the op-log's error fraction, with the most
@@ -41,7 +41,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.observability.metrics import MetricsRegistry, get_registry
 from repro.observability.ops import OpLog, get_oplog
-from repro.schemes.cache import cache_stats
 
 __all__ = [
     "HEALTH_SCHEMA_VERSION",
@@ -54,7 +53,6 @@ __all__ = [
     "ScanFallbackProbe",
     "StaleIndexProbe",
     "RelabelStormProbe",
-    "CacheHitRateProbe",
     "BackendLockProbe",
     "OpErrorRateProbe",
     "default_probes",
@@ -311,40 +309,6 @@ class RelabelStormProbe(HealthProbe):
             storms=storms, relabel_events=relabels)
 
 
-class CacheHitRateProbe(HealthProbe):
-    """Comparison-cache effectiveness collapsing."""
-
-    name = "compare-cache-hit-rate"
-
-    def __init__(self, min_lookups: int = 1000, warn_below: float = 0.2,
-                 critical_below: float = 0.05):
-        self.min_lookups = min_lookups
-        self.warn_below = warn_below
-        self.critical_below = critical_below
-
-    def evaluate(self, context: HealthContext) -> ProbeResult:
-        stats = cache_stats(context.metrics)
-        lookups = stats["lookups"]
-        hit_rate = stats["hit_rate"]
-        if lookups < self.min_lookups or hit_rate is None:
-            return self.result(
-                "ok", f"too few lookups to judge ({lookups:.0f})",
-                lookups=lookups)
-        if hit_rate < self.critical_below:
-            status = "critical"
-        elif hit_rate < self.warn_below:
-            status = "warn"
-        else:
-            status = "ok"
-        return self.result(
-            status,
-            f"hit rate {hit_rate:.0%} over {lookups:.0f} lookups "
-            f"(warn below {self.warn_below:.0%}, "
-            f"{stats['evictions']:.0f} evictions)",
-            lookups=lookups, hit_rate=hit_rate,
-            evictions=stats["evictions"])
-
-
 class BackendLockProbe(HealthProbe):
     """Storage backend single-writer lock refusing concurrent opens."""
 
@@ -413,7 +377,6 @@ def default_probes() -> List[HealthProbe]:
         StaleIndexProbe(),
         ScanFallbackProbe(),
         RelabelStormProbe(),
-        CacheHitRateProbe(),
         BackendLockProbe(),
         OpErrorRateProbe(),
     ]

@@ -4,7 +4,7 @@ The evaluation framework already counts divisions, recursions and
 comparisons inside each scheme (:mod:`repro.analysis.instrumentation`);
 this module generalises that idea into one process-wide registry that any
 layer can publish into — the update log, the batch engine, the structural
-joins, the comparison cache, the repository.  The design goals are the
+joins, the repository.  The design goals are the
 ones a hot path dictates:
 
 * recording must be cheap — a counter increment is one attribute add on a
@@ -169,7 +169,7 @@ class MetricsRegistry:
     Instruments are created on first access and live for the registry's
     lifetime, so hot paths fetch them once and increment a cached
     reference.  Names are dotted paths by convention
-    (``"updates.insertions"``, ``"compare_cache.hits"``).
+    (``"updates.insertions"``, ``"store.joins.semi"``).
     """
 
     def __init__(self):

@@ -323,9 +323,8 @@ class MetricNameRule:
     #: Extending the observability surface means extending this set —
     #: deliberately, in the same change that teaches the consumers.
     KNOWN_FAMILIES = frozenset({
-        "axes", "batch", "compare_cache", "durability", "explain",
-        "health", "ops", "profiler", "repository", "scheme", "store",
-        "ulang", "updates",
+        "axes", "batch", "durability", "explain", "health", "ops",
+        "profiler", "repository", "scheme", "store", "ulang", "updates",
     })
 
     @staticmethod
@@ -519,7 +518,8 @@ class UnpublishedMutationRule:
 
     The axis accelerator (and any other delta subscriber) stays
     coherent only because every public mutation path on
-    ``LabeledDocument`` / ``UpdateBatch`` ends in a ``_publish_*`` call.
+    ``LabeledDocument``, ``UpdateSurface`` (``ldoc.updates``) and
+    ``UpdateBatch`` ends in a ``_publish_*`` call.
     A public method that writes label state — directly or through
     private helpers — without a publish reachable from it silently
     strands subscribers on stale indexes.
@@ -529,19 +529,23 @@ class UnpublishedMutationRule:
     labels and owes no delta.  Calls are resolved by name against the
     methods of the update/durability classes (``UndoRecord`` included,
     so the rollback chain resolves), which keeps the reachability
-    conservative without a typed call graph.
+    conservative without a typed call graph: the document and the batch
+    both name their labeller ``_label_node``, so a structural core's
+    call reaches both.
     """
 
     id = "REP009"
     name = "unpublished-mutation"
     severity = "error"
-    description = ("public LabeledDocument/UpdateBatch mutation methods "
-                   "must publish a StructuralDelta (_publish_* reachable)")
+    description = ("public LabeledDocument/UpdateSurface/UpdateBatch "
+                   "mutation methods must publish a StructuralDelta "
+                   "(_publish_* reachable)")
 
     #: Classes whose *public* methods are held to the contract.
-    _FLAGGED_CLASSES = ("LabeledDocument", "UpdateBatch")
+    _FLAGGED_CLASSES = ("LabeledDocument", "UpdateSurface", "UpdateBatch")
     #: Classes whose methods participate in call resolution.
-    _UNIVERSE_CLASSES = ("LabeledDocument", "UpdateBatch", "UndoRecord")
+    _UNIVERSE_CLASSES = ("LabeledDocument", "UpdateSurface", "UpdateBatch",
+                         "UndoRecord")
     _LABEL_ATTRS = ("labels", "_label_index")
     _DICT_MUTATORS = ("pop", "clear", "update", "setdefault")
 

@@ -25,7 +25,6 @@ from repro.store.repository import (
     XMLRepository,
     open_repository,
     suggest_scheme,
-    warn_on_legacy_repository,
 )
 from repro.store.snapshots import (
     Snapshot,
@@ -63,5 +62,4 @@ __all__ = [
     "snapshot_document",
     "stack_tree_join",
     "suggest_scheme",
-    "warn_on_legacy_repository",
 ]

@@ -9,12 +9,8 @@ entirely by a scheme's ``compare`` and ``is_ancestor`` — so it runs
 unmodified over containment, prefix and vector labels, which is the
 whole point of label-decidable relationships (section 2.2).
 
-All joins route label comparisons through the scheme's memoized
-:class:`~repro.schemes.cache.ComparisonCache`: join inputs repeat the
-same label pairs heavily (every stack probe re-tests recent ancestors),
-so repeated joins over stable label sets hit the cache instead of
-re-deriving the relationship.  Each join run also increments a
-``store.joins.*`` counter in the global metrics registry.
+Each join run increments a ``store.joins.*`` counter in the global
+metrics registry.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from typing import Any, List, Sequence, Tuple
 from repro.observability.metrics import get_registry
 from repro.observability.ops import instrument
 from repro.schemes.base import LabelingScheme
-from repro.schemes.cache import comparison_cache_for
 
 #: A labelled item: (label, payload); the join never inspects payloads.
 Item = Tuple[Any, Any]
@@ -37,12 +32,12 @@ def nested_loop_join(scheme: LabelingScheme, ancestors: Sequence[Item],
     with instrument("store.join.nested_loop", scheme=scheme.metadata.name,
                     ancestors=len(ancestors),
                     descendants=len(descendants)) as event:
-        cache = comparison_cache_for(scheme)
+        is_ancestor = scheme.is_ancestor
         output = [
             (a_payload, d_payload)
             for a_label, a_payload in ancestors
             for d_label, d_payload in descendants
-            if cache.is_ancestor(a_label, d_label)
+            if is_ancestor(a_label, d_label)
         ]
         event.set(nodes=len(output))
         return output
@@ -62,20 +57,20 @@ def stack_tree_join(scheme: LabelingScheme, ancestors: Sequence[Item],
     with instrument("store.join.stack_tree", scheme=scheme.metadata.name,
                     ancestors=len(ancestors),
                     descendants=len(descendants)) as event:
-        cache = comparison_cache_for(scheme)
+        compare, is_ancestor = scheme.compare, scheme.is_ancestor
         output: List[Tuple[Any, Any]] = []
         stack: List[Item] = []
         a_index = 0
         d_index = 0
 
         def pop_finished(label: Any) -> None:
-            while stack and not cache.is_ancestor(stack[-1][0], label):
+            while stack and not is_ancestor(stack[-1][0], label):
                 stack.pop()
 
         while d_index < len(descendants):
             d_label, d_payload = descendants[d_index]
             if a_index < len(ancestors) and (
-                cache.compare(ancestors[a_index][0], d_label) < 0
+                compare(ancestors[a_index][0], d_label) < 0
             ):
                 a_label, a_payload = ancestors[a_index]
                 pop_finished(a_label)
@@ -101,20 +96,20 @@ def semi_join(scheme: LabelingScheme, ancestors: Sequence[Item],
     with instrument("store.join.semi", scheme=scheme.metadata.name,
                     ancestors=len(ancestors),
                     descendants=len(descendants)) as event:
-        cache = comparison_cache_for(scheme)
+        compare, is_ancestor = scheme.compare, scheme.is_ancestor
         kept: List[Item] = []
         stack: List[Any] = []
         a_index = 0
         for d_label, d_payload in descendants:
-            while a_index < len(ancestors) and cache.compare(
+            while a_index < len(ancestors) and compare(
                 ancestors[a_index][0], d_label
             ) < 0:
                 a_label = ancestors[a_index][0]
-                while stack and not cache.is_ancestor(stack[-1], a_label):
+                while stack and not is_ancestor(stack[-1], a_label):
                     stack.pop()
                 stack.append(a_label)
                 a_index += 1
-            while stack and not cache.is_ancestor(stack[-1], d_label):
+            while stack and not is_ancestor(stack[-1], d_label):
                 stack.pop()
             if stack:
                 kept.append((d_label, d_payload))
@@ -141,20 +136,20 @@ def count_join(scheme: LabelingScheme, ancestors: Sequence[Item],
                descendants: Sequence[Item]) -> int:
     """Output cardinality of the structural join without materialising."""
     get_registry().counter("store.joins.count").increment()
-    cache = comparison_cache_for(scheme)
+    compare, is_ancestor = scheme.compare, scheme.is_ancestor
     total = 0
     stack: List[Any] = []
     a_index = 0
     for d_label, _payload in descendants:
-        while a_index < len(ancestors) and cache.compare(
+        while a_index < len(ancestors) and compare(
             ancestors[a_index][0], d_label
         ) < 0:
             a_label = ancestors[a_index][0]
-            while stack and not cache.is_ancestor(stack[-1], a_label):
+            while stack and not is_ancestor(stack[-1], a_label):
                 stack.pop()
             stack.append(a_label)
             a_index += 1
-        while stack and not cache.is_ancestor(stack[-1], d_label):
+        while stack and not is_ancestor(stack[-1], d_label):
             stack.pop()
         total += len(stack)
     return total

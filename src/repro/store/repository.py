@@ -15,27 +15,18 @@ indexes) for querying and mutation; every ``add``/``restore`` writes
 through to the backend, and documents found only in the backend are
 materialised on first access.  :func:`open_repository` is the public
 entry point — ``memory://`` reproduces the original in-RAM behaviour,
-``sqlite:///…`` and ``pagefile:///…`` put the store on disk.  The bare
-``XMLRepository()`` constructor survives as a quiet deprecation shim
-(see :func:`warn_on_legacy_repository`), mirroring the legacy update
-shims of :mod:`repro.updates.results`.
+``sqlite:///…`` and ``pagefile:///…`` put the store on disk.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.properties import PAPER_FIGURE_7, PROPERTY_ORDER, Property
 from repro.errors import StorageError, UpdateError
 from repro.observability.metrics import get_registry
 from repro.schemes.registry import make_scheme
-from repro.store.backends import (
-    MemoryBackend,
-    NodeRecord,
-    StorageBackend,
-    backend_for_url,
-)
+from repro.store.backends import NodeRecord, StorageBackend, backend_for_url
 from repro.store.backends.base import named_node_records
 from repro.store.indexes import DocumentIndexes
 from repro.store.joins import path_join
@@ -57,35 +48,7 @@ __all__ = [
     "restore_snapshot",
     "snapshot_document",
     "suggest_scheme",
-    "warn_on_legacy_repository",
 ]
-
-
-#: Whether the legacy bare ``XMLRepository()`` constructor warns.
-_WARN_LEGACY = False
-
-
-def warn_on_legacy_repository(enable: bool = True) -> None:
-    """Toggle :class:`DeprecationWarning` on the bare constructor.
-
-    ``XMLRepository()`` without an explicit backend is kept for
-    compatibility and behaves exactly as before (an in-RAM store);
-    enabling this surfaces every remaining call site so a codebase can
-    migrate to :func:`open_repository`.
-    """
-    global _WARN_LEGACY
-    _WARN_LEGACY = enable
-
-
-def _maybe_warn_legacy() -> None:
-    if _WARN_LEGACY:
-        warnings.warn(
-            "XMLRepository() without a backend is deprecated; use "
-            "repro.store.open_repository('memory://') (or a sqlite:/// "
-            "or pagefile:/// URL) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
 
 
 class StoredDocument:
@@ -233,13 +196,13 @@ class XMLRepository:
     live document (through ``stored.ldoc`` or a transaction) does not
     write through — call :meth:`persist` to push the current state back
     to the backend, exactly as snapshotting always worked.
+
+    Open one with :func:`open_repository`, or pass an opened
+    :class:`~repro.store.backends.StorageBackend`.
     """
 
-    def __init__(self, default_scheme: str = "cdqs",
-                 backend: Optional[StorageBackend] = None):
-        if backend is None:
-            _maybe_warn_legacy()
-            backend = MemoryBackend().open()
+    def __init__(self, backend: StorageBackend,
+                 default_scheme: str = "cdqs"):
         self.default_scheme = default_scheme
         self.backend = backend
         self._live: Dict[str, StoredDocument] = {}

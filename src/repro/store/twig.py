@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import UnsupportedRelationshipError, XPathError
-from repro.schemes.cache import comparison_cache_for
 from repro.store.indexes import DocumentIndexes
 from repro.updates.document import LabeledDocument
 from repro.xmlmodel.tree import XMLNode
@@ -85,10 +84,6 @@ class TwigMatcher:
         self.ldoc = ldoc
         self.indexes = indexes or DocumentIndexes(ldoc)
         self.allow_fallback = allow_fallback
-        # Twig evaluation probes the same label pairs across pattern
-        # nodes; route all relationship tests through the scheme's
-        # memoized comparison cache.
-        self._cache = comparison_cache_for(ldoc.scheme)
 
     # ------------------------------------------------------------------
 
@@ -151,15 +146,15 @@ class TwigMatcher:
         iff the *first* witness after it is one — an O(|C| + |W|)
         two-pointer merge.
         """
-        cache = self._cache
+        scheme = self.ldoc.scheme
         kept: List[Entry] = []
         w_index = 0
         for candidate in candidates:
-            while w_index < len(witnesses) and cache.compare(
+            while w_index < len(witnesses) and scheme.compare(
                 witnesses[w_index][0], candidate[0]
             ) < 0:
                 w_index += 1
-            if w_index < len(witnesses) and cache.is_ancestor(
+            if w_index < len(witnesses) and scheme.is_ancestor(
                 candidate[0], witnesses[w_index][0]
             ):
                 kept.append(candidate)
@@ -167,12 +162,12 @@ class TwigMatcher:
 
     def _parents_with_child(self, candidates: List[Entry],
                             witnesses: List[Entry]) -> List[Entry]:
-        cache = self._cache
+        scheme = self.ldoc.scheme
         kept = []
         for candidate in candidates:
             try:
                 hit = any(
-                    cache.is_parent(candidate[0], witness[0])
+                    scheme.is_parent(candidate[0], witness[0])
                     for witness in witnesses
                 )
             except UnsupportedRelationshipError:
@@ -214,17 +209,17 @@ class TwigMatcher:
     def _under(self, uppers: List[Entry], lowers: List[Entry],
                axis: str) -> List[Entry]:
         """Lowers having an upper on ``axis`` (descendant-side)."""
-        cache = self._cache
+        scheme = self.ldoc.scheme
         kept = []
         for lower in lowers:
             if axis == "descendant":
                 hit = any(
-                    cache.is_ancestor(upper[0], lower[0]) for upper in uppers
+                    scheme.is_ancestor(upper[0], lower[0]) for upper in uppers
                 )
             else:
                 try:
                     hit = any(
-                        cache.is_parent(upper[0], lower[0])
+                        scheme.is_parent(upper[0], lower[0])
                         for upper in uppers
                     )
                 except UnsupportedRelationshipError:

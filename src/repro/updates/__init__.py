@@ -2,11 +2,7 @@
 
 from repro.updates.batch import BatchResult, UpdateBatch, apply_batch
 from repro.updates.document import LabeledDocument, UpdateLog
-from repro.updates.results import (
-    UpdateResult,
-    UpdateSurface,
-    warn_on_legacy_results,
-)
+from repro.updates.results import UpdateResult, UpdateSurface
 from repro.updates.versioning import (
     Annotation,
     Revision,
@@ -56,5 +52,4 @@ __all__ = [
     "random_insertions",
     "skewed_insertions",
     "uniform_insertions",
-    "warn_on_legacy_results",
 ]

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, List, Optional, Set
 
-from repro.errors import BatchError, UpdateError
+from repro.errors import BatchError
 from repro.observability.metrics import get_registry
 from repro.updates.results import UpdateResult
 
@@ -157,50 +157,44 @@ class UpdateBatch:
         }
 
     # ------------------------------------------------------------------
-    # Operations (mirror of the UpdateSurface)
+    # Operations (the UpdateSurface's, with this batch as labeller)
     # ------------------------------------------------------------------
 
     def insert_before(self, reference: "XMLNode", name: str) -> UpdateResult:
         """Insert a new element immediately before ``reference``."""
-        return self._insert_sibling(reference, name, after=False)
+        self._prepare()
+        return self._record(self._ldoc._do_insert_sibling(
+            self, reference, name, after=False))
 
     def insert_after(self, reference: "XMLNode", name: str) -> UpdateResult:
         """Insert a new element immediately after ``reference``."""
-        return self._insert_sibling(reference, name, after=True)
+        self._prepare()
+        return self._record(self._ldoc._do_insert_sibling(
+            self, reference, name, after=True))
 
     def append_child(self, parent: "XMLNode", name: str) -> UpdateResult:
         """Insert a new element as the last child of ``parent``."""
         self._prepare()
-        element = self._ldoc.document.new_element(name)
-        parent.append_child(element)
-        return self._record(self._label_or_defer(element))
+        return self._record(self._ldoc._do_append_child(self, parent, name))
 
     def prepend_child(self, parent: "XMLNode", name: str) -> UpdateResult:
         """Insert a new element as the first content child of ``parent``."""
         self._prepare()
-        element = self._ldoc.document.new_element(name)
-        parent.insert_child(len(parent.attributes()), element)
-        return self._record(self._label_or_defer(element))
+        return self._record(self._ldoc._do_prepend_child(self, parent, name))
 
     def insert_attribute(self, element: "XMLNode", name: str,
                          value: str) -> UpdateResult:
         """Insert a new attribute on ``element``."""
         self._prepare()
-        attribute = self._ldoc.document.new_attribute(name, value)
-        element.insert_child(len(element.attributes()), attribute)
-        return self._record(self._label_or_defer(attribute))
+        return self._record(self._ldoc._do_insert_attribute(
+            self, element, name, value))
 
     def insert_subtree(self, parent: "XMLNode", index: int,
                        fragment: "XMLNode") -> UpdateResult:
         """Insert a whole subtree as a serialised node sequence."""
         self._prepare()
-        ldoc = self._ldoc
-        root_copy = ldoc._copy_shallow(fragment)
-        parent.insert_child(index, root_copy)
-        combined = self._label_or_defer(root_copy)
-        combined.kind = "insert-subtree"
-        self._graft_children(fragment, root_copy, combined)
-        return self._record(combined)
+        return self._record(self._ldoc._do_insert_subtree(
+            self, parent, index, fragment))
 
     def delete(self, node: "XMLNode") -> UpdateResult:
         """Remove ``node`` and its subtree.
@@ -211,12 +205,11 @@ class UpdateBatch:
         pending nodes.
         """
         self._prepare()
-        ldoc = self._ldoc
         doomed = [
             child.node_id for child in node.preorder()
             if child.node_id in self._pending
         ]
-        result = ldoc._do_delete(node)
+        result = self._ldoc._do_delete(node)
         self._pending.difference_update(doomed)
         self._drop_labelled_pending()
         self._deletions += 1
@@ -224,36 +217,15 @@ class UpdateBatch:
 
     def move(self, node: "XMLNode", new_parent: "XMLNode",
              index: int) -> UpdateResult:
-        """Relocate a subtree; its nodes are relabelled at the target."""
+        """Relocate a subtree; its nodes are relabelled at the target.
+
+        A moved node that was pending is pending again only if its new
+        position defers too.
+        """
         self._prepare()
-        ldoc = self._ldoc
-        if node.parent is None:
-            raise UpdateError("the root element cannot be moved")
-        if node is new_parent or node.is_ancestor_of(new_parent):
-            raise UpdateError("cannot move a node under itself")
-        old_parent = node.parent
-        moved_ids = [
-            child.node_id for child in node.preorder() if child.kind.is_labeled
-        ]
-        old_parent.remove_child(node)
-        relabeled = ldoc.scheme.on_delete(ldoc.document, ldoc.labels, node.node_id)
-        ldoc._drop_labels(moved_ids)
-        ldoc._publish_delete(node.node_id, moved_ids)
-        self._pending.difference_update(moved_ids)
-        combined = UpdateResult(kind="move", node=node)
-        if relabeled:
-            ldoc._apply_relabeling(relabeled)
-            combined.relabeled_nodes += len(relabeled)
-            combined.relabel_events += 1
-            self._drop_labelled_pending()
-        new_parent.insert_child(index, node)
-        for child in node.preorder():
-            if child.kind.is_labeled:
-                part = self._label_or_defer(child)
-                combined.labels_assigned += part.labels_assigned
-                combined.deferred = combined.deferred or part.deferred
-        combined.label = ldoc.labels.get(node.node_id)
-        return self._record(combined)
+        result = self._ldoc._do_move(self, node, new_parent, index)
+        self._drop_labelled_pending()
+        return self._record(result)
 
     def set_text(self, element: "XMLNode", text: str) -> UpdateResult:
         """Replace an element's text content (labels untouched)."""
@@ -295,7 +267,6 @@ class UpdateBatch:
         """
         from repro.durability.faults import maybe_fail
         from repro.observability.ops import instrument
-        from repro.schemes.cache import invalidate_comparison_cache
 
         self._check_open()
         maybe_fail("batch.apply")
@@ -322,7 +293,6 @@ class UpdateBatch:
                     ldoc._rebuild_label_index()
                     ldoc.log.record("relabel_events")
                     ldoc.log.record("relabeled_nodes", relabeled_nodes)
-                    invalidate_comparison_cache(ldoc.scheme)
                     relabel.set(nodes=relabeled_nodes)
                 if relabel:
                     get_registry().histogram(
@@ -335,8 +305,6 @@ class UpdateBatch:
                 if result.node is not None and result.kind != "delete":
                     result.label = ldoc.labels.get(result.node.node_id)
                     result.deferred = False
-            self._applied = True
-            ldoc._active_batch = None
             batch_result = BatchResult(
                 operations=self._operations,
                 labels_assigned=sum(r.labels_assigned for r in self._results),
@@ -357,7 +325,7 @@ class UpdateBatch:
         ldoc.last_batch_result = batch_result
         if self._undo is not None:
             self._undo.release()
-            self._undo = None
+        self._close()
         return batch_result
 
     def rollback(self) -> None:
@@ -380,21 +348,9 @@ class UpdateBatch:
             event.set(nodes=self._operations, outcome="rollback")
             if self._undo is not None:
                 self._undo.rollback()
-                self._undo = None
             get_registry().counter("batch.rollbacks").increment()
-            self._pending.clear()
             self._results.clear()
-            self._applied = True
-            self._ldoc._active_batch = None
-
-    def abandon(self) -> None:
-        """Deprecated name for :meth:`rollback`.
-
-        Historically this closed the batch *without* restoring state,
-        leaving the document partially unlabelled; it now rolls back
-        completely.
-        """
-        self.rollback()
+            self._close()
 
     def __enter__(self) -> "UpdateBatch":
         return self
@@ -420,6 +376,17 @@ class UpdateBatch:
         if self._applied:
             raise BatchError("batch already applied")
 
+    def _close(self) -> None:
+        """Close the batch: no pending labels, no undo record, detached.
+
+        Called by :meth:`apply`, by :meth:`rollback` and by a
+        transaction whose rollback subsumes the batch's savepoint.
+        """
+        self._applied = True
+        self._undo = None
+        self._pending.clear()
+        self._ldoc._active_batch = None
+
     def _prepare(self) -> None:
         """Gate one mutating operation: open check + lazy undo capture.
 
@@ -439,30 +406,12 @@ class UpdateBatch:
         self._results.append(result)
         return result
 
-    def _insert_sibling(self, reference: "XMLNode", name: str,
-                        after: bool) -> UpdateResult:
-        self._prepare()
-        ldoc = self._ldoc
-        parent = ldoc._parent_of(reference)
-        index = parent.child_index(reference) + (1 if after else 0)
-        element = ldoc.document.new_element(name)
-        parent.insert_child(index, element)
-        return self._record(self._label_or_defer(element))
+    def _label_node(self, node: "XMLNode") -> UpdateResult:
+        """Label one new node on the fast path, or park it for the pass.
 
-    def _graft_children(self, source: "XMLNode", target: "XMLNode",
-                        combined: UpdateResult) -> None:
-        ldoc = self._ldoc
-        for child in source.children:
-            child_copy = ldoc._copy_shallow(child)
-            target.append_child(child_copy)
-            if child_copy.kind.is_labeled:
-                part = self._label_or_defer(child_copy)
-                combined.labels_assigned += part.labels_assigned
-                combined.deferred = combined.deferred or part.deferred
-            self._graft_children(child, child_copy, combined)
-
-    def _label_or_defer(self, node: "XMLNode") -> UpdateResult:
-        """Fast-path label one new node, or park it for the final pass."""
+        The batch's side of the document cores' labeller contract (the
+        document's own ``_label_node`` labels immediately).
+        """
         from repro.durability.faults import maybe_fail
 
         maybe_fail("batch.operation")

@@ -14,6 +14,11 @@ and keeps the books the evaluation framework reads:
 Content updates (text, attribute values, renames) never touch labels —
 the paper's structural/content distinction from section 3.1.
 
+The document has no public mutators.  Its ``_do_*`` cores are the one
+implementation of each operation behind the three update surfaces:
+``ldoc.updates`` (immediate), ``ldoc.batch()`` (deferred labelling) and
+``ldoc.transaction()`` (journaled).
+
 While a transaction, a batch or a manual
 :class:`~repro.durability.transactions.UndoRecord` is open, every change
 also appends its inverse to the document's undo log: the old value of
@@ -28,6 +33,7 @@ the document holds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -35,7 +41,7 @@ from repro.errors import BatchError, LabelCollisionError, UpdateError
 from repro.observability.metrics import get_registry
 from repro.observability.ops import instrument
 from repro.schemes.base import LabelingScheme, SiblingInsertContext
-from repro.updates.results import UpdateResult, UpdateSurface, _maybe_warn_legacy
+from repro.updates.results import UpdateResult, UpdateSurface
 from repro.xmlmodel.tree import Document, NodeKind, XMLNode
 
 #: Undo-log value for "this key was absent before the write".
@@ -228,11 +234,9 @@ class LabeledDocument:
         pre/post plane relabels its internal document this way on
         ``refresh()``).  Unlike an update-driven relabelling it records
         nothing in the update log — no update happened — but it does
-        publish a ``relabel`` delta and invalidate the comparison
-        cache.  Returns how many nodes changed label.
+        publish a ``relabel`` delta.  Returns how many nodes changed
+        label.
         """
-        from repro.schemes.cache import invalidate_comparison_cache
-
         old = self.labels
         new = self.scheme.label_tree(self.document)
         changed = sum(
@@ -241,7 +245,6 @@ class LabeledDocument:
         )
         self._replace_labels(new)
         self._rebuild_label_index()
-        invalidate_comparison_cache(self.scheme)
         self._publish_relabel(changed)
         return changed
 
@@ -251,9 +254,9 @@ class LabeledDocument:
 
     @property
     def updates(self) -> UpdateSurface:
-        """The result-returning update API (the canonical surface).
+        """The immediate update API.
 
-        Every method mirrors a legacy mutator but returns an
+        Every method mutates the document at once and returns an
         :class:`~repro.updates.results.UpdateResult` describing the
         labelling cost of that one operation::
 
@@ -311,136 +314,63 @@ class LabeledDocument:
         return [self.labels[node.node_id] for node in self.document.labeled_nodes()]
 
     # ------------------------------------------------------------------
-    # Structural updates: insertion
+    # Structural updates (the one core per operation)
+    #
+    # ``ldoc.updates`` and an open ``UpdateBatch`` both run these; the
+    # ``labeller`` argument is whichever of the two labels new nodes:
+    # the document itself (label now, relabelling if the scheme must)
+    # or the batch (label on the fast path, or defer to its final pass).
     # ------------------------------------------------------------------
 
-    def insert_before(self, reference: XMLNode, name: str) -> XMLNode:
-        """Insert a new element immediately before ``reference``.
-
-        Deprecated shim: returns the bare node.  Prefer
-        ``ldoc.updates.insert_before`` for an ``UpdateResult``.
-        """
-        _maybe_warn_legacy("insert_before")
-        return self._do_insert_sibling(reference, name, after=False).node
-
-    def insert_after(self, reference: XMLNode, name: str) -> XMLNode:
-        """Insert a new element immediately after ``reference``.
-
-        Deprecated shim: returns the bare node.  Prefer
-        ``ldoc.updates.insert_after`` for an ``UpdateResult``.
-        """
-        _maybe_warn_legacy("insert_after")
-        return self._do_insert_sibling(reference, name, after=True).node
-
-    def append_child(self, parent: XMLNode, name: str) -> XMLNode:
-        """Insert a new element as the last child of ``parent``.
-
-        Deprecated shim: returns the bare node.  Prefer
-        ``ldoc.updates.append_child`` for an ``UpdateResult``.
-        """
-        _maybe_warn_legacy("append_child")
-        return self._do_append_child(parent, name).node
-
-    def prepend_child(self, parent: XMLNode, name: str) -> XMLNode:
-        """Insert a new element as the first content child of ``parent``.
-
-        Deprecated shim: returns the bare node.  Prefer
-        ``ldoc.updates.prepend_child`` for an ``UpdateResult``.
-        """
-        _maybe_warn_legacy("prepend_child")
-        return self._do_prepend_child(parent, name).node
-
-    def insert_attribute(self, element: XMLNode, name: str, value: str) -> XMLNode:
-        """Insert a new attribute (positioned after existing attributes).
-
-        Deprecated shim: returns the bare node.  Prefer
-        ``ldoc.updates.insert_attribute`` for an ``UpdateResult``.
-        """
-        _maybe_warn_legacy("insert_attribute")
-        return self._do_insert_attribute(element, name, value).node
-
-    def insert_subtree(self, parent: XMLNode, index: int,
-                       fragment: XMLNode) -> XMLNode:
-        """Insert a whole subtree, one node at a time.
-
-        "Subtree insertions may be serialised as a sequence of nodes and
-        inserted individually" (section 3.1.2, ORDPATH).  ``fragment``
-        may come from another document (for example
-        :func:`~repro.xmlmodel.parser.parse_fragment`); its nodes are
-        re-created in this document.
-
-        Deprecated shim: returns the bare subtree root.  Prefer
-        ``ldoc.updates.insert_subtree`` for an ``UpdateResult``.
-        """
-        _maybe_warn_legacy("insert_subtree")
-        return self._do_insert_subtree(parent, index, fragment).node
-
-    # -- result-returning cores (the UpdateSurface implementations) -----
-
-    def _do_insert_sibling(self, reference: XMLNode, name: str,
-                           after: bool) -> UpdateResult:
+    def _do_insert_sibling(self, labeller: Any, reference: XMLNode,
+                           name: str, after: bool) -> UpdateResult:
         parent = self._parent_of(reference)
         index = parent.child_index(reference) + (1 if after else 0)
         element = self.document.new_element(name)
         parent.insert_child(index, element)
-        return self._label_new_node(element)
+        return labeller._label_node(element)
 
-    def _do_append_child(self, parent: XMLNode, name: str) -> UpdateResult:
+    def _do_append_child(self, labeller: Any, parent: XMLNode,
+                         name: str) -> UpdateResult:
         element = self.document.new_element(name)
         parent.append_child(element)
-        return self._label_new_node(element)
+        return labeller._label_node(element)
 
-    def _do_prepend_child(self, parent: XMLNode, name: str) -> UpdateResult:
+    def _do_prepend_child(self, labeller: Any, parent: XMLNode,
+                          name: str) -> UpdateResult:
         element = self.document.new_element(name)
         parent.insert_child(len(parent.attributes()), element)
-        return self._label_new_node(element)
+        return labeller._label_node(element)
 
-    def _do_insert_attribute(self, element: XMLNode, name: str,
-                             value: str) -> UpdateResult:
+    def _do_insert_attribute(self, labeller: Any, element: XMLNode,
+                             name: str, value: str) -> UpdateResult:
         attribute = self.document.new_attribute(name, value)
         element.insert_child(len(element.attributes()), attribute)
-        return self._label_new_node(attribute)
+        return labeller._label_node(attribute)
 
-    def _do_insert_subtree(self, parent: XMLNode, index: int,
+    def _do_insert_subtree(self, labeller: Any, parent: XMLNode, index: int,
                            fragment: XMLNode) -> UpdateResult:
         with instrument("document.insert_subtree",
                         scheme=self.scheme.metadata.name) as event:
             root_copy = self._copy_shallow(fragment)
             parent.insert_child(index, root_copy)
-            combined = self._label_new_node(root_copy)
+            combined = labeller._label_node(root_copy)
             combined.kind = "insert-subtree"
-            self._insert_children_of(fragment, root_copy, combined)
+            self._insert_children_of(labeller, fragment, root_copy, combined)
             event.set(nodes=combined.labels_assigned)
         return combined
 
-    def _insert_children_of(self, source: XMLNode, target: XMLNode,
-                            combined: UpdateResult) -> None:
+    def _insert_children_of(self, labeller: Any, source: XMLNode,
+                            target: XMLNode, combined: UpdateResult) -> None:
         for child in source.children:
             child_copy = self._copy_shallow(child)
             target.append_child(child_copy)
             if child_copy.kind.is_labeled:
-                result = self._label_new_node(child_copy)
-                combined.labels_assigned += result.labels_assigned
-                combined.relabeled_nodes += result.relabeled_nodes
-                combined.relabel_events += result.relabel_events
-                combined.overflow_events += result.overflow_events
-            self._insert_children_of(child, child_copy, combined)
+                _accumulate(combined, labeller._label_node(child_copy))
+            self._insert_children_of(labeller, child, child_copy, combined)
 
     def _copy_shallow(self, node: XMLNode) -> XMLNode:
         return self.document.new_node(node.kind, node.name, node.value)
-
-    # ------------------------------------------------------------------
-    # Structural updates: deletion
-    # ------------------------------------------------------------------
-
-    def delete(self, node: XMLNode) -> None:
-        """Remove ``node`` and its subtree; labels of others may react.
-
-        Deprecated shim: returns nothing.  Prefer ``ldoc.updates.delete``
-        for an ``UpdateResult``.
-        """
-        _maybe_warn_legacy("delete")
-        self._do_delete(node)
 
     def _do_delete(self, node: XMLNode) -> UpdateResult:
         with instrument("document.delete",
@@ -467,28 +397,7 @@ class LabeledDocument:
                       relabeled_nodes=result.relabeled_nodes)
         return result
 
-    # ------------------------------------------------------------------
-    # Structural updates: move
-    # ------------------------------------------------------------------
-
-    def move(self, node: XMLNode, new_parent: XMLNode, index: int) -> XMLNode:
-        """Relocate a subtree (XQuery-Update style move).
-
-        Labelling schemes have no "move" primitive — a moved subtree
-        occupies a new document-order position, so its labels must be
-        newly assigned there (the paper's serialised-subtree treatment
-        of section 3.1.2), while nodes outside the subtree keep their
-        labels under a persistent scheme.  Implemented as detach +
-        re-insert of the same tree nodes, so node identity (ids, text,
-        attributes) survives; only labels change.
-
-        Deprecated shim: returns the bare node.  Prefer
-        ``ldoc.updates.move`` for an ``UpdateResult``.
-        """
-        _maybe_warn_legacy("move")
-        return self._do_move(node, new_parent, index).node
-
-    def _do_move(self, node: XMLNode, new_parent: XMLNode,
+    def _do_move(self, labeller: Any, node: XMLNode, new_parent: XMLNode,
                  index: int) -> UpdateResult:
         if node.parent is None:
             raise UpdateError("the root element cannot be moved")
@@ -516,11 +425,7 @@ class LabeledDocument:
             new_parent.insert_child(index, node)
             for child in node.preorder():
                 if child.kind.is_labeled:
-                    result = self._label_new_node(child)
-                    combined.labels_assigned += result.labels_assigned
-                    combined.relabeled_nodes += result.relabeled_nodes
-                    combined.relabel_events += result.relabel_events
-                    combined.overflow_events += result.overflow_events
+                    _accumulate(combined, labeller._label_node(child))
             combined.label = self.labels.get(node.node_id)
             event.set(nodes=combined.nodes_detached,
                       relabeled_nodes=combined.relabeled_nodes)
@@ -529,10 +434,6 @@ class LabeledDocument:
     # ------------------------------------------------------------------
     # Content updates (labels untouched — section 3.1)
     # ------------------------------------------------------------------
-
-    def set_text(self, element: XMLNode, text: str) -> None:
-        """Replace the text content of an element."""
-        self._do_set_text(element, text)
 
     def _do_set_text(self, element: XMLNode, text: str) -> UpdateResult:
         if not element.is_element:
@@ -546,11 +447,8 @@ class LabeledDocument:
         if text:
             element.append_child(self.document.new_text(text))
         self.log.record("content_updates")
-        return UpdateResult(kind="content", node=element)
-
-    def set_attribute_value(self, attribute: XMLNode, value: str) -> None:
-        """Replace an attribute's value."""
-        self._do_set_attribute_value(attribute, value)
+        return UpdateResult(kind="content", node=element,
+                            label=self.labels.get(element.node_id))
 
     def _do_set_attribute_value(self, attribute: XMLNode,
                                 value: str) -> UpdateResult:
@@ -562,10 +460,6 @@ class LabeledDocument:
         self.log.record("content_updates")
         return UpdateResult(kind="content", node=attribute,
                             label=self.labels.get(attribute.node_id))
-
-    def rename(self, node: XMLNode, name: str) -> None:
-        """Rename an element or attribute."""
-        self._do_rename(node, name)
 
     def _do_rename(self, node: XMLNode, name: str) -> UpdateResult:
         if not node.kind.is_labeled:
@@ -585,13 +479,8 @@ class LabeledDocument:
         """Assert labels sort exactly into document order, without dupes.
 
         This is Definition 1 as an executable invariant; the property
-        tests run it after every randomised update program.  The sort
-        runs through the scheme's memoized comparison cache, so repeated
-        verification of a mostly stable document re-pays only the
-        comparisons whose label pairs are new.
+        tests run it after every randomised update program.
         """
-        from repro.schemes.cache import comparison_cache_for
-
         if self._active_batch is not None and self._active_batch.pending:
             raise BatchError(
                 "cannot verify order while a batch has unapplied operations"
@@ -600,7 +489,7 @@ class LabeledDocument:
         if len(set(self._hashable(label) for label in in_order)) != len(in_order):
             raise LabelCollisionError("duplicate labels in document")
         ordered = sorted(
-            in_order, key=comparison_cache_for(self.scheme).sort_key()
+            in_order, key=functools.cmp_to_key(self.scheme.compare)
         )
         if ordered != in_order:
             raise UpdateError(
@@ -629,9 +518,10 @@ class LabeledDocument:
             raise UpdateError("the root element cannot have siblings")
         return node.parent
 
-    def _label_new_node(self, node: XMLNode) -> UpdateResult:
-        # The hottest call in the package: every inserted node passes
-        # through here.  A live event also feeds the per-scheme
+    def _label_node(self, node: XMLNode) -> UpdateResult:
+        # The document as labeller: label ``node`` now.  The hottest call
+        # in the package: every immediately inserted node passes through
+        # here.  A live event also feeds the per-scheme
         # label-size profile.
         scheme_name = self.scheme.metadata.name
         with instrument("document.insert", scheme=scheme_name) as event:
@@ -690,7 +580,6 @@ class LabeledDocument:
     def _apply_relabeling(self, relabeled: Dict[int, Any],
                           overflowed: bool = False) -> None:
         from repro.durability.faults import maybe_fail
-        from repro.schemes.cache import invalidate_comparison_cache
 
         scheme_name = self.scheme.metadata.name
         with instrument("document.relabel", scheme=scheme_name,
@@ -705,10 +594,6 @@ class LabeledDocument:
                 self._set_label(node_id, label)
             for node_id, label in relabeled.items():
                 self._index(node_id, label)
-            # A relabelling pass retires label values wholesale; drop the
-            # scheme's memoized comparisons rather than let results for
-            # recycled values linger past the state change.
-            invalidate_comparison_cache(self.scheme)
             self._publish_relabel(len(relabeled))
         if event:
             get_registry().histogram(
@@ -905,3 +790,12 @@ class LabeledDocument:
             for child in node.preorder():
                 if child.node_id in self.labels:
                     self._publish_insert(child)
+
+
+def _accumulate(combined: UpdateResult, part: UpdateResult) -> None:
+    """Fold one labelled node's result into a multi-node operation's."""
+    combined.labels_assigned += part.labels_assigned
+    combined.relabeled_nodes += part.relabeled_nodes
+    combined.relabel_events += part.relabel_events
+    combined.overflow_events += part.overflow_events
+    combined.deferred = combined.deferred or part.deferred

@@ -1,58 +1,24 @@
 """The unified update surface: one result type for every mutation.
 
-Historically the update API was split-brained: ``LabeledDocument``
-mutators returned the new :class:`~repro.xmlmodel.tree.XMLNode` (or
-nothing), while the scheme layer's ``insert_sibling`` returned an
-:class:`~repro.schemes.base.InsertOutcome` — so the labelling cost of an
-individual operation was only visible by diffing ``ldoc.log`` around the
-call.  This module unifies the surface:
-
-* :class:`UpdateResult` is the consistent return type of every update —
-  the node, its label, and exactly what the operation did to the label
-  space (relabels, overflows, deferral).
-* :class:`UpdateSurface` exposes the result-returning API as
-  ``ldoc.updates.insert_after(...)``; the batch engine
-  (:mod:`repro.updates.batch`) returns the same objects.
-* The old node-returning methods on ``LabeledDocument`` remain as
-  deprecation shims; call :func:`warn_on_legacy_results` to have them
-  emit :class:`DeprecationWarning` (off by default so existing programs
-  run quietly).
+* :class:`UpdateResult` is the return type of every update — the node,
+  its label, and exactly what the operation did to the label space
+  (relabels, overflows, deferral, detached nodes).
+* :class:`UpdateSurface` is the immediate update API,
+  ``ldoc.updates.insert_after(...)``.  The batch engine
+  (:mod:`repro.updates.batch`) exposes the same eleven operations,
+  deferred, and returns the same objects; both run each structural
+  operation through one core on
+  :class:`~repro.updates.document.LabeledDocument`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.updates.document import LabeledDocument
     from repro.xmlmodel.tree import XMLNode
-
-
-#: Whether the legacy node-returning shims emit DeprecationWarning.
-_WARN_LEGACY = False
-
-
-def warn_on_legacy_results(enable: bool = True) -> None:
-    """Toggle :class:`DeprecationWarning` on the legacy update shims.
-
-    The node-returning ``LabeledDocument`` methods (``insert_after`` and
-    friends) are kept for compatibility; enabling this surfaces every
-    remaining call site so a codebase can migrate to ``ldoc.updates``.
-    """
-    global _WARN_LEGACY
-    _WARN_LEGACY = enable
-
-
-def _maybe_warn_legacy(name: str) -> None:
-    if _WARN_LEGACY:
-        warnings.warn(
-            f"LabeledDocument.{name} returns a bare node; use "
-            f"ldoc.updates.{name} for an UpdateResult",
-            DeprecationWarning,
-            stacklevel=3,
-        )
 
 
 @dataclass
@@ -83,11 +49,11 @@ class UpdateResult:
 
 
 class UpdateSurface:
-    """Result-returning view of one document's update operations.
+    """Immediate update operations on one document.
 
-    Obtained as ``ldoc.updates``; every method performs the same
-    mutation as the like-named legacy method but returns an
-    :class:`UpdateResult` instead of a bare node.
+    Obtained as ``ldoc.updates``; every method mutates the document at
+    once and returns an :class:`UpdateResult` describing the labelling
+    cost of that one operation.
     """
 
     __slots__ = ("_ldoc",)
@@ -99,40 +65,64 @@ class UpdateSurface:
 
     def insert_before(self, reference: "XMLNode", name: str) -> UpdateResult:
         """Insert a new element immediately before ``reference``."""
-        return self._ldoc._do_insert_sibling(reference, name, after=False)
+        ldoc = self._ldoc
+        return ldoc._do_insert_sibling(ldoc, reference, name, after=False)
 
     def insert_after(self, reference: "XMLNode", name: str) -> UpdateResult:
         """Insert a new element immediately after ``reference``."""
-        return self._ldoc._do_insert_sibling(reference, name, after=True)
+        ldoc = self._ldoc
+        return ldoc._do_insert_sibling(ldoc, reference, name, after=True)
 
     def append_child(self, parent: "XMLNode", name: str) -> UpdateResult:
         """Insert a new element as the last child of ``parent``."""
-        return self._ldoc._do_append_child(parent, name)
+        ldoc = self._ldoc
+        return ldoc._do_append_child(ldoc, parent, name)
 
     def prepend_child(self, parent: "XMLNode", name: str) -> UpdateResult:
         """Insert a new element as the first content child of ``parent``."""
-        return self._ldoc._do_prepend_child(parent, name)
+        ldoc = self._ldoc
+        return ldoc._do_prepend_child(ldoc, parent, name)
 
     def insert_attribute(self, element: "XMLNode", name: str,
                          value: str) -> UpdateResult:
-        """Insert a new attribute on ``element``."""
-        return self._ldoc._do_insert_attribute(element, name, value)
+        """Insert a new attribute (positioned after existing attributes)."""
+        ldoc = self._ldoc
+        return ldoc._do_insert_attribute(ldoc, element, name, value)
 
     def insert_subtree(self, parent: "XMLNode", index: int,
                        fragment: "XMLNode") -> UpdateResult:
-        """Insert a whole subtree as a serialised node sequence."""
-        return self._ldoc._do_insert_subtree(parent, index, fragment)
+        """Insert a whole subtree, one node at a time.
+
+        "Subtree insertions may be serialised as a sequence of nodes and
+        inserted individually" (section 3.1.2, ORDPATH).  ``fragment``
+        may come from another document (for example
+        :func:`~repro.xmlmodel.parser.parse_fragment`); its nodes are
+        re-created in this document, and the result's ``node`` is the
+        new subtree root.
+        """
+        ldoc = self._ldoc
+        return ldoc._do_insert_subtree(ldoc, parent, index, fragment)
 
     # -- deletion and movement --------------------------------------------
 
     def delete(self, node: "XMLNode") -> UpdateResult:
-        """Remove ``node`` and its subtree."""
+        """Remove ``node`` and its subtree; labels of others may react."""
         return self._ldoc._do_delete(node)
 
     def move(self, node: "XMLNode", new_parent: "XMLNode",
              index: int) -> UpdateResult:
-        """Relocate a subtree (detach + relabel at the target)."""
-        return self._ldoc._do_move(node, new_parent, index)
+        """Relocate a subtree (XQuery-Update style move).
+
+        Labelling schemes have no "move" primitive — a moved subtree
+        occupies a new document-order position, so its labels must be
+        newly assigned there (the paper's serialised-subtree treatment
+        of section 3.1.2), while nodes outside the subtree keep their
+        labels under a persistent scheme.  Implemented as detach +
+        re-insert of the same tree nodes, so node identity (ids, text,
+        attributes) survives; only labels change.
+        """
+        ldoc = self._ldoc
+        return ldoc._do_move(ldoc, node, new_parent, index)
 
     # -- content updates --------------------------------------------------
 

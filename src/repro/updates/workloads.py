@@ -92,9 +92,10 @@ def skewed_insertions(ldoc: LabeledDocument, count: int,
     the survey compares the vector scheme's growth with QED's.
     """
     target = anchor or _default_anchor(ldoc)
-    return run_insert_thunks(
-        ldoc, (lambda: ldoc.insert_before(target, name) for _ in range(count))
-    )
+    return run_insert_thunks(ldoc, (
+        lambda: ldoc.updates.insert_before(target, name).node
+        for _ in range(count)
+    ))
 
 
 def prepend_insertions(ldoc: LabeledDocument, count: int,
@@ -102,9 +103,10 @@ def prepend_insertions(ldoc: LabeledDocument, count: int,
                        name: str = "front") -> WorkloadResult:
     """Repeated insertion before the first child (one-sided skew)."""
     target = parent if parent is not None else ldoc.document.root
-    return run_insert_thunks(
-        ldoc, (lambda: ldoc.prepend_child(target, name) for _ in range(count))
-    )
+    return run_insert_thunks(ldoc, (
+        lambda: ldoc.updates.prepend_child(target, name).node
+        for _ in range(count)
+    ))
 
 
 def append_insertions(ldoc: LabeledDocument, count: int,
@@ -112,9 +114,10 @@ def append_insertions(ldoc: LabeledDocument, count: int,
                       name: str = "back") -> WorkloadResult:
     """Repeated insertion after the last child (the other one-sided skew)."""
     target = parent if parent is not None else ldoc.document.root
-    return run_insert_thunks(
-        ldoc, (lambda: ldoc.append_child(target, name) for _ in range(count))
-    )
+    return run_insert_thunks(ldoc, (
+        lambda: ldoc.updates.append_child(target, name).node
+        for _ in range(count)
+    ))
 
 
 def random_insertions(ldoc: LabeledDocument, count: int,
@@ -132,11 +135,11 @@ def random_insertions(ldoc: LabeledDocument, count: int,
                 children = parent.element_children()
                 tag = random_tag(rng)
                 if not children:
-                    return ldoc.append_child(parent, tag)
+                    return ldoc.updates.append_child(parent, tag).node
                 pivot = rng.choice(children)
                 if rng.random() < 0.5:
-                    return ldoc.insert_before(pivot, tag)
-                return ldoc.insert_after(pivot, tag)
+                    return ldoc.updates.insert_before(pivot, tag).node
+                return ldoc.updates.insert_after(pivot, tag).node
 
             yield one_insert
 
@@ -150,7 +153,8 @@ def uniform_insertions(ldoc: LabeledDocument, count: int) -> WorkloadResult:
     def inserts():
         for position in range(count):
             parent = elements[position % len(elements)]
-            yield lambda parent=parent: ldoc.append_child(parent, "uni")
+            yield lambda parent=parent: ldoc.updates.append_child(
+                parent, "uni").node
 
     return run_insert_thunks(ldoc, inserts())
 
@@ -168,12 +172,13 @@ def churn(ldoc: LabeledDocument, count: int, seed: int = 0,
                     node for node in root.descendants() if node.is_element
                 ]
                 if deletable and rng.random() < delete_ratio:
-                    ldoc.delete(rng.choice(deletable))
+                    ldoc.updates.delete(rng.choice(deletable))
                     return None
                 elements = [
                     node for node in ldoc.document.all_nodes() if node.is_element
                 ]
-                return ldoc.append_child(rng.choice(elements), random_tag(rng))
+                return ldoc.updates.append_child(
+                    rng.choice(elements), random_tag(rng)).node
 
             yield one_step
 

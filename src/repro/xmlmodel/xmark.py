@@ -205,9 +205,9 @@ def bidding_stream(ldoc: LabeledDocument, bids: int,
                     auction = auctions[hot_auction % len(auctions)]
                 else:
                     auction = rng.choice(auctions)
-                bidder = ldoc.append_child(auction, "bidder")
-                increase = ldoc.append_child(bidder, "increase")
-                ldoc.set_text(increase, f"{rng.randint(1, 50)}.00")
+                bidder = ldoc.updates.append_child(auction, "bidder").node
+                increase = ldoc.updates.append_child(bidder, "increase").node
+                ldoc.updates.set_text(increase, f"{rng.randint(1, 50)}.00")
                 return bidder
 
             yield one_bid

@@ -81,7 +81,7 @@ class TestPlaneMechanics:
 
     def test_stale_node_rejected_until_refresh(self, plane):
         root = plane.document.root
-        fresh_node = plane.ldoc.append_child(root, "late")
+        fresh_node = plane.ldoc.updates.append_child(root, "late").node
         with pytest.raises(StaleIndexError):
             plane.descendants(fresh_node)
         # The whole plane is stale now, not just the new node: querying
@@ -93,6 +93,6 @@ class TestPlaneMechanics:
 
     def test_refresh_after_updates_keeps_oracle_agreement(self, plane):
         root = plane.document.root
-        plane.ldoc.prepend_child(root, "zero")
+        plane.ldoc.updates.prepend_child(root, "zero")
         plane.refresh()
         assert len(plane.descendants(root)) == 10

@@ -199,7 +199,7 @@ class TestEvaluation(ScanPath):
 
     def test_queries_after_updates(self, ldoc):
         root = ldoc.document.root
-        ldoc.append_child(root, "index")
+        ldoc.updates.append_child(root, "index")
         assert names(self.xpath(ldoc, "/book/index")) == ["index"]
 
 

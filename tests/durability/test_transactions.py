@@ -8,7 +8,7 @@ from conftest import all_scheme_names, labeled
 from repro.durability.journal import Journal, recover
 from repro.durability.transactions import Transaction, UndoRecord
 from repro.errors import TransactionError
-from repro.store.repository import XMLRepository
+from repro.store.repository import open_repository
 from repro.xmlmodel.parser import parse
 from repro.xmlmodel.serializer import serialize
 
@@ -219,7 +219,7 @@ class TestGuards:
 
 class TestRepositoryTransactions:
     def test_repository_scope_commits(self):
-        repo = XMLRepository()
+        repo = open_repository("memory://")
         repo.add("lib", SAMPLE, scheme="cdqs")
         stored = repo.get("lib")
         with repo.transaction("lib") as txn:
@@ -235,7 +235,7 @@ class TestRepositoryTransactions:
         counter guards is an index built *inside* the transaction: see
         the next test.
         """
-        repo = XMLRepository()
+        repo = open_repository("memory://")
         repo.add("lib", SAMPLE, scheme="cdqs")
         stored = repo.get("lib")
         assert len(stored.find("book")) == 3  # build the index
@@ -262,7 +262,7 @@ class TestRepositoryTransactions:
         to the values the index was stamped with.  Only the monotonic
         ``rollbacks`` counter in the stamp tells the two states apart.
         """
-        repo = XMLRepository()
+        repo = open_repository("memory://")
         repo.add("lib", SAMPLE, scheme="cdqs")
         stored = repo.get("lib")
         root = stored.ldoc.document.root

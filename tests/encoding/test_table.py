@@ -81,8 +81,8 @@ class TestReconstruction:
     def test_reconstruct_after_updates(self, scheme_name):
         ldoc = labeled(sample_document(), scheme_name)
         root = ldoc.document.root
-        ldoc.append_child(root, "extra")
-        ldoc.insert_attribute(root.element_children()[0], "lang", "en")
+        ldoc.updates.append_child(root, "extra")
+        ldoc.updates.insert_attribute(root.element_children()[0], "lang", "en")
         table = EncodingTable.from_labeled_document(ldoc)
         rebuilt = table.reconstruct()
         names = [n.name for n in rebuilt.labeled_nodes()]

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.durability.faults import InjectedFault, get_injector
 from repro.observability.health import (
     BackendLockProbe,
-    CacheHitRateProbe,
     HealthContext,
     HealthProbe,
     JournalTailProbe,
@@ -25,6 +27,8 @@ from repro.observability.ops import OpLog, oplog_enabled
 from repro.schemes.registry import make_scheme
 from repro.updates.document import LabeledDocument
 from repro.xmlmodel.parser import parse
+
+API_DOC = Path(__file__).resolve().parents[2] / "docs" / "API.md"
 
 SAMPLE = "<library><shelf><book/><book/></shelf><shelf><book/></shelf></library>"
 
@@ -94,19 +98,6 @@ class TestProbeTransitions:
             context(**{"axes.accelerator.relabel_storms": 1}))
         critical = probe.evaluate(
             context(**{"axes.accelerator.relabel_storms": 9}))
-        assert [ok.status, warn.status, critical.status] == [
-            "ok", "warn", "critical"
-        ]
-
-    def test_cache_hit_rate_collapse(self):
-        probe = CacheHitRateProbe(min_lookups=100, warn_below=0.2,
-                                  critical_below=0.05)
-        ok = probe.evaluate(context(**{"compare_cache.hits": 900,
-                                       "compare_cache.misses": 100}))
-        warn = probe.evaluate(context(**{"compare_cache.hits": 10,
-                                         "compare_cache.misses": 90}))
-        critical = probe.evaluate(context(**{"compare_cache.hits": 1,
-                                             "compare_cache.misses": 99}))
         assert [ok.status, warn.status, critical.status] == [
             "ok", "warn", "critical"
         ]
@@ -298,3 +289,20 @@ class TestScanFallbackProbe:
         result = probe.evaluate(HealthContext(metrics=snapshot))
         assert result.status in ("warn", "critical")
         assert "fell back to the scan path" in result.evidence
+
+
+def documented_probes():
+    """The probe names in the ``default_probes()`` table of docs/API.md."""
+    text = API_DOC.read_text(encoding="utf-8")
+    section = text.split("### Health watchdog", 1)[1]
+    table = section.split("| --- | --- | --- |", 1)[1]
+    names = []
+    for line in table.splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        names.extend(re.findall(r"`([a-z-]+)`", line.split("|")[1]))
+    return names
+
+
+def test_probe_table_matches_the_api_doc():
+    assert documented_probes() == [probe.name for probe in default_probes()]

@@ -287,12 +287,12 @@ class TestTracedPathEquivalence:
             hot = shelves[0].element_children()[0]
             for index in range(12):
                 if index % 3 == 0:
-                    ldoc.insert_before(hot, f"n{index}")
+                    ldoc.updates.insert_before(hot, f"n{index}")
                 elif index % 3 == 1:
-                    ldoc.insert_after(hot, f"n{index}")
+                    ldoc.updates.insert_after(hot, f"n{index}")
                 else:
-                    ldoc.append_child(shelves[1], f"n{index}")
-            ldoc.delete(shelves[1].element_children()[0])
+                    ldoc.updates.append_child(shelves[1], f"n{index}")
+            ldoc.updates.delete(shelves[1].element_children()[0])
             return ldoc.labels_in_document_order()
 
         untraced = workload()
@@ -305,7 +305,7 @@ class TestTracedPathEquivalence:
         exporter = InMemorySpanExporter()
         with tracing_enabled(exporter):
             ldoc = labeled(parse(SAMPLE), "ordpath")
-            ldoc.append_child(ldoc.document.root, "annex")
+            ldoc.updates.append_child(ldoc.document.root, "annex")
         inserts = [s for s in exporter.spans if s.name == "document.insert"]
         assert inserts
         assert inserts[0].attributes["scheme"] == "ordpath"

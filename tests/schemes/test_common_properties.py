@@ -126,15 +126,15 @@ class TestInsertions:
         ldoc = labeled(sample, name)
         root = ldoc.document.root
         children = root.element_children()
-        ldoc.prepend_child(root, "front")
+        ldoc.updates.prepend_child(root, "front")
         ldoc.verify_order()
-        ldoc.append_child(root, "back")
+        ldoc.updates.append_child(root, "back")
         ldoc.verify_order()
-        ldoc.insert_before(children[1], "mid-left")
+        ldoc.updates.insert_before(children[1], "mid-left")
         ldoc.verify_order()
-        ldoc.insert_after(children[1], "mid-right")
+        ldoc.updates.insert_after(children[1], "mid-right")
         ldoc.verify_order()
-        ldoc.insert_attribute(children[0], "k", "v")
+        ldoc.updates.insert_attribute(children[0], "k", "v")
         ldoc.verify_order()
 
     def test_insert_under_leaf(self, name, sample):
@@ -143,7 +143,7 @@ class TestInsertions:
             node for node in sample.labeled_nodes()
             if node.is_element and not node.labeled_children()
         )
-        ldoc.append_child(leaf, "first-child")
+        ldoc.updates.append_child(leaf, "first-child")
         ldoc.verify_order()
 
     def test_subtree_insertion(self, name, sample):
@@ -167,7 +167,7 @@ class TestDeletions:
             if node.is_element and not node.labeled_children()
             and node.parent is not None
         )
-        ldoc.delete(leaf)
+        ldoc.updates.delete(leaf)
         ldoc.verify_order()
         assert leaf.node_id not in ldoc.labels
 
@@ -177,7 +177,7 @@ class TestDeletions:
             node for node in sample.labeled_nodes() if node.name == "publisher"
         )
         removed = [n.node_id for n in publisher.preorder() if n.kind.is_labeled]
-        ldoc.delete(publisher)
+        ldoc.updates.delete(publisher)
         ldoc.verify_order()
         assert not any(node_id in ldoc.labels for node_id in removed)
 
@@ -186,8 +186,8 @@ class TestDeletions:
         author = next(
             node for node in sample.labeled_nodes() if node.name == "author"
         )
-        ldoc.delete(author)
-        ldoc.append_child(ldoc.document.root, "replacement")
+        ldoc.updates.delete(author)
+        ldoc.updates.append_child(ldoc.document.root, "replacement")
         ldoc.verify_order()
 
 
@@ -199,9 +199,9 @@ class TestPersistence:
         root = ldoc.document.root
         children = root.element_children()
         for _ in range(25):
-            ldoc.insert_before(children[-1], "skew")
-        ldoc.prepend_child(root, "front")
-        ldoc.append_child(root, "back")
+            ldoc.updates.insert_before(children[-1], "skew")
+        ldoc.updates.prepend_child(root, "front")
+        ldoc.updates.append_child(root, "back")
         for node_id, label in snapshot.items():
             assert ldoc.labels[node_id] == label
         assert ldoc.log.relabeled_nodes == 0
@@ -215,7 +215,7 @@ class TestPersistence:
             node_id: label for node_id, label in ldoc.labels.items()
             if node_id != author.node_id
         }
-        ldoc.delete(author)
+        ldoc.updates.delete(author)
         assert ldoc.labels == snapshot
 
 

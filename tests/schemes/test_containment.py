@@ -14,7 +14,7 @@ class TestRegionGaps:
     def test_gaps_absorb_a_few_insertions(self, sample):
         ldoc = labeled(sample, "xrel", gap=16)
         anchor = sample.root.element_children()[-1]
-        ldoc.insert_before(anchor, "one")
+        ldoc.updates.insert_before(anchor, "one")
         assert ldoc.log.relabel_events == 0
 
     def test_gap_exhaustion_forces_relabel(self, sample):
@@ -51,7 +51,7 @@ class TestQRSPrecision:
     def test_midpoints_use_multiplication_not_division(self, sample):
         ldoc = labeled(sample, "qrs")
         anchor = sample.root.element_children()[-1]
-        ldoc.insert_before(anchor, "x")
+        ldoc.updates.insert_before(anchor, "x")
         assert ldoc.scheme.instruments.divisions == 0
         assert ldoc.scheme.instruments.multiplications > 0
 
@@ -74,9 +74,9 @@ class TestSector:
     def test_hybrid_allocation_absorbs_one_insert_per_slot(self, sample):
         ldoc = labeled(sample, "sector")
         anchor = sample.root.element_children()[-1]
-        ldoc.insert_before(anchor, "one")
+        ldoc.updates.insert_before(anchor, "one")
         assert ldoc.log.relabel_events == 0
-        ldoc.insert_before(anchor, "two")
+        ldoc.updates.insert_before(anchor, "two")
         ldoc.verify_order()
 
     def test_budget_grows_for_wide_documents(self):

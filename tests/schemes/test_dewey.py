@@ -14,7 +14,7 @@ class TestInsertionShifts:
     def test_insert_before_shifts_following_siblings(self):
         ldoc = labeled(figure3_tree(), "dewey")
         second = ldoc.document.root.element_children()[1]  # label 1.2
-        ldoc.insert_before(second, "new")
+        ldoc.updates.insert_before(second, "new")
         labels = label_sequence(ldoc)
         # The new node takes 1.2; old 1.2 and 1.3 shift to 1.3 and 1.4,
         # carrying their subtrees with them.
@@ -27,22 +27,22 @@ class TestInsertionShifts:
         ldoc = labeled(figure3_tree(), "dewey")
         first = ldoc.document.root.element_children()[0]
         before = ldoc.log.relabeled_nodes
-        ldoc.insert_before(first, "new")
+        ldoc.updates.insert_before(first, "new")
         # Following siblings 1.1, 1.2, 1.3 plus their 6 descendants move.
         assert ldoc.log.relabeled_nodes - before == 9
 
     def test_append_does_not_relabel(self):
         ldoc = labeled(figure3_tree(), "dewey")
-        ldoc.append_child(ldoc.document.root, "tail")
+        ldoc.updates.append_child(ldoc.document.root, "tail")
         assert ldoc.log.relabeled_nodes == 0
         assert label_sequence(ldoc)[-1] == "1.4"
 
     def test_deletion_gap_is_reused_without_collision(self):
         ldoc = labeled(figure3_tree(), "dewey")
         children = ldoc.document.root.element_children()
-        ldoc.delete(children[1])  # frees 1.2
+        ldoc.updates.delete(children[1])  # frees 1.2
         ldoc.verify_order()
-        node = ldoc.insert_after(children[0], "reuse")
+        node = ldoc.updates.insert_after(children[0], "reuse").node
         assert ldoc.format_label(node) == "1.2"
         ldoc.verify_order()
 

@@ -16,7 +16,7 @@ class TestRendering:
     def test_sublevels_render_with_slashes(self):
         ldoc = labeled(figure3_tree(), "dln")
         children = ldoc.document.root.element_children()
-        node = ldoc.insert_after(children[0], "wedge")
+        node = ldoc.updates.insert_after(children[0], "wedge").node
         assert "/" in ldoc.format_label(node)
 
 
@@ -59,7 +59,7 @@ class TestFixedWidthOverflow:
         # Appending more children than 4 bits can number.
         root = ldoc.document.root
         for _ in range(20):
-            ldoc.append_child(root, "tail")
+            ldoc.updates.append_child(root, "tail")
         assert ldoc.log.overflow_events >= 1
         ldoc.verify_order()
 

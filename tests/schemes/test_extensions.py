@@ -27,7 +27,7 @@ class TestCohen:
 
     def test_append_does_not_relabel(self):
         ldoc = labeled(sample_document(), "cohen")
-        ldoc.append_child(ldoc.document.root, "tail")
+        ldoc.updates.append_child(ldoc.document.root, "tail")
         assert ldoc.log.relabeled_nodes == 0
         ldoc.verify_order()
 
@@ -35,7 +35,7 @@ class TestCohen:
         # The reason the survey excludes the scheme from Figure 7.
         ldoc = labeled(sample_document(), "cohen")
         anchor = ldoc.document.root.element_children()[0]
-        ldoc.insert_before(anchor, "front")
+        ldoc.updates.insert_before(anchor, "front")
         assert ldoc.log.relabel_events == 1
         ldoc.verify_order()
 
@@ -69,7 +69,7 @@ class TestDDE:
     def test_updated_components_render_as_fractions(self):
         ldoc = labeled(sample_document(), "dde")
         children = ldoc.document.root.element_children()
-        node = ldoc.insert_after(children[0], "frac")
+        node = ldoc.updates.insert_after(children[0], "frac").node
         assert "/" in ldoc.format_label(node)
 
     def test_no_divisions(self):
@@ -122,7 +122,7 @@ class TestPrime:
         # The SC (simultaneous congruence) order keys shift for every
         # node after the insertion point — the scheme's update weakness.
         ldoc = labeled(sample_document(), "prime")
-        ldoc.prepend_child(ldoc.document.root, "front")
+        ldoc.updates.prepend_child(ldoc.document.root, "front")
         assert ldoc.log.relabeled_nodes >= 9
         ldoc.verify_order()
 
@@ -130,5 +130,5 @@ class TestPrime:
         ldoc = labeled(sample_document(), "prime")
         nodes = {n.name: n for n in ldoc.document.labeled_nodes()}
         before = ldoc.label_of(nodes["name"]).product
-        ldoc.prepend_child(ldoc.document.root, "front")
+        ldoc.updates.prepend_child(ldoc.document.root, "front")
         assert ldoc.label_of(nodes["name"]).product == before

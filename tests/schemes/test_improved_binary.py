@@ -24,28 +24,28 @@ class TestFigure6:
         children = ldoc.document.root.element_children()
         node_01, node_0101, node_011 = children
 
-        before = ldoc.prepend_child(node_0101, "new")
+        before = ldoc.updates.prepend_child(node_0101, "new").node
         assert ldoc.format_label(before) == FIGURE_6_INSERTED[
             "before_first_under_0101"
         ]
 
-        after = ldoc.append_child(node_0101, "new")
+        after = ldoc.updates.append_child(node_0101, "new").node
         assert ldoc.format_label(after) == FIGURE_6_INSERTED[
             "after_last_under_0101"
         ]
 
         grand = node_011.element_children()
-        between = ldoc.insert_after(grand[0], "new")
+        between = ldoc.updates.insert_after(grand[0], "new").node
         assert ldoc.format_label(between) == FIGURE_6_INSERTED[
             "between_011.01_and_011.011"
         ]
 
-        root_new_1 = ldoc.insert_after(node_01, "new")
+        root_new_1 = ldoc.updates.insert_after(node_01, "new").node
         assert ldoc.format_label(root_new_1) == FIGURE_6_INSERTED[
             "between_root_children_01_and_0101"
         ]
 
-        root_new_2 = ldoc.insert_after(node_0101, "new")
+        root_new_2 = ldoc.updates.insert_after(node_0101, "new").node
         assert ldoc.format_label(root_new_2) == FIGURE_6_INSERTED[
             "between_root_children_0101_and_011"
         ]
@@ -76,7 +76,7 @@ class TestPublishedAlgorithm:
         root = ldoc.document.root
         sizes = []
         for _ in range(10):
-            node = ldoc.append_child(root, "tail")
+            node = ldoc.updates.append_child(root, "tail").node
             sizes.append(len(ldoc.label_of(node)[-1]))
         deltas = [b - a for a, b in zip(sizes, sizes[1:])]
         assert all(delta == 1 for delta in deltas)
@@ -87,7 +87,7 @@ class TestPublishedAlgorithm:
         )
         root = ldoc.document.root
         for _ in range(30):
-            ldoc.append_child(root, "tail")
+            ldoc.updates.append_child(root, "tail")
         assert ldoc.log.overflow_events >= 1
         ldoc.verify_order()
 
@@ -96,5 +96,5 @@ class TestPublishedAlgorithm:
         root = ldoc.document.root
         anchor = root.element_children()[1]
         for _ in range(20):
-            ldoc.insert_before(anchor, "mid")
+            ldoc.updates.insert_before(anchor, "mid")
         assert ldoc.log.relabeled_nodes == 0

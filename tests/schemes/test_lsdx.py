@@ -24,18 +24,18 @@ class TestFigure5:
         children = ldoc.document.root.element_children()
         node_b, node_c, node_d = children
 
-        before = ldoc.prepend_child(node_b, "new")
+        before = ldoc.updates.prepend_child(node_b, "new").node
         assert ldoc.format_label(before) == FIGURE_5_INSERTED[
             "before_first_under_1a.b"
         ]
 
-        after = ldoc.append_child(node_c, "new")
+        after = ldoc.updates.append_child(node_c, "new").node
         assert ldoc.format_label(after) == FIGURE_5_INSERTED[
             "after_last_under_1a.c"
         ]
 
         grand = node_d.element_children()
-        between = ldoc.insert_after(grand[0], "new")
+        between = ldoc.updates.insert_after(grand[0], "new").node
         assert ldoc.format_label(between) == FIGURE_5_INSERTED[
             "between_2ad.b_and_2ad.c"
         ]
@@ -73,10 +73,12 @@ class TestDocumentedCollisions:
         ldoc = LabeledDocument(wide_tree(25), doc_scheme)  # last child is z
         children = ldoc.document.root.element_children()
         last = children[-1]
-        appended = ldoc.append_child(ldoc.document.root, "tail")  # zb
+        appended = ldoc.updates.append_child(
+            ldoc.document.root, "tail").node  # zb
         assert ldoc.format_label(appended).endswith("zb")
         with pytest.raises(LabelCollisionError):
-            ldoc.insert_after(last, "boom")  # between z and zb -> zb again
+            # Between z and zb -> zb again.
+            ldoc.updates.insert_after(last, "boom")
 
     def test_collision_recorded_when_configured(self):
         from repro.xmlmodel.builder import wide_tree
@@ -85,8 +87,8 @@ class TestDocumentedCollisions:
             wide_tree(25), LSDXScheme(), on_collision="record"
         )
         children = ldoc.document.root.element_children()
-        ldoc.append_child(ldoc.document.root, "tail")
-        ldoc.insert_after(children[-1], "boom")
+        ldoc.updates.append_child(ldoc.document.root, "tail")
+        ldoc.updates.insert_after(children[-1], "boom")
         assert ldoc.log.collisions == 1
 
 
@@ -96,7 +98,7 @@ class TestDeletionReassignment:
         ldoc = labeled(figure_tree(), "lsdx")
         children = ldoc.document.root.element_children()
         middle_label = ldoc.format_label(children[1])
-        ldoc.delete(children[1])
+        ldoc.updates.delete(children[1])
         assert ldoc.log.relabeled_nodes > 0
         # The freed letter is reused by the compacted following sibling.
         remaining = [
@@ -108,7 +110,7 @@ class TestDeletionReassignment:
     def test_reassignment_can_be_disabled(self):
         ldoc = labeled(figure_tree(), "lsdx", reassign_on_delete=False)
         children = ldoc.document.root.element_children()
-        ldoc.delete(children[1])
+        ldoc.updates.delete(children[1])
         assert ldoc.log.relabeled_nodes == 0
         ldoc.verify_order()
 

@@ -27,18 +27,18 @@ class TestFigure4:
         children = ldoc.document.root.element_children()
         node_11, node_13, node_15 = children
 
-        before = ldoc.prepend_child(node_11, "new")
+        before = ldoc.updates.prepend_child(node_11, "new").node
         assert ldoc.format_label(before) == FIGURE_4_INSERTED[
             "before_first_under_1.1"
         ]
 
-        after = ldoc.append_child(node_13, "new")
+        after = ldoc.updates.append_child(node_13, "new").node
         assert ldoc.format_label(after) == FIGURE_4_INSERTED[
             "after_last_under_1.3"
         ]
 
         grandchildren = node_15.element_children()
-        caret = ldoc.insert_after(grandchildren[0], "new")
+        caret = ldoc.updates.insert_after(grandchildren[0], "new").node
         assert ldoc.format_label(caret) == FIGURE_4_INSERTED[
             "between_1.5.1_and_1.5.3"
         ]
@@ -138,6 +138,6 @@ class TestStorage:
         ldoc = labeled(figure_tree(), "ordpath", max_magnitude=15)
         anchor = ldoc.document.root.element_children()[-1]
         for _ in range(40):
-            ldoc.insert_before(anchor, "skew")
+            ldoc.updates.insert_before(anchor, "skew")
         assert ldoc.log.overflow_events >= 1
         ldoc.verify_order()

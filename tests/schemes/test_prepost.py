@@ -64,7 +64,7 @@ class TestRelationships:
 class TestDynamics:
     def test_every_insertion_relabels_globally(self, sample):
         ldoc = labeled(sample, "prepost")
-        ldoc.prepend_child(sample.root, "zero")
+        ldoc.updates.prepend_child(sample.root, "zero")
         # All ten original nodes except none keep their pre rank: the new
         # first child shifts everything after it.
         assert ldoc.log.relabel_events == 1
@@ -73,7 +73,7 @@ class TestDynamics:
 
     def test_append_still_relabels_posts(self, sample):
         ldoc = labeled(sample, "prepost")
-        ldoc.append_child(sample.root, "last")
+        ldoc.updates.append_child(sample.root, "last")
         # Appending shifts ancestors' postorder ranks.
         assert ldoc.log.relabeled_nodes >= 1
         ldoc.verify_order()

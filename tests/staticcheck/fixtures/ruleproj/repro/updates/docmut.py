@@ -33,6 +33,20 @@ class LabeledDocument:
     def set_text(self, node, value):  # clean: tree-only, no label writes
         node.value = value
 
+    def _graft_core(self, node, label):
+        self._assign(node, label)
+
+
+class UpdateSurface:
+    def __init__(self, document):
+        self._document = document
+
+    def relabel(self):  # clean: forwards to a publishing document method
+        self._document.relabel_all()
+
+    def graft(self, node, label):  # VIOLATION: the core never publishes
+        self._document._graft_core(node, label)
+
 
 class UpdateBatch:
     def __init__(self, document):

@@ -149,16 +149,18 @@ class TestMutableDefault:
 class TestUnpublishedMutation:
     def test_flags_mutators_without_publish_reach(self, rule_ctx):
         findings = findings_for("REP009", rule_ctx)
-        assert len(findings) == 2
+        assert len(findings) == 3
         messages = " ".join(f.message for f in findings)
         assert "LabeledDocument.graft" in messages
+        assert "UpdateSurface.graft" in messages
         assert "UpdateBatch.compact" in messages
         assert all(f.severity == "error" for f in findings)
 
     def test_publish_through_helpers_and_undo_chain_is_clean(self, rule_ctx):
         findings = findings_for("REP009", rule_ctx)
         messages = " ".join(f.message for f in findings)
-        for clean in ("relabel_all", "adopt", "apply", "rollback"):
+        for clean in ("relabel_all", "adopt", "apply", "rollback",
+                      "UpdateSurface.relabel"):
             assert clean not in messages
 
     def test_reads_and_tree_only_writes_are_clean(self, rule_ctx):

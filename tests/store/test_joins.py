@@ -112,7 +112,7 @@ class TestSemiJoinAndPath:
         editor = next(
             n for n in ldoc.document.labeled_nodes() if n.name == "editor"
         )
-        ldoc.append_child(editor, "phone")
+        ldoc.updates.append_child(editor, "phone")
         ancestors = entries(ldoc, "editor")
         descendants = sorted(
             entries(ldoc, "phone") + entries(ldoc, "name"),

@@ -1,5 +1,8 @@
 """The XML repository: management, queries, snapshots, scheme advice."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.data.sample import SAMPLE_XML
@@ -10,7 +13,6 @@ from repro.store.repository import (
     XMLRepository,
     open_repository,
     suggest_scheme,
-    warn_on_legacy_repository,
 )
 from repro.xmlmodel.serializer import serialize
 from repro.xmlmodel.xmark import xmark_document
@@ -23,7 +25,7 @@ LIBRARY = (
 
 @pytest.fixture
 def repo():
-    repository = XMLRepository()
+    repository = open_repository("memory://")
     repository.add("sample", SAMPLE_XML, scheme="qed")
     repository.add("library", LIBRARY)  # default scheme (cdqs)
     return repository
@@ -54,12 +56,12 @@ class TestManagement:
     def test_add_existing_tree(self):
         from repro.data.sample import sample_document
 
-        repository = XMLRepository()
+        repository = open_repository("memory://")
         stored = repository.add("doc", sample_document(), scheme="vector")
         assert stored.ldoc.scheme.metadata.name == "vector"
 
     def test_scheme_config_passes_through(self):
-        repository = XMLRepository()
+        repository = open_repository("memory://")
         stored = repository.add("doc", "<a/>", scheme="xrel", gap=32)
         assert stored.ldoc.scheme.gap == 32
 
@@ -90,13 +92,13 @@ class TestQueries:
     def test_indexes_refresh_after_update(self, repo):
         stored = repo.get("library")
         shelf = stored.find("shelf")[0]
-        stored.ldoc.append_child(shelf, "magazine")
+        stored.ldoc.updates.append_child(shelf, "magazine")
         assert [n.name for n in stored.find("magazine")] == ["magazine"]
 
     def test_index_refresh_after_content_update(self, repo):
         stored = repo.get("library")
         title = stored.find("title")[0]
-        stored.ldoc.set_text(title, "Dune Messiah")
+        stored.ldoc.updates.set_text(title, "Dune Messiah")
         assert stored.find_value("Dune") == []
         assert [n.text_value() for n in stored.find_value("Dune Messiah")] == [
             "Dune Messiah"
@@ -119,7 +121,7 @@ class TestSnapshots:
         before = stored.ldoc.labels_in_document_order()
         snapshot = repo.snapshot("sample")
         # Mutate the live document after the snapshot.
-        stored.ldoc.append_child(stored.ldoc.document.root, "late")
+        stored.ldoc.updates.append_child(stored.ldoc.document.root, "late")
         restored = repo.restore(snapshot, name="frozen")
         assert restored.ldoc.labels_in_document_order() == before
 
@@ -156,7 +158,7 @@ class TestSnapshots:
         "qed", "cdqs", "vector", "ordpath", "prepost", "dewey",
     ])
     def test_round_trip_per_scheme(self, scheme_name):
-        repository = XMLRepository()
+        repository = open_repository("memory://")
         repository.add("doc", SAMPLE_XML, scheme=scheme_name)
         snapshot = repository.snapshot("doc")
         restored = repository.restore(snapshot, name="copy")
@@ -167,7 +169,7 @@ class TestSnapshots:
     def test_snapshot_persists_scheme_configuration(self):
         """Regression: a snapshot of a kwargs-configured scheme used to
         restore under a default-configured scheme of the same name."""
-        repository = XMLRepository()
+        repository = open_repository("memory://")
         repository.add("doc", SAMPLE_XML, scheme="dewey", component_bits=4)
         snapshot = repository.snapshot("doc")
         assert snapshot.scheme_config == {"component_bits": 4}
@@ -180,7 +182,7 @@ class TestSnapshots:
     def test_snapshot_config_changes_storage_width(self):
         """The configuration is load-bearing: restoring under default
         kwargs would report different storage."""
-        repository = XMLRepository()
+        repository = open_repository("memory://")
         narrow = repository.add("narrow", SAMPLE_XML, scheme="dewey",
                                 component_bits=4)
         wide = repository.add("wide", SAMPLE_XML, scheme="dewey")
@@ -225,7 +227,7 @@ class TestOpenRepository:
         repository.add("doc", LIBRARY)
         stored = repository.get("doc")
         shelf = stored.find("shelf")[0]
-        stored.ldoc.append_child(shelf, "magazine")
+        stored.ldoc.updates.append_child(shelf, "magazine")
         assert b"magazine" not in repository.backend.get("doc").xml.encode()
         repository.persist("doc")
         assert "magazine" in repository.backend.get("doc").xml
@@ -244,31 +246,21 @@ class TestOpenRepository:
         ]
         assert repository.live_names() == ["doc"]
 
-
-class TestLegacyConstructorShim:
-    def test_quiet_by_default(self, recwarn):
-        XMLRepository()
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_warns_when_enabled(self):
-        warn_on_legacy_repository(True)
-        try:
-            with pytest.warns(DeprecationWarning, match="open_repository"):
-                XMLRepository()
-        finally:
-            warn_on_legacy_repository(False)
-
-    def test_explicit_backend_never_warns(self, recwarn):
-        from repro.store.backends import MemoryBackend
-
-        warn_on_legacy_repository(True)
-        try:
-            XMLRepository(backend=MemoryBackend().open())
-        finally:
-            warn_on_legacy_repository(False)
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
+    def test_reopened_documents_release_their_schemes(self, tmp_path):
+        """Closing a repository frees what its reads built: after five
+        open/get/join/close rounds no earlier round's scheme is alive."""
+        url = f"sqlite:///{tmp_path / 'catalog.db'}"
+        with open_repository(url) as repository:
+            repository.add("doc", SAMPLE_XML, scheme="qed")
+        schemes = []
+        for _ in range(5):
+            repository = open_repository(url)
+            stored = repository.get("doc")
+            assert stored.descendant_path(["book", "publisher", "name"])
+            schemes.append(weakref.ref(stored.ldoc.scheme))
+            repository.close()
+        gc.collect()
+        assert [scheme() for scheme in schemes[:-1]] == [None] * 4
 
 
 class TestSuggestScheme:

@@ -134,5 +134,5 @@ class TestAfterUpdates:
         pattern = twig("book", child("title"), child("author"))
         assert matcher.count(pattern) == 2
         lonely = xpath(ldoc, "//book[title='Untitled Notes']")[0]
-        ldoc.append_child(lonely, "author")
+        ldoc.updates.append_child(lonely, "author")
         assert matcher.count(pattern) == 3

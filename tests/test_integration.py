@@ -27,14 +27,14 @@ class TestFullPipeline:
             "<chapter n='1'><heading>Intro</heading></chapter>",
         )
         title = root.element_children()[0]
-        ldoc.insert_attribute(title, "lang", "en")
+        ldoc.updates.insert_attribute(title, "lang", "en")
         ldoc.verify_order()
 
         # 3. Content update.
         heading = [
             n for n in ldoc.document.labeled_nodes() if n.name == "heading"
         ][0]
-        ldoc.set_text(heading, "Introduction")
+        ldoc.updates.set_text(heading, "Introduction")
 
         # 4. Query through the mini XPath (labels drive the axes).
         assert [n.name for n in xpath(ldoc, "/book/chapter/heading")] == [
@@ -63,7 +63,7 @@ def test_readme_quickstart_example():
     doc = repro_parse("<a><b/><c/></a>")
     ldoc = LabeledDocument(doc, make_scheme("qed"))
     b = doc.root.element_children()[0]
-    ldoc.insert_after(b, "new")
+    ldoc.updates.insert_after(b, "new")
     ldoc.verify_order()
     assert ldoc.log.relabeled_nodes == 0
 

@@ -174,7 +174,7 @@ class TestBatchErrors:
 
     def test_exception_rollback_restores_log_counters(self):
         ldoc = labeled(parse(BASE_XML), "qed")
-        ldoc.append_child(ldoc.document.root, "pre")  # insertions == 1
+        ldoc.updates.append_child(ldoc.document.root, "pre")  # insertions == 1
         with pytest.raises(RuntimeError):
             with ldoc.batch() as batch:
                 batch.append_child(ldoc.document.root, "kid")
@@ -283,3 +283,46 @@ class TestPersistentSchemeLabelIdentity:
             for node in batched.document.labeled_nodes()
         }
         assert batch_labels == per_labels
+
+
+PARITY_XML = '<r><a k="v"><x/><y/></a><b>old</b></r>'
+
+#: Every operation of the two surfaces, as (surface, root, a, b) -> result.
+PARITY_OPERATIONS = {
+    "insert_before": lambda s, r, a, b: s.insert_before(b, "n"),
+    "insert_after": lambda s, r, a, b: s.insert_after(a, "n"),
+    "append_child": lambda s, r, a, b: s.append_child(a, "n"),
+    "prepend_child": lambda s, r, a, b: s.prepend_child(a, "n"),
+    "insert_attribute": lambda s, r, a, b: s.insert_attribute(b, "l", "en"),
+    "insert_subtree": lambda s, r, a, b: s.insert_subtree(
+        r, 1, parse_fragment("<f><g/><h/></f>")),
+    "delete": lambda s, r, a, b: s.delete(a),
+    "move": lambda s, r, a, b: s.move(a, b, 0),
+    "set_text": lambda s, r, a, b: s.set_text(b, "new"),
+    "set_attribute_value": lambda s, r, a, b: s.set_attribute_value(
+        a.attributes()[0], "w"),
+    "rename": lambda s, r, a, b: s.rename(b, "c"),
+}
+
+
+@pytest.mark.parametrize("scheme_name", ["qed", "dewey"])
+@pytest.mark.parametrize("operation", sorted(PARITY_OPERATIONS))
+def test_batch_result_matches_immediate_result(operation, scheme_name):
+    """One operation reports the same cost through either surface."""
+    run = PARITY_OPERATIONS[operation]
+    immediate_doc = labeled(parse(PARITY_XML), scheme_name)
+    root = immediate_doc.document.root
+    immediate = run(immediate_doc.updates, root, *root.element_children())
+    batched_doc = labeled(parse(PARITY_XML), scheme_name)
+    root = batched_doc.document.root
+    with batched_doc.batch() as batch:
+        batched = run(batch, root, *root.element_children())
+
+    def accounting(result):
+        return result.kind, result.labels_assigned, result.nodes_detached
+
+    assert accounting(batched) == accounting(immediate)
+    if scheme_name == "qed":  # every batch operation takes the fast path
+        assert batched.label == immediate.label
+        assert batched.relabeled_nodes == immediate.relabeled_nodes
+    batched_doc.verify_order()

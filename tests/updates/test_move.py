@@ -19,7 +19,7 @@ class TestMoveAcrossSchemes:
         ldoc = labeled(sample_document(), name)
         editor = find(ldoc, "editor")
         root = ldoc.document.root
-        ldoc.move(editor, root, len(root.children))
+        ldoc.updates.move(editor, root, len(root.children))
         ldoc.verify_order()
         assert editor.parent is root
 
@@ -28,7 +28,8 @@ class TestMoveAcrossSchemes:
         editor = find(ldoc, "editor")
         editor_id = editor.node_id
         child_names = [c.name for c in editor.labeled_children()]
-        ldoc.move(editor, ldoc.document.root, len(ldoc.document.root.children))
+        ldoc.updates.move(editor, ldoc.document.root,
+                          len(ldoc.document.root.children))
         assert editor.node_id == editor_id
         assert [c.name for c in editor.labeled_children()] == child_names
 
@@ -42,7 +43,8 @@ class TestMoveSemantics:
             node_id: label for node_id, label in ldoc.labels.items()
             if node_id not in moved_ids
         }
-        ldoc.move(editor, ldoc.document.root, len(ldoc.document.root.children))
+        ldoc.updates.move(editor, ldoc.document.root,
+                          len(ldoc.document.root.children))
         for node_id, label in outside.items():
             assert ldoc.labels[node_id] == label
         assert ldoc.log.relabeled_nodes == 0
@@ -51,7 +53,8 @@ class TestMoveSemantics:
         ldoc = labeled(sample_document(), "qed")
         editor = find(ldoc, "editor")
         old_label = ldoc.label_of(editor)
-        ldoc.move(editor, ldoc.document.root, len(ldoc.document.root.children))
+        ldoc.updates.move(editor, ldoc.document.root,
+                          len(ldoc.document.root.children))
         assert ldoc.label_of(editor) != old_label
         # The new label sits under the root, after the old last child.
         assert ldoc.scheme.is_parent(
@@ -62,7 +65,7 @@ class TestMoveSemantics:
         ldoc = labeled(sample_document(), "cdqs")
         edition = find(ldoc, "edition")
         publisher = find(ldoc, "publisher")
-        ldoc.move(edition, ldoc.document.root, 0)
+        ldoc.updates.move(edition, ldoc.document.root, 0)
         ldoc.verify_order()
         order = [n.name for n in ldoc.document.labeled_nodes()]
         assert order.index("edition") < order.index("publisher")
@@ -70,20 +73,21 @@ class TestMoveSemantics:
     def test_move_root_rejected(self):
         ldoc = labeled(sample_document(), "qed")
         with pytest.raises(UpdateError):
-            ldoc.move(ldoc.document.root, ldoc.document.root, 0)
+            ldoc.updates.move(ldoc.document.root, ldoc.document.root, 0)
 
     def test_move_under_own_descendant_rejected(self):
         ldoc = labeled(sample_document(), "qed")
         publisher = find(ldoc, "publisher")
         editor = find(ldoc, "editor")
         with pytest.raises(UpdateError):
-            ldoc.move(publisher, editor, 0)
+            ldoc.updates.move(publisher, editor, 0)
 
     def test_queries_after_move(self):
         from repro.axes.xpath import xpath
 
         ldoc = labeled(sample_document(), "qed")
         editor = find(ldoc, "editor")
-        ldoc.move(editor, ldoc.document.root, len(ldoc.document.root.children))
+        ldoc.updates.move(editor, ldoc.document.root,
+                          len(ldoc.document.root.children))
         assert [n.name for n in xpath(ldoc, "/book/editor/name")] == ["name"]
         assert xpath(ldoc, "/book/publisher/editor") == []

@@ -1,16 +1,10 @@
-"""UpdateResult surface and the legacy deprecation shims."""
-
-import warnings
+"""UpdateResult and the immediate update surface."""
 
 import pytest
 
 from conftest import labeled
 from repro.data.sample import sample_document
-from repro.updates.results import (
-    UpdateResult,
-    UpdateSurface,
-    warn_on_legacy_results,
-)
+from repro.updates.results import UpdateResult, UpdateSurface
 from repro.xmlmodel.tree import XMLNode
 
 
@@ -73,34 +67,13 @@ class TestUpdateSurface:
         ldoc.verify_order()
 
 
-class TestLegacyShims:
-    def test_legacy_methods_return_nodes(self, ldoc):
-        node = ldoc.append_child(ldoc.document.root, "kid")
-        assert isinstance(node, XMLNode)
-
-    def test_quiet_by_default(self, ldoc):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ldoc.append_child(ldoc.document.root, "kid")
-
-    def test_warnings_when_enabled(self, ldoc):
-        warn_on_legacy_results(True)
-        try:
-            with pytest.warns(DeprecationWarning, match="append_child"):
-                ldoc.append_child(ldoc.document.root, "kid")
-        finally:
-            warn_on_legacy_results(False)
-
-    def test_surface_never_warns(self, ldoc):
-        warn_on_legacy_results(True)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                ldoc.updates.append_child(ldoc.document.root, "kid")
-        finally:
-            warn_on_legacy_results(False)
-
-    def test_shim_and_surface_share_accounting(self, ldoc):
-        ldoc.append_child(ldoc.document.root, "one")
-        ldoc.updates.append_child(ldoc.document.root, "two")
-        assert ldoc.log.insertions == 2
+@pytest.mark.parametrize("name", [
+    "insert_before", "insert_after", "append_child", "prepend_child",
+    "insert_attribute", "insert_subtree", "delete", "move", "set_text",
+    "set_attribute_value", "rename",
+])
+def test_document_has_no_mutators_of_its_own(name, ldoc):
+    """Updates go through ``ldoc.updates``, ``batch()`` or
+    ``transaction()``; the document itself exposes none."""
+    assert not hasattr(ldoc, name)
+    assert callable(getattr(ldoc.updates, name))

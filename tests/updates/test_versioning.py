@@ -20,14 +20,14 @@ class TestCommits:
 
     def test_commit_captures_state(self, versioned):
         root = versioned.ldoc.document.root
-        versioned.ldoc.append_child(root, "e")
+        versioned.ldoc.updates.append_child(root, "e")
         revision = versioned.commit("add e")
         assert revision.number == 1
         assert "<e/>" in revision.xml
         assert len(revision.label_owners) == 6
 
     def test_history_lines(self, versioned):
-        versioned.ldoc.append_child(versioned.ldoc.document.root, "e")
+        versioned.ldoc.updates.append_child(versioned.ldoc.document.root, "e")
         versioned.commit("add e")
         lines = versioned.history()
         assert lines[0].startswith("r0: initial import")
@@ -62,8 +62,9 @@ class TestCommits:
             wide_tree(25), LSDXScheme(), on_collision="record"
         )
         children = ldoc.document.root.element_children()
-        ldoc.append_child(ldoc.document.root, "tail")
-        ldoc.insert_after(children[-1], "boom")  # duplicates "tail"'s label
+        ldoc.updates.append_child(ldoc.document.root, "tail")
+        # Duplicates "tail"'s label.
+        ldoc.updates.insert_after(children[-1], "boom")
         versioned = VersionedDocument(ldoc)
         head = versioned.head
         assert head.collisions == 1
@@ -75,7 +76,7 @@ class TestCheckout:
     def test_checkout_restores_labels(self, versioned):
         before = versioned.ldoc.labels_in_document_order()
         root = versioned.ldoc.document.root
-        versioned.ldoc.append_child(root, "later")
+        versioned.ldoc.updates.append_child(root, "later")
         versioned.commit("add later")
         past = versioned.checkout(0)
         assert past.labels_in_document_order() == before
@@ -101,7 +102,7 @@ class TestCheckout:
 
     def test_checkout_is_independent(self, versioned):
         past = versioned.checkout(0)
-        past.append_child(past.document.root, "scratch")
+        past.updates.append_child(past.document.root, "scratch")
         # The live document is untouched.
         assert all(
             node.name != "scratch"
@@ -114,7 +115,7 @@ class TestAnnotations:
         target = versioned.ldoc.document.root.element_children()[1]  # <b>
         versioned.annotate(target, "review this")
         for _ in range(5):
-            versioned.ldoc.prepend_child(
+            versioned.ldoc.updates.prepend_child(
                 versioned.ldoc.document.root, "noise"
             )
         versioned.commit("heavy editing")
@@ -127,14 +128,15 @@ class TestAnnotations:
         versioned = VersionedDocument.from_xml(DOCUMENT, scheme="dewey")
         target = versioned.ldoc.document.root.element_children()[1]
         versioned.annotate(target, "review this")
-        versioned.ldoc.prepend_child(versioned.ldoc.document.root, "noise")
+        versioned.ldoc.updates.prepend_child(
+            versioned.ldoc.document.root, "noise")
         intact, broken = versioned.annotation_integrity()
         assert broken == 1
 
     def test_annotation_lost_after_delete(self, versioned):
         target = versioned.ldoc.document.root.element_children()[0]
         versioned.annotate(target, "gone soon")
-        versioned.ldoc.delete(target)
+        versioned.ldoc.updates.delete(target)
         intact, broken = versioned.annotation_integrity()
         assert (intact, broken) == (0, 1)
 
@@ -143,8 +145,8 @@ class TestDiffs:
     def test_added_and_removed_labels(self, versioned):
         root = versioned.ldoc.document.root
         first = root.element_children()[0]
-        versioned.ldoc.delete(first)
-        added_node = versioned.ldoc.append_child(root, "fresh")
+        versioned.ldoc.updates.delete(first)
+        added_node = versioned.ldoc.updates.append_child(root, "fresh").node
         versioned.commit("churn")
         diff = versioned.diff(0, 1)
         assert versioned.ldoc.format_label(added_node) in diff.added
@@ -153,7 +155,8 @@ class TestDiffs:
 
     def test_stability_counts_reassignments(self):
         versioned = VersionedDocument.from_xml(DOCUMENT, scheme="dewey")
-        versioned.ldoc.prepend_child(versioned.ldoc.document.root, "front")
+        versioned.ldoc.updates.prepend_child(
+            versioned.ldoc.document.root, "front")
         versioned.commit("shift everything")
         # DeweyID shifted the existing children onto new owners.
         assert versioned.label_stability(0, 1) > 0
@@ -161,6 +164,6 @@ class TestDiffs:
     def test_persistent_scheme_is_stable_across_many_commits(self, versioned):
         root = versioned.ldoc.document.root
         for index in range(4):
-            versioned.ldoc.prepend_child(root, f"gen{index}")
+            versioned.ldoc.updates.prepend_child(root, f"gen{index}")
             versioned.commit(f"edit {index}")
         assert versioned.label_stability(0, versioned.head.number) == 0
