@@ -764,7 +764,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         if args.store_action == "query":
             records = repository.point_query(args.name, args.node)
             for record in records:
-                print(f"#{record.ordinal:<6d} {record.kind:9s} "
+                print(f"key={record.ordinal:<6d} {record.kind:9s} "
                       f"{record.name}  value={record.value!r}  "
                       f"label={record.label}")
             print(f"-- {len(records)} node(s)")

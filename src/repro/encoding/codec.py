@@ -18,6 +18,12 @@ real, decodable codec over label streams, so that
 Streams carry a small frame: a 32-bit label count, then the labels back
 to back.  ``encode_labels`` returns the bytes and the exact payload bit
 count so tests can compare against the size models.
+
+Each codec also states one fact about its layout,
+:attr:`LabelStreamCodec.bytes_sort_in_document_order`: whether one
+label encoded on its own compares, byte by byte, in document order.
+A node table stores labels that way, so for these codecs its
+``ORDER BY label`` is document order.
 """
 
 from __future__ import annotations
@@ -48,6 +54,14 @@ _BYTE_DIGITS = tuple(
 
 class LabelStreamCodec(abc.ABC):
     """Encodes/decodes a sequence of one scheme's labels to raw bits."""
+
+    #: Whether ``encode_labels([label])`` bytes compare in document
+    #: order as unsigned bytes, a proper prefix first (how SQLite orders
+    #: BLOBs).  True where the layout leads with the scheme's order key
+    #: in a fixed-width big-endian field, or is a digit string whose
+    #: digit order is the code order.  False where a depth or length
+    #: field comes first, or the order is not lexicographic (vector).
+    bytes_sort_in_document_order = False
 
     def __init__(self, scheme: LabelingScheme):
         self.scheme = scheme
@@ -101,7 +115,14 @@ class QuaternaryStreamCodec(LabelStreamCodec):
     byte-to-four-digits table and a split on the ``0`` separators unpack
     it.  A code must be a non-empty string of the digits 1-3; anything
     else could not be told apart from a separator, so it is refused.
+
+    Codes order lexicographically over 1 < 2 < 3 and the separator 0
+    sorts below every digit, so a label's digits compare in document
+    order: an ancestor's closing ``00`` sorts before its descendants'
+    next code.
     """
+
+    bytes_sort_in_document_order = True
 
     def write_label(self, writer: BitWriter, label: Tuple[str, ...]) -> None:
         self.write_labels(writer, (label,))
@@ -361,6 +382,10 @@ class DLNStreamCodec(LabelStreamCodec):
 # ----------------------------------------------------------------------
 
 class PrePostStreamCodec(LabelStreamCodec):
+    """Fixed-width pre, post, level; pre is document order."""
+
+    bytes_sort_in_document_order = True
+
     def __init__(self, scheme: LabelingScheme):
         super().__init__(scheme)
         self.width = scheme.storage.width_bits
@@ -379,6 +404,10 @@ class PrePostStreamCodec(LabelStreamCodec):
 
 
 class RegionStreamCodec(LabelStreamCodec):
+    """Fixed-width begin, end, level; begin is document order."""
+
+    bytes_sort_in_document_order = True
+
     def __init__(self, scheme: LabelingScheme):
         super().__init__(scheme)
         self.width = scheme.storage.width_bits
@@ -397,6 +426,9 @@ class RegionStreamCodec(LabelStreamCodec):
 
 
 class SectorStreamCodec(LabelStreamCodec):
+    """Fixed-width start, span; start is document order."""
+
+    bytes_sort_in_document_order = True
     _WIDTH = SECTOR_WORD_BITS
 
     def write_label(self, writer: BitWriter, label: SectorLabel) -> None:
@@ -410,6 +442,14 @@ class SectorStreamCodec(LabelStreamCodec):
 
 
 class QRSStreamCodec(LabelStreamCodec):
+    """Big-endian IEEE doubles begin, end; begin is document order.
+
+    Begins are non-negative, and non-negative doubles order as their
+    big-endian bytes do.
+    """
+
+    bytes_sort_in_document_order = True
+
     def write_label(self, writer: BitWriter, label: QRSLabel) -> None:
         for value in (label.begin, label.end):
             writer.write_bytes(struct.pack(">d", value))

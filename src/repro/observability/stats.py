@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from repro.xmlmodel.tree import NodeKind
+
 __all__ = [
     "STATS_SCHEMA_VERSION",
     "StatsCollector",
@@ -76,9 +78,15 @@ class StatsCollector:
         return stats
 
     def refresh(self, ldoc) -> None:
-        """Recompute the structural counts; learned selectivities stay."""
+        """Recompute the structural counts; learned selectivities stay.
+
+        One preorder walk over the labelled nodes with an explicit
+        ``(node, depth)`` stack: pushing an element's labelled children
+        (in reverse, so they pop in document order) is also what counts
+        its fan-out.  Text, comment and PI nodes have no labelled
+        descendants, so the walk never visits them.
+        """
         node_count = 0
-        element_count = 0
         attribute_count = 0
         max_depth = 0
         depth_total = 0
@@ -86,22 +94,33 @@ class StatsCollector:
         fanout_total = 0
         tag_counts: Dict[str, int] = {}
         depth_histogram: Dict[int, int] = {}
-        for node in ldoc.document.labeled_nodes():
+        root = ldoc.document.root
+        stack = [(root, 0)] if root is not None else []
+        pop, push = stack.pop, stack.append
+        element, attribute = NodeKind.ELEMENT, NodeKind.ATTRIBUTE
+        while stack:
+            node, depth = pop()
             node_count += 1
-            if node.is_attribute:
+            if node.kind is attribute:
                 attribute_count += 1
             else:
-                element_count += 1
-                children = len(node.labeled_children())
+                children = 0
+                below = depth + 1
+                for child in reversed(node.children):
+                    kind = child.kind
+                    if kind is element or kind is attribute:
+                        children += 1
+                        push((child, below))
                 fanout_total += children
                 if children > fanout_max:
                     fanout_max = children
-            depth = node.depth()
             depth_total += depth
             if depth > max_depth:
                 max_depth = depth
-            tag_counts[node.name] = tag_counts.get(node.name, 0) + 1
+            name = node.name
+            tag_counts[name] = tag_counts.get(name, 0) + 1
             depth_histogram[depth] = depth_histogram.get(depth, 0) + 1
+        element_count = node_count - attribute_count
         self.node_count = node_count
         self.element_count = element_count
         self.attribute_count = attribute_count

@@ -36,12 +36,16 @@ from repro.updates.document import LabeledDocument
 class NodeRecord:
     """One labelled node as a backend stores it: the edge-model row.
 
-    ``ordinal`` is the node's position among the document's labelled
-    nodes in document order; ``parent_ordinal`` is the parent's ordinal
+    ``ordinal`` is the node's key and ``parent_ordinal`` its parent's
     (``None`` for the root) — together they are the edge relation of
-    the XML-to-relational mappings this schema follows.  ``value`` is
-    the attribute value, or an element's direct text content.
-    ``label`` is the decoded label object of the document's scheme.
+    the XML-to-relational mappings this schema follows.  Keys number a
+    freshly written document's labelled nodes in document order; the
+    SQLite node table keeps them stable afterwards, giving later nodes
+    the next unused key, so there they identify rows but are no longer
+    dense or ordered.  Records always come back in document order.
+    ``value`` is the attribute value, or an element's direct text
+    content.  ``label`` is the decoded label object of the document's
+    scheme.
     """
 
     ordinal: int
@@ -155,7 +159,9 @@ class StorageBackend(abc.ABC):
 
         ``ldoc`` is the live document the snapshot was taken from, when
         the caller has it; node-table backends use it to derive their
-        edge-model rows without re-parsing ``snapshot.xml``.
+        edge-model rows without re-parsing ``snapshot.xml``, and when
+        the same live document is put again, to write only the rows
+        that changed since.
         """
         self._require_open()
         with instrument("backend.put", document=snapshot.name,

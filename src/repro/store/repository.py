@@ -23,7 +23,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.properties import PAPER_FIGURE_7, PROPERTY_ORDER, Property
-from repro.errors import StorageError, UpdateError
+from repro.errors import (
+    BatchError,
+    StorageError,
+    TransactionError,
+    UpdateError,
+)
 from repro.observability.metrics import get_registry
 from repro.schemes.registry import make_scheme
 from repro.store.backends import NodeRecord, StorageBackend, backend_for_url
@@ -300,10 +305,27 @@ class XMLRepository:
             raise UpdateError(f"no document named {name!r}") from None
 
     def persist(self, name: str) -> Snapshot:
-        """Write a live document's current state back to the backend."""
+        """Write a live document's current state back to the backend.
+
+        Refused while the document has an open transaction
+        (:class:`~repro.errors.TransactionError`) or batch
+        (:class:`~repro.errors.BatchError`): the store would keep state
+        that a rollback later undoes, and a batch's deferred nodes have
+        no labels yet.
+        """
         stored = self._live.get(name)
         if stored is None:
             raise UpdateError(f"document {name!r} is not materialised")
+        if stored.ldoc._active_txn is not None:
+            raise TransactionError(
+                f"cannot persist {name!r} while a transaction is open; "
+                f"commit or roll it back first"
+            )
+        if stored.ldoc._active_batch is not None:
+            raise BatchError(
+                f"cannot persist {name!r} while a batch is open; apply or "
+                f"roll it back first"
+            )
         snapshot = stored.snapshot()
         self.backend.put(snapshot, stored.ldoc)
         return snapshot
