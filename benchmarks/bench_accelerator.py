@@ -1,23 +1,26 @@
 """Index-backed axis steps vs label scans, and splices vs rebuilds.
 
-Two claims behind ROADMAP item 2, measured on XMark documents:
+Two claims, measured on XMark documents:
 
-* **query**: with an :class:`~repro.axes.accelerator.AxisAccelerator`
-  attached, descendant/following/preceding steps are window range
-  scans — on a 50k-node document they must beat the
-  ``_filter_by_label`` full scan by >=5x;
+* **query**: with the document's
+  :class:`~repro.axes.accelerator.AxisAccelerator`, descendant/
+  following/preceding steps are window range scans — on a 50k-node
+  document they must beat the ``_filter_by_label`` full scan by >=5x;
 * **maintenance**: keeping the index current through the structural
   delta stream (positional splices) must beat rebuilding it after
   every update, on a mixed insert/delete/move workload.
 
 Equality with the scan path is asserted on every timed query, so the
-speedup rows can never come from wrong answers.
+speedup rows can never come from wrong answers.  Section 3.1.1's pre/post
+plane is checked too: on a PrePost-labelled document the index's
+positions are the pre ranks, so its windows are Grust's rectangular
+region queries, and they must answer the four major axes exactly as the
+label scan does.
 """
 
 import time
 
 from _common import bench_args
-from repro.axes.accelerator import AxisAccelerator
 from repro.axes.evaluator import AxisEvaluator
 from repro.schemes.registry import make_scheme
 from repro.updates.document import LabeledDocument
@@ -31,10 +34,12 @@ TIMED_AXES = ("descendant", "following", "preceding")
 EXTRA_AXES = ("ancestor", "following-sibling", "preceding-sibling")
 
 
-def build(scale):
+def build(scale, scheme_name="dewey"):
     document = xmark_document(scale=scale, seed=11)
-    ldoc = LabeledDocument(document, make_scheme("dewey"))
-    return ldoc, AxisAccelerator(ldoc)
+    ldoc = LabeledDocument(document, make_scheme(scheme_name))
+    accelerator = ldoc.accelerator()
+    accelerator.refresh()  # built up front: the rows time queries
+    return ldoc, accelerator
 
 
 def sample_contexts(document, count):
@@ -134,10 +139,10 @@ def bench_maintenance(scale):
     )
     incremental_ms = (time.perf_counter() - start) * 1000
 
-    # Rebuild-per-update: a detached index must refresh() before each
-    # post-update query or raise StaleIndexError.
+    # Rebuild-per-update: an index cut off from the delta stream must
+    # refresh() before each post-update query or raise StaleIndexError.
     ldoc2, accelerator2 = build(scale)
-    accelerator2.detach()
+    ldoc2.unsubscribe_deltas(accelerator2)
     fast2 = AxisEvaluator(ldoc2, allow_fallback=True,
                           accelerator=accelerator2)
     context2 = ldoc2.document.root
@@ -171,6 +176,22 @@ def bench_maintenance(scale):
         "rebuild_per_update_ms": round(rebuild_ms, 3),
         "advantage": round(advantage, 1),
     }]
+
+
+def check_prepost_plane(scale, contexts_count):
+    """The pre/post plane: the index's windows against the label scan."""
+    ldoc, plane = build(scale, "prepost")
+    nodes = plane.nodes()
+    assert all(ldoc.label_of(node).pre == position
+               for position, node in enumerate(nodes))
+    scan = AxisEvaluator(ldoc)  # PrePost decides these axes from labels
+    contexts = sample_contexts(ldoc.document, contexts_count)
+    for node in contexts:
+        for axis in ("descendant", "ancestor", "following", "preceding"):
+            assert ids(plane.evaluate(axis, node)) == ids(
+                scan.evaluate(axis, node)), (axis, node.name)
+    print(f"pre/post plane     windows == label scan on {len(contexts)} "
+          f"contexts x 4 major axes ({len(nodes)} nodes)")
 
 
 # -- pytest-benchmark entries (quick sizes) -----------------------------
@@ -213,6 +234,7 @@ def main(argv=None):
     UPDATE_BUDGET = 12 if args.quick else 60
     rows = bench_axis_steps(scale, contexts)
     rows.extend(bench_maintenance(scale))
+    check_prepost_plane(scale, contexts)
     if not args.quick:
         for row in rows:
             if row["workload"] == "axis-step" and row["axis"] in TIMED_AXES:

@@ -46,7 +46,6 @@ SECTIONS = [
     ("extension", "bench_codec_storage"),
     ("extension", "bench_structural_join"),
     ("extension", "bench_twig_queries"),
-    ("extension", "bench_plane_queries"),
     ("extension", "bench_accelerator"),
     ("extension", "bench_xmark_auctions"),
     ("extension", "bench_query_axes"),

@@ -1,8 +1,7 @@
 """XPath axes: relationship decisions, axis evaluation, location paths."""
 
-from repro.axes.accelerator import ACCELERATED_AXES, AxisAccelerator
+from repro.axes.accelerator import AxisAccelerator
 from repro.axes.evaluator import AXES, AxisEvaluator
-from repro.axes.plane import PrePostPlane
 from repro.axes.relationships import (
     Relationship,
     decide,
@@ -13,11 +12,9 @@ from repro.axes.relationships import (
 from repro.axes.xpath import Step, XPathEvaluator, parse_path, xpath
 
 __all__ = [
-    "ACCELERATED_AXES",
     "AXES",
     "AxisAccelerator",
     "AxisEvaluator",
-    "PrePostPlane",
     "Relationship",
     "Step",
     "XPathEvaluator",

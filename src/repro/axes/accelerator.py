@@ -8,7 +8,8 @@ result size.  This module supplies the sub-linear machinery, in the
 spirit of Grust's XPath Accelerator generalised away from pre/post
 labels: because every scheme's labels sort into document order
 (Definition 1), *positions in that order* are themselves a universal
-labelling.
+labelling.  On a PrePost-labelled document the positions are the pre
+ranks, and every window below is one of Grust's rectangles.
 
 :class:`AxisAccelerator` keeps three parallel structures over one
 :class:`~repro.updates.document.LabeledDocument`:
@@ -26,97 +27,64 @@ nodes one by one — independent of which of the 17 schemes labelled the
 document, and without a single label comparison.  The same positions
 put a query's merged results back into document order
 (:meth:`AxisAccelerator.document_order`) at a cost that follows the
-result, not the document.
+result, not the document, and give the name and value lookups of
+:class:`~repro.store.indexes.DocumentIndexes` their document order.
 
-Incremental maintenance: the accelerator subscribes to the document's
-:class:`~repro.updates.document.StructuralDelta` stream.  Inserts and
+A document owns at most one index, created by
+:meth:`LabeledDocument.accelerator` and built at its first query.  It
+subscribes to the document's
+:class:`~repro.updates.document.StructuralDelta` stream: inserts and
 deletes are positional splices with window repair (O(n - position)
-pointer moves, no label work), rollbacks included: they publish the
-inverse inserts and deletes of what they undo.  Only consolidated batch
-relabellings (and their rollback) publish ``rebuild`` deltas that mark
-the index dirty for a lazy full rebuild at the next query.  The document's
-``structure_version`` stamp closes the remaining hole: a structural
-mutation the index did not consume (a detached index, a mid-batch
-deferred insert, a tree mutated behind the document's back) makes the
-next query raise :class:`~repro.errors.StaleIndexError` instead of
-silently answering from dead positions.
+pointer moves, no label work), rollbacks included — they publish the
+inverse inserts and deletes of what they undo.  A relabelling publishes
+nothing, because it moves no node and positions do not depend on
+labels.  Only batch consolidations (and their rollback) publish
+``rebuild`` deltas that mark the index for a lazy full rebuild at the
+next query.  The document's ``structure_version`` stamp closes the
+remaining hole: a structural mutation the index did not consume (a
+mid-batch deferred insert, a tree mutated behind the document's back)
+makes the next query raise :class:`~repro.errors.StaleIndexError`
+instead of silently answering from dead positions.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NoReturn, Optional
+from typing import Dict, List, NoReturn, Optional, Tuple
 
+from repro.axes.xpath_ast import AXES
 from repro.errors import StaleIndexError, UnsupportedRelationshipError
 from repro.observability.metrics import get_registry
 from repro.observability.ops import instrument
 from repro.updates.document import LabeledDocument, StructuralDelta
 from repro.xmlmodel.tree import XMLNode
 
-#: The axes the accelerator answers from its order index.  ``self`` and
-#: ``attribute`` stay with the evaluator — they never scan.
-ACCELERATED_AXES = frozenset((
-    "child",
-    "parent",
-    "ancestor",
-    "ancestor-or-self",
-    "descendant",
-    "descendant-or-self",
-    "following",
-    "preceding",
-    "following-sibling",
-    "preceding-sibling",
-))
-
 
 class AxisAccelerator:
     """A document-order window index answering axis steps sub-linearly.
 
-    ``attach=True`` (default) subscribes the index to the document's
-    structural-delta stream, so per-operation inserts/deletes/moves are
-    folded in as positional splices and the index stays current without
-    rebuilds, across rollbacks too; batch consolidations mark it dirty
-    and the next query rebuilds lazily.  A detached index
-    (``attach=False``) is a static snapshot: after any structural
-    change its queries raise :class:`StaleIndexError` until
-    :meth:`refresh` — unless ``auto_refresh=True``, which rebuilds
-    silently instead.
-
-    ``rebuild_threshold`` bounds incremental relabel handling: one
-    relabelling that touches more than this fraction of the index (a
-    relabel storm — CDBS overflow, LSDX reorganisation) marks the index
-    dirty for a full rebuild instead of trusting positional stability.
+    Obtain it with :meth:`LabeledDocument.accelerator`, which creates
+    the document's one index on first use; the index subscribes itself
+    to the document's structural-delta stream and builds at its first
+    query.
     """
-
-    ACCELERATED_AXES = ACCELERATED_AXES
 
     #: EXPLAIN strategy label reported when this index answers a step.
     STRATEGY = "accelerator-window"
 
-    def __init__(self, ldoc: LabeledDocument, attach: bool = True,
-                 auto_refresh: bool = False,
-                 rebuild_threshold: float = 0.5):
+    def __init__(self, ldoc: LabeledDocument):
         self.ldoc = ldoc
         self.document = ldoc.document
-        self.auto_refresh = auto_refresh
-        self.rebuild_threshold = rebuild_threshold
         self._nodes: List[XMLNode] = []
         self._end: List[int] = []
         self._pos: Dict[int, int] = {}
         self._stamp = -1
         self._dirty = True
-        self._attached = False
         registry = get_registry()
         self._metric_builds = registry.counter("axes.accelerator.builds")
         self._metric_splices = registry.counter("axes.accelerator.splices")
         self._metric_queries = registry.counter("axes.accelerator.queries")
         self._metric_stale = registry.counter("axes.accelerator.stale_errors")
-        self._metric_storms = registry.counter(
-            "axes.accelerator.relabel_storms"
-        )
-        if attach:
-            ldoc.subscribe_deltas(self)
-            self._attached = True
-        self.refresh()
+        ldoc.subscribe_deltas(self)
 
     # ------------------------------------------------------------------
     # Build / lifecycle
@@ -127,9 +95,9 @@ class AxisAccelerator:
         with instrument("accelerator.build",
                         scheme=self.ldoc.scheme.metadata.name) as event:
             # Nodes a batch has deferred are structurally present but
-            # carry no label yet; they are invisible to label-side
-            # evaluation and stay off the index too (the pending-batch
-            # gate refuses queries until the batch applies anyway).
+            # carry no label yet; they stay off the index (the
+            # pending-batch gate refuses queries until the batch
+            # applies anyway).
             labels = self.ldoc.labels
             nodes = [
                 node for node in self.document.labeled_nodes()
@@ -156,16 +124,6 @@ class AxisAccelerator:
             self._metric_builds.increment()
             event.set(nodes=total)
 
-    def detach(self) -> None:
-        """Stop consuming deltas; the index becomes a static snapshot."""
-        if self._attached:
-            self.ldoc.unsubscribe_deltas(self)
-            self._attached = False
-
-    @property
-    def attached(self) -> bool:
-        return self._attached
-
     @property
     def stale(self) -> bool:
         """Whether a query right now would need a rebuild (or raise)."""
@@ -174,35 +132,37 @@ class AxisAccelerator:
     def size(self) -> int:
         return len(self._nodes)
 
-    def explain_state(self) -> "tuple[str, str]":
-        """``(state, reason)`` a query issued right now would see.
+    def nodes(self) -> List[XMLNode]:
+        """Every labelled node in document order, brought up to date.
 
-        Mirrors :meth:`_ensure_current` without side effects: ``ready``
-        (index current), ``rebuild`` (stale but rebuilt lazily at the
-        next query), or ``refuse`` (the query raises
-        :class:`~repro.errors.StaleIndexError`).  EXPLAIN routes
-        ``refuse`` steps to the scan path with this reason.
+        The index's own list, not a copy: callers filter it and must
+        not mutate it.
+        """
+        self._ensure_current()
+        return self._nodes
+
+    def explain_state(self) -> Tuple[str, str]:
+        """``(strategy, reason)`` for a step issued right now.
+
+        The step is answered from the windows (:attr:`STRATEGY`, also
+        when it first builds or rebuilds the index), or the index
+        refuses it: a plain query raises :class:`StaleIndexError` with
+        the reason, and EXPLAIN answers it with the label scan
+        (``scan``).
         """
         if self._batch_pending():
-            return ("refuse",
-                    "document has a batch with unlabelled pending nodes")
+            return ("scan",
+                    "document has a batch with unlabelled pending nodes; "
+                    "the index refuses (StaleIndexError) until it applies")
         if self._dirty:
-            if self._attached or self.auto_refresh:
-                return ("rebuild",
-                        "index marked for rebuild; rebuilt lazily at query")
-            return ("refuse",
-                    "index marked for rebuild while detached from deltas "
-                    "(a plain query raises StaleIndexError)")
+            return (self.STRATEGY, "index (re)built by the first step to run")
         if self._stamp != self.document.structure_version:
-            if self.auto_refresh:
-                return ("rebuild",
-                        "index stamp behind document; rebuilt lazily at "
-                        "query")
-            return ("refuse",
+            return ("scan",
                     f"index stamp {self._stamp} is behind document "
-                    f"structure version {self.document.structure_version} "
-                    "(a plain query raises StaleIndexError)")
-        return ("ready", "window index current")
+                    f"structure version {self.document.structure_version}: "
+                    f"it missed structural changes and refuses "
+                    f"(StaleIndexError) until refresh()")
+        return (self.STRATEGY, "window index current")
 
     # ------------------------------------------------------------------
     # Delta consumption (incremental maintenance)
@@ -211,7 +171,9 @@ class AxisAccelerator:
     def apply_delta(self, delta: StructuralDelta) -> None:
         """Fold one structural change into the index."""
         if not self._dirty:
-            if delta.kind in ("insert", "delete"):
+            if delta.kind == "rebuild":
+                self._dirty = True
+            else:
                 with instrument("accelerator.splice",
                                 scheme=self.ldoc.scheme.metadata.name,
                                 kind=delta.kind) as event:
@@ -221,10 +183,6 @@ class AxisAccelerator:
                         self._splice_delete(delta.node_id,
                                             delta.removed_ids or [])
                     event.set(nodes=1 + len(delta.removed_ids or ()))
-            elif delta.kind == "relabel":
-                self._on_relabel(delta.count)
-            else:  # rebuild
-                self._dirty = True
         self._stamp = delta.structure_version
 
     def _splice_insert(self, node: XMLNode) -> None:
@@ -298,15 +256,6 @@ class AxisAccelerator:
             pos[self._nodes[j].node_id] = j
         self._metric_splices.increment()
 
-    def _on_relabel(self, count: int) -> None:
-        # Positions are label-free: a relabelling moves no node, so the
-        # order index stays valid as-is.  A storm that rewrites most of
-        # the document is treated as a rebuild anyway — cheap insurance
-        # against schemes whose reorganisations coincide with structure.
-        if count > self.rebuild_threshold * max(1, len(self._nodes)):
-            self._metric_storms.increment()
-            self._dirty = True
-
     # ------------------------------------------------------------------
     # Staleness gate
     # ------------------------------------------------------------------
@@ -324,28 +273,11 @@ class AxisAccelerator:
         return batch is not None and batch.pending > 0
 
     def _ensure_current(self) -> None:
-        if self._batch_pending():
-            self._refuse_stale(
-                "document has a batch with unlabelled pending nodes; "
-                "apply the batch before querying the accelerator"
-            )
+        strategy, reason = self.explain_state()
+        if strategy != self.STRATEGY:
+            self._refuse_stale(reason)
         if self._dirty:
-            if self._attached or self.auto_refresh:
-                self.refresh()
-                return
-            self._refuse_stale(
-                "accelerator index marked for rebuild; call refresh()"
-            )
-        if self._stamp != self.document.structure_version:
-            if self.auto_refresh:
-                self.refresh()
-                return
-            self._refuse_stale(
-                f"document structure version "
-                f"{self.document.structure_version} is ahead of index "
-                f"stamp {self._stamp}; the index missed structural "
-                f"changes — call refresh()"
-            )
+            self.refresh()
 
     def _position(self, node: XMLNode) -> int:
         # Identity check, not just id: node ids are per-document
@@ -393,14 +325,18 @@ class AxisAccelerator:
 
     def evaluate(self, axis: str, node: XMLNode) -> List[XMLNode]:
         """All nodes on ``axis`` from ``node``, in document order."""
-        if axis not in ACCELERATED_AXES:
-            raise UnsupportedRelationshipError(
-                f"axis {axis!r} is not accelerated"
-            )
+        if axis not in AXES:
+            raise UnsupportedRelationshipError(f"unknown axis {axis!r}")
         self._ensure_current()
         self._metric_queries.increment()
         handler = getattr(self, "_axis_" + axis.replace("-", "_"))
         return handler(self._position(node))
+
+    def _axis_self(self, position: int) -> List[XMLNode]:
+        return [self._nodes[position]]
+
+    def _axis_attribute(self, position: int) -> List[XMLNode]:
+        return self._nodes[position].attributes()
 
     def _axis_descendant(self, position: int) -> List[XMLNode]:
         return self._nodes[position + 1:self._end[position]]

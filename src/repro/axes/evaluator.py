@@ -6,6 +6,13 @@ the caller allows it.  This is the machinery behind the paper's section
 2.2 observation that label-decidable relationships "contribute
 significantly to the reduction of XPath processing costs": a
 label-decided axis is one pass over the label table, no tree navigation.
+
+That pass is the label-decidability probe (the benchmarks report how
+often labels sufficed) and the oracle the document's index is tested
+against.  Queries do not scan: :class:`~repro.axes.xpath.XPathEvaluator`
+hands its evaluator the document's
+:class:`~repro.axes.accelerator.AxisAccelerator`, which then answers
+every axis from its windows.
 """
 
 from __future__ import annotations
@@ -30,11 +37,9 @@ class AxisEvaluator:
     so the same evaluator runs on every scheme while the benchmarks can
     report how often labels sufficed.
 
-    ``accelerator`` (an :class:`~repro.axes.accelerator.AxisAccelerator`
-    over the same document) reroutes every axis it covers to window
-    range scans instead of the O(n) label-table scan; axes it does not
-    cover, and any caller passing ``accelerator=None``, take the scan
-    path unchanged — which is also the benchmark baseline.
+    ``accelerator`` (the document's own index,
+    ``ldoc.accelerator()``) answers every axis instead of the O(n)
+    label-table scan; without one, every axis takes the scan.
     """
 
     def __init__(self, ldoc: LabeledDocument, allow_fallback: bool = False,
@@ -50,10 +55,7 @@ class AxisEvaluator:
 
     def evaluate(self, axis: str, node: XMLNode) -> List[XMLNode]:
         """All nodes on ``axis`` from ``node``, in document order."""
-        if (self.accelerator is not None
-                and axis in self.accelerator.ACCELERATED_AXES):
-            if axis not in AXES:
-                raise UnsupportedRelationshipError(f"unknown axis {axis!r}")
+        if self.accelerator is not None:
             self.accelerated_hits += 1
             return self.accelerator.evaluate(axis, node)
         return self.evaluate_scan(axis, node)
@@ -61,34 +63,26 @@ class AxisEvaluator:
     def evaluate_scan(self, axis: str, node: XMLNode) -> List[XMLNode]:
         """``axis`` from ``node`` via the label-table scan path only.
 
-        Identical to :meth:`evaluate` with ``accelerator=None``; EXPLAIN
-        uses it to keep answering a query whose index has gone stale
-        while reporting the ``scan`` strategy (where a plain query would
-        surface :class:`~repro.errors.StaleIndexError`).
+        EXPLAIN uses it to answer a step the index refuses (a batch with
+        unlabelled pending nodes) while reporting the ``scan``
+        strategy, where a plain query would surface
+        :class:`~repro.errors.StaleIndexError`.
         """
         if axis not in AXES:
             raise UnsupportedRelationshipError(f"unknown axis {axis!r}")
         handler = getattr(self, "_axis_" + axis.replace("-", "_"))
         return handler(node)
 
-    def strategy_for(self, axis: str) -> "tuple[str, str]":
-        """``(strategy, reason)`` describing how :meth:`evaluate` would
-        answer ``axis`` right now — the EXPLAIN routing decision.
-
-        Strategies: ``accelerator-window`` (PR 7 window range scans),
-        ``plane`` (a static :class:`~repro.axes.plane.PrePostPlane`),
-        ``scan`` (the O(n) label-table pass), with the reason stated.
-        """
-        accelerator = self.accelerator
-        if accelerator is None:
-            return ("scan", "no accelerator attached")
-        if axis not in accelerator.ACCELERATED_AXES:
-            return ("scan", f"axis {axis!r} is not accelerated")
-        state, reason = accelerator.explain_state()
-        if state == "refuse":
-            return ("scan", reason)
-        return (getattr(accelerator, "STRATEGY", "accelerator-window"),
-                reason)
+    def document_order(self, nodes: List[XMLNode]) -> List[XMLNode]:
+        """``nodes`` sorted by label comparison (Definition 1)."""
+        return sorted(
+            nodes,
+            key=functools.cmp_to_key(
+                lambda a, b: self.scheme.compare(
+                    self.ldoc.label_of(a), self.ldoc.label_of(b)
+                )
+            ),
+        )
 
     # -- axes ------------------------------------------------------------
 
@@ -192,15 +186,20 @@ class AxisEvaluator:
         predicate: Callable,
         fallback: Optional[Callable] = None,
     ) -> List[XMLNode]:
-        """Scan the label table with ``predicate(node_label, other_label)``."""
-        label = self.ldoc.label_of(node)
+        """Scan the label table with ``predicate(node_label, other_label)``.
+
+        Nodes a batch has deferred carry no label yet and are skipped.
+        """
+        labels = self.ldoc.labels
+        label = labels[node.node_id]
         try:
-            matches = [
-                other
-                for other in self.ldoc.document.labeled_nodes()
-                if other.node_id != node.node_id
-                and predicate(label, self.ldoc.label_of(other))
-            ]
+            matches = []
+            for other in self.ldoc.document.labeled_nodes():
+                other_label = labels.get(other.node_id)
+                if (other_label is not None
+                        and other.node_id != node.node_id
+                        and predicate(label, other_label)):
+                    matches.append(other)
             return matches
         except UnsupportedRelationshipError:
             if not self.allow_fallback or fallback is None:
@@ -211,17 +210,7 @@ class AxisEvaluator:
 
     def _merge(self, first: List[XMLNode], second: List[XMLNode]) -> List[XMLNode]:
         combined = {node.node_id: node for node in first + second}
-        return self._document_order(list(combined.values()))
-
-    def _document_order(self, nodes: List[XMLNode]) -> List[XMLNode]:
-        return sorted(
-            nodes,
-            key=functools.cmp_to_key(
-                lambda a, b: self.scheme.compare(
-                    self.ldoc.label_of(a), self.ldoc.label_of(b)
-                )
-            ),
-        )
+        return self.document_order(list(combined.values()))
 
     def _following_by_tree(self, node: XMLNode) -> List[XMLNode]:
         order = list(self.ldoc.document.labeled_nodes())

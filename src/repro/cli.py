@@ -116,12 +116,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.observability.stats import StatsCollector
 
     ldoc = _load(args)
-    accelerator = None
-    if not args.no_accelerator:
-        from repro.axes.accelerator import AxisAccelerator
-
-        accelerator = AxisAccelerator(ldoc)
-    plan = explain_query(ldoc, args.path, accelerator=accelerator,
+    plan = explain_query(ldoc, args.path,
                          stats=StatsCollector.collect(ldoc),
                          analyze=args.analyze)
     if args.json:
@@ -872,9 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--analyze", action="store_true",
                          help="execute the query and record actual "
                               "cardinalities and per-step wall time")
-    explain.add_argument("--no-accelerator", action="store_true",
-                         help="plan against plain tree-walk scans "
-                              "(no window index)")
     explain.add_argument("--json", action="store_true",
                          help="emit the plan as JSON")
 

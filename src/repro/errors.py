@@ -70,12 +70,12 @@ class UnsupportedRelationshipError(LabelError):
 class StaleIndexError(ReproError):
     """A derived index no longer matches the document it was built over.
 
-    Raised by the axis accelerator (and the retrofitted pre/post plane)
-    when the document's structure version has advanced past the index's
-    stamp without the index having consumed the corresponding structural
-    deltas — answering would silently serve results computed from dead
-    labels.  Call ``refresh()`` on the index (or keep it attached to the
-    document's delta stream) to clear the condition.
+    Raised by the axis accelerator when the document has a batch with
+    unlabelled pending nodes, or when the document's structure version
+    has advanced past the index's stamp without the index having
+    consumed the corresponding structural deltas — answering would
+    silently serve results computed from dead positions.  Apply the
+    batch, or call ``refresh()`` on the index, to clear the condition.
     """
 
 

@@ -1,29 +1,27 @@
 """Query and update EXPLAIN plans: which strategy ran, and why.
 
-PR 7's :class:`~repro.axes.accelerator.AxisAccelerator` means the same
-XPath can be answered two structurally different ways — window range
-scans over the document-order index, or the O(n) ``_filter_by_label``
-pass — and until now nothing showed which path ran.  This module is the
-decision-level view: :func:`explain_query` produces a
-:class:`QueryPlan` with one :class:`PlanStep` per location step
-carrying the chosen strategy (``accelerator-window`` / ``plane`` /
-``scan``), the stated reason (stale index, unaccelerated axis, no index
-at all), estimated vs. actual cardinality, context size, and per-step
-wall time.
+Every XPath step is answered from the document's one index
+(:class:`~repro.axes.accelerator.AxisAccelerator`) unless the index
+refuses it.  :func:`explain_query` produces a :class:`QueryPlan` with
+one :class:`PlanStep` per location step carrying the strategy
+(``accelerator-window``, or ``scan`` for a step the index refuses),
+the stated reason, estimated vs. actual cardinality, context size, and
+per-step wall time.
 
 Two modes, mirroring SQL EXPLAIN:
 
 * **plain** — the query is *not* executed.  Step cardinalities chain
   through the :class:`~repro.observability.stats.StatsCollector`
   estimates; strategies reflect the index state at call time.
-* **analyze** — the query runs under an instrumented evaluator (the
-  ``recorder`` hook in :class:`~repro.axes.xpath.XPathEvaluator`).
-  Actual cardinalities are recorded next to the estimates and fed back
-  into the collector's learned selectivities, so the next estimate for
-  the same ``(axis, name-test)`` pair is observation-based.  Steps whose
-  index would refuse (stale, detached) are answered via the scan path
-  instead of raising, so the plan always completes — with the refusal
-  reason in the ``scan`` row.
+* **analyze** — the query runs through the evaluator's own step loop
+  with the ``recorder`` hook of
+  :class:`~repro.axes.xpath.XPathEvaluator` set.  Actual cardinalities
+  are recorded next to the estimates and fed back into the collector's
+  learned selectivities, so the next estimate for the same
+  ``(axis, name-test)`` pair is observation-based.  A step the index
+  refuses (a batch with unlabelled pending nodes) is answered by the
+  label scan instead of raising, so the plan always completes — with
+  the refusal reason in the ``scan`` row.
 
 :func:`explain_batch` is the update-side counterpart: the predicted
 relabel extent from the batch's ``plan_insert`` decisions (any deferral
@@ -58,7 +56,7 @@ __all__ = [
 EXPLAIN_SCHEMA_VERSION = 1
 
 #: Every strategy a plan step can report.
-STRATEGIES = ("accelerator-window", "plane", "scan")
+STRATEGIES = ("accelerator-window", "scan")
 
 
 @dataclass
@@ -217,7 +215,7 @@ def _count_strategies(steps: List[PlanStep]) -> None:
         registry.counter("explain.steps_accelerated").increment(accelerated)
 
 
-def explain_query(ldoc, path: str, accelerator=None,
+def explain_query(ldoc, path: str,
                   stats: Optional[StatsCollector] = None,
                   analyze: bool = False, context=None) -> QueryPlan:
     """EXPLAIN ``path`` over ``ldoc``; executes it only when ``analyze``.
@@ -235,8 +233,7 @@ def explain_query(ldoc, path: str, accelerator=None,
     if analyze:
         registry.counter("explain.analyzed_plans").increment()
         recorder = PlanRecorder(stats)
-        evaluator = XPathEvaluator(ldoc, accelerator=accelerator,
-                                   recorder=recorder)
+        evaluator = XPathEvaluator(ldoc, recorder=recorder)
         started = time.perf_counter()
         result = evaluator.evaluate(path, context)
         plan.total_ms = (time.perf_counter() - started) * 1000.0
@@ -250,17 +247,14 @@ def explain_query(ldoc, path: str, accelerator=None,
             step.estimated_rows for step in finals.values()) or 0.0
     else:
         plan.steps, plan.estimated_result, plan.branches = _static_plan(
-            ldoc, path, accelerator, stats, context is not None)
+            ldoc, path, stats)
     _count_strategies(plan.steps)
     return plan
 
 
-def _static_plan(ldoc, path: str, accelerator, stats: StatsCollector,
-                 relative_context: bool):
+def _static_plan(ldoc, path: str, stats: StatsCollector):
     """Chain cardinality estimates through the steps without executing."""
-    from repro.axes.evaluator import AxisEvaluator
-
-    axes = AxisEvaluator(ldoc, allow_fallback=True, accelerator=accelerator)
+    strategy, reason = ldoc.accelerator().explain_state()
     branches = split_union(path)
     steps_out: List[PlanStep] = []
     estimated_result = 0.0
@@ -272,17 +266,10 @@ def _static_plan(ldoc, path: str, accelerator, stats: StatsCollector,
             first_of_absolute = absolute and position == 0
             if first_of_absolute and step.axis == "child":
                 # The virtual document node has exactly one child.
-                strategy, reason = (
-                    "scan",
-                    "first step from the virtual document node (root test)")
                 root = ldoc.document.root
                 estimated = 1.0 if root is not None and step.name_test in (
                     "*", root.name) else 0.0
             else:
-                strategy, reason = axes.strategy_for(
-                    "descendant-or-self"
-                    if first_of_absolute and step.axis == "descendant"
-                    else step.axis)
                 estimated = stats.estimate_step(
                     step.axis, step.name_test, context_estimate,
                     from_root=first_of_absolute)

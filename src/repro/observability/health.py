@@ -21,7 +21,6 @@ experiments actually exhibit:
   lost its delta feed;
 * ``scan-fallback-rate`` — query steps scanning although an index
   could have served them;
-* ``relabel-storms`` — wide relabel cascades forcing index rebuilds;
 * ``backend-lock-contention`` — concurrent opens refused by a storage
   backend's single-writer lock;
 * ``op-error-rate`` — the op-log's error fraction, with the most
@@ -52,7 +51,6 @@ __all__ = [
     "RollbackRateProbe",
     "ScanFallbackProbe",
     "StaleIndexProbe",
-    "RelabelStormProbe",
     "BackendLockProbe",
     "OpErrorRateProbe",
     "default_probes",
@@ -237,9 +235,9 @@ class ScanFallbackProbe(HealthProbe):
     (``axes.accelerator.queries``) next to the refusals
     (``axes.accelerator.stale_errors``).  When the scan share of
     explained steps climbs past the threshold while an accelerator
-    exists (builds > 0), index maintenance is failing somewhere —
-    detached indexes, stale stamps — and every affected query quietly
-    pays the full label-table pass.
+    exists (builds > 0), queries keep meeting refusals — open batches
+    with pending nodes, stale stamps — and every affected step pays the
+    full label-table pass.
     """
 
     name = "scan-fallback-rate"
@@ -282,31 +280,6 @@ class ScanFallbackProbe(HealthProbe):
             f"({stale:.0f} stale refusals recorded)",
             scan_steps=scan, accelerated_steps=accelerated, rate=rate,
             builds=builds, stale_errors=stale)
-
-
-class RelabelStormProbe(HealthProbe):
-    """Wide relabel cascades forcing accelerator rebuilds."""
-
-    name = "relabel-storms"
-
-    def __init__(self, warn_at: int = 1, critical_at: int = 8):
-        self.warn_at = warn_at
-        self.critical_at = critical_at
-
-    def evaluate(self, context: HealthContext) -> ProbeResult:
-        storms = context.value("axes.accelerator.relabel_storms")
-        relabels = context.value("updates.relabel_events")
-        if storms >= self.critical_at:
-            status = "critical"
-        elif storms >= self.warn_at:
-            status = "warn"
-        else:
-            status = "ok"
-        return self.result(
-            status,
-            f"{storms:.0f} relabel storms "
-            f"({relabels:.0f} relabel events total)",
-            storms=storms, relabel_events=relabels)
 
 
 class BackendLockProbe(HealthProbe):
@@ -376,7 +349,6 @@ def default_probes() -> List[HealthProbe]:
         RollbackRateProbe(),
         StaleIndexProbe(),
         ScanFallbackProbe(),
-        RelabelStormProbe(),
         BackendLockProbe(),
         OpErrorRateProbe(),
     ]

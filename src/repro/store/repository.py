@@ -149,20 +149,13 @@ class StoredDocument:
         return matches
 
     def xpath(self, path: str) -> List[XMLNode]:
-        """Full mini-XPath over this document.
-
-        Axis steps route through the document's attached
-        :class:`~repro.axes.accelerator.AxisAccelerator` (built on first
-        query), so the major axes are window range scans rather than
-        label-table scans.
-        """
+        """Full mini-XPath over this document, answered by its index."""
         from repro.axes.xpath import xpath as evaluate
         from repro.observability.ops import instrument
 
         with instrument("repository.xpath", document=self.name,
                         scheme=self.ldoc.scheme.metadata.name) as event:
-            matches = evaluate(self.ldoc, path,
-                               accelerator=self.indexes.axis_accelerator())
+            matches = evaluate(self.ldoc, path)
             event.set(nodes=len(matches))
         return matches
 
@@ -175,15 +168,24 @@ class StoredDocument:
         """
         from repro.observability.explain import explain_query
 
-        return explain_query(
-            self.ldoc, path,
-            accelerator=self.indexes.axis_accelerator(),
-            stats=self.stats, analyze=analyze,
-        )
+        return explain_query(self.ldoc, path, stats=self.stats,
+                             analyze=analyze)
 
     # -- persistence -------------------------------------------------------
 
     def snapshot(self) -> Snapshot:
+        """Freeze this document's state, stats included.
+
+        Refused while the document has an open batch
+        (:class:`~repro.errors.BatchError`): a batch's deferred nodes
+        have no labels yet.  Every repository snapshot and persist
+        passes through here.
+        """
+        if self.ldoc._active_batch is not None:
+            raise BatchError(
+                f"cannot snapshot or persist {self.name!r} while a batch "
+                f"is open; apply or roll it back first"
+            )
         if self.stats.stale(self.ldoc):
             self.stats.refresh(self.ldoc)
         return snapshot_document(self.ldoc, self.name,
@@ -320,11 +322,6 @@ class XMLRepository:
             raise TransactionError(
                 f"cannot persist {name!r} while a transaction is open; "
                 f"commit or roll it back first"
-            )
-        if stored.ldoc._active_batch is not None:
-            raise BatchError(
-                f"cannot persist {name!r} while a batch is open; apply or "
-                f"roll it back first"
             )
         snapshot = stored.snapshot()
         self.backend.put(snapshot, stored.ldoc)

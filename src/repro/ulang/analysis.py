@@ -27,8 +27,8 @@ UPD002    warning   delete/move aliasing: a later statement targets nodes
                     an earlier one may already have detached
 UPD003    error     move destination may lie inside the moved subtree
 UPD004    error     program may invalidate a registered query
-UPD005    warning   structural extent ≥ the accelerator rebuild threshold
-                    on a relabel-prone scheme (rebuild storm)
+UPD005    warning   structural extent ≥ half the document on a
+                    relabel-prone scheme (relabel storm)
 ========  ========  ====================================================
 """
 
@@ -85,10 +85,14 @@ RULES = {
                "move destination may lie inside the moved subtree"),
     "UPD004": ("query-conflict", "error",
                "program may invalidate a registered query"),
-    "UPD005": ("rebuild-storm", "warning",
-               "structural extent may exceed the accelerator rebuild "
-               "threshold on a relabel-prone scheme"),
+    "UPD005": ("relabel-storm", "warning",
+               "structural extent may reach half the document on a "
+               "relabel-prone scheme"),
 }
+
+#: UPD005 fires when the structural statements may touch this share of
+#: the document's labelled nodes on a non-persistent scheme.
+_STORM_FRACTION = 0.5
 
 # ----------------------------------------------------------------------
 # Name chains: the abstract domain
@@ -680,14 +684,13 @@ def analyze_program(program: Union[str, UpdateProgram],
                     *,
                     stats=None,
                     scheme_name: Optional[str] = None,
-                    rebuild_threshold: float = 0.5,
                     baseline_path: Optional[Path] = None,
                     ) -> AnalysisReport:
     """Statically analyze one update program.
 
     ``queries`` are the registered path queries to decide independence
     for; ``stats`` (a :class:`~repro.observability.stats.StatsCollector`)
-    unlocks the stats-backed checks (dead updates, rebuild storms);
+    unlocks the stats-backed checks (dead updates, relabel storms);
     ``scheme_name`` selects the Figure 7 persistence row for relabel
     prediction; ``baseline_path`` grandfathers known findings exactly
     like ``repro lint --baseline``.
@@ -778,18 +781,18 @@ def analyze_program(program: Union[str, UpdateProgram],
                          "query's selection or predicate windows",
             ))
 
-    # -- UPD005 rebuild storm -------------------------------------------
+    # -- UPD005 relabel storm -------------------------------------------
     persistent = _scheme_is_persistent(scheme_name)
     structural = [s for s in program.statements if s.structural]
     if (stats is not None and structural and persistent is False
             and stats.node_count > 0
-            and structural_estimate >= rebuild_threshold * stats.node_count):
+            and structural_estimate >= _STORM_FRACTION * stats.node_count):
         report.findings.append(_finding(
             program, "UPD005", structural[0].line,
             f"structural statements may touch ~{structural_estimate} of "
-            f"{stats.node_count} labeled nodes (>= {rebuild_threshold:.0%} "
-            f"rebuild threshold) on non-persistent scheme "
-            f"{scheme_name!r}: expect accelerator rebuild storms",
+            f"{stats.node_count} labeled nodes (>= {_STORM_FRACTION:.0%} "
+            f"of the document) on non-persistent scheme "
+            f"{scheme_name!r}: expect relabel storms",
         ))
 
     # -- prediction (the `update explain` static half) ------------------

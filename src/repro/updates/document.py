@@ -25,10 +25,9 @@ also appends its inverse to the document's undo log: the old value of
 each label and label-index key written, each tree attach and detach
 (recorded by the tree itself), the old text children, name or value of
 a content update, and the old label map and index objects when a batch
-or :meth:`LabeledDocument.relabel_document` replaces them whole.  An
-undo record is a savepoint in that log; rolling back replays it newest
-first, so capture and rollback cost what the scope changed, not what
-the document holds.
+replaces them whole.  An undo record is a savepoint in that log;
+rolling back replays it newest first, so capture and rollback cost
+what the scope changed, not what the document holds.
 """
 
 from __future__ import annotations
@@ -59,8 +58,6 @@ class StructuralDelta:
       grafts and moves publish one insert per node, in preorder);
     * ``"delete"`` — the subtree rooted at ``node_id`` was detached;
       ``removed_ids`` lists every labelled-kind node id that went with it;
-    * ``"relabel"`` — ``count`` existing nodes changed label without any
-      node changing document-order position;
     * ``"rebuild"`` — the label space was replaced wholesale: a batch's
       consolidated relabelling, or the rollback of one.  Incremental
       repair is not possible and subscribers must rebuild.  Other
@@ -71,13 +68,15 @@ class StructuralDelta:
     :attr:`~repro.xmlmodel.tree.Document.structure_version` at publish
     time — subscribers stamp themselves with it after consuming the
     delta.
+
+    A relabelling publishes nothing: it moves no node, so no
+    position-based index depends on it.
     """
 
     kind: str
     node: Optional[XMLNode] = None
     node_id: Optional[int] = None
     removed_ids: Optional[List[int]] = None
-    count: int = 0
     reason: str = ""
     structure_version: int = 0
 
@@ -101,8 +100,7 @@ class UpdateLog:
     overflow_events: int = 0
     collisions: int = 0
     #: Monotonic: counts transaction/batch rollbacks and is *not*
-    #: restored by them, so it versions state derived from the document
-    #: (the repository indexes include it in their refresh stamp).
+    #: restored by them.
     rollbacks: int = 0
 
     def __post_init__(self):
@@ -154,6 +152,7 @@ class LabeledDocument:
         self._active_batch = None
         self._active_txn = None
         self._delta_listeners: List[Any] = []
+        self._accelerator = None
         self.last_batch_result = None
         self._undo_log: Optional[List[tuple]] = None
         self._undo_scopes: List[tuple] = []
@@ -177,6 +176,7 @@ class LabeledDocument:
         instance._active_batch = None
         instance._active_txn = None
         instance._delta_listeners = []
+        instance._accelerator = None
         instance.last_batch_result = None
         instance._undo_log = None
         instance._undo_scopes = []
@@ -219,34 +219,23 @@ class LabeledDocument:
                 kind="delete", node_id=node_id, removed_ids=removed_ids
             ))
 
-    def _publish_relabel(self, count: int) -> None:
-        if self._delta_listeners:
-            self._publish(StructuralDelta(kind="relabel", count=count))
-
     def _publish_rebuild(self, reason: str) -> None:
         if self._delta_listeners:
             self._publish(StructuralDelta(kind="rebuild", reason=reason))
 
-    def relabel_document(self) -> int:
-        """Replace every label with the scheme's canonical labelling.
+    def accelerator(self) -> "Any":
+        """The document's structural index, created on first use.
 
-        The maintenance entry point for static derived indexes (the
-        pre/post plane relabels its internal document this way on
-        ``refresh()``).  Unlike an update-driven relabelling it records
-        nothing in the update log — no update happened — but it does
-        publish a ``relabel`` delta.  Returns how many nodes changed
-        label.
+        One :class:`~repro.axes.accelerator.AxisAccelerator` per
+        document answers every structural read — XPath, EXPLAIN, the
+        repository's name and value lookups and joins.  It subscribes
+        to this document's delta stream and builds at its first query.
         """
-        old = self.labels
-        new = self.scheme.label_tree(self.document)
-        changed = sum(
-            1 for node_id, label in new.items()
-            if old.get(node_id) != label
-        )
-        self._replace_labels(new)
-        self._rebuild_label_index()
-        self._publish_relabel(changed)
-        return changed
+        if self._accelerator is None:
+            from repro.axes.accelerator import AxisAccelerator
+
+            self._accelerator = AxisAccelerator(self)
+        return self._accelerator
 
     # ------------------------------------------------------------------
     # The unified update surface
@@ -424,7 +413,14 @@ class LabeledDocument:
                 combined.relabel_events += 1
             new_parent.insert_child(index, node)
             for child in node.preorder():
-                if child.kind.is_labeled:
+                if not child.kind.is_labeled:
+                    continue
+                if child.node_id in self.labels:
+                    # A relabelling run by an earlier node of this
+                    # subtree labelled it already (a full relabel
+                    # covers the whole tree); it is placed, not new.
+                    self._publish_insert(child)
+                else:
                     _accumulate(combined, labeller._label_node(child))
             combined.label = self.labels.get(node.node_id)
             event.set(nodes=combined.nodes_detached,
@@ -594,7 +590,6 @@ class LabeledDocument:
                 self._set_label(node_id, label)
             for node_id, label in relabeled.items():
                 self._index(node_id, label)
-            self._publish_relabel(len(relabeled))
         if event:
             get_registry().histogram(
                 f"scheme.{scheme_name}.relabel_extent"

@@ -1,25 +1,23 @@
 """Axis accelerator: window-index answers versus the scan path.
 
-The contract under test: an attached accelerator answers every
-accelerated axis identically to ``AxisEvaluator``'s label-table scan —
-across all 17 schemes, before and after every mutation kind — and a
-detached one refuses with :class:`StaleIndexError` instead of serving
-stale windows.
+The contract under test: the document's index answers every axis
+identically to ``AxisEvaluator``'s label-table scan — across all 17
+schemes, before and after every mutation kind — and an index that
+missed a structural change refuses with :class:`StaleIndexError`
+instead of serving stale windows.
 """
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import all_scheme_names, fresh_random_document, labeled
-from repro.axes.accelerator import ACCELERATED_AXES, AxisAccelerator
 from repro.axes.evaluator import AxisEvaluator
+from repro.axes.xpath_ast import AXES
 from repro.errors import ReproError, StaleIndexError
 from repro.observability.metrics import get_registry
 from repro.store.repository import open_repository
 from repro.xmlmodel.parser import parse
 from update_programs import STRUCTURAL_KINDS, programs, run_program
-
-AXES = sorted(ACCELERATED_AXES)
 
 
 def ids(nodes):
@@ -46,17 +44,24 @@ def small_ldoc(scheme_name="dewey"):
     )
 
 
+def built(ldoc):
+    """The document's index, built now (it builds at its first query)."""
+    accelerator = ldoc.accelerator()
+    accelerator.nodes()
+    return accelerator
+
+
 @pytest.mark.parametrize("scheme_name", all_scheme_names())
 class TestEquivalenceAcrossSchemes:
     def test_static_document(self, scheme_name):
         ldoc = labeled(fresh_random_document(60, seed=7), scheme_name)
-        assert_equivalent(ldoc, AxisAccelerator(ldoc), limit=20)
+        assert_equivalent(ldoc, built(ldoc), limit=20)
 
     def test_after_mixed_updates(self, scheme_name):
         # Insert, delete and move through the live update surface; the
         # attached accelerator must keep agreeing with the scan path.
         ldoc = labeled(fresh_random_document(40, seed=11), scheme_name)
-        accelerator = AxisAccelerator(ldoc)
+        accelerator = built(ldoc)
         document = ldoc.document
         root = document.root
         ldoc.updates.append_child(root, "fresh")
@@ -74,7 +79,7 @@ class TestEquivalenceAcrossSchemes:
 
     def test_after_batch_apply(self, scheme_name):
         ldoc = labeled(fresh_random_document(30, seed=3), scheme_name)
-        accelerator = AxisAccelerator(ldoc)
+        accelerator = built(ldoc)
         root = ldoc.document.root
         first = next(iter(root.labeled_children()))
         with ldoc.batch() as batch:
@@ -87,7 +92,7 @@ class TestEquivalenceAcrossSchemes:
 class TestIncrementalMaintenance:
     def test_insert_splices_without_rebuild(self):
         ldoc = small_ldoc()
-        accelerator = AxisAccelerator(ldoc)
+        accelerator = built(ldoc)
         builds = accelerator._metric_builds.value
         ldoc.updates.append_child(ldoc.document.root, "new")
         assert not accelerator.stale
@@ -96,7 +101,7 @@ class TestIncrementalMaintenance:
 
     def test_delete_splices_without_rebuild(self):
         ldoc = small_ldoc()
-        accelerator = AxisAccelerator(ldoc)
+        accelerator = built(ldoc)
         builds = accelerator._metric_builds.value
         doomed = next(
             node for node in ldoc.document.labeled_nodes() if node.name == "b"
@@ -108,7 +113,7 @@ class TestIncrementalMaintenance:
 
     def test_move_stays_current(self):
         ldoc = small_ldoc()
-        accelerator = AxisAccelerator(ldoc)
+        accelerator = built(ldoc)
         node = next(
             node for node in ldoc.document.labeled_nodes() if node.name == "d"
         )
@@ -120,7 +125,7 @@ class TestIncrementalMaintenance:
 
     def test_batch_apply_rebuilds_lazily(self):
         ldoc = small_ldoc()
-        accelerator = AxisAccelerator(ldoc)
+        accelerator = built(ldoc)
         root = ldoc.document.root
         first = next(iter(root.labeled_children()))
         with ldoc.batch() as batch:
@@ -129,7 +134,7 @@ class TestIncrementalMaintenance:
 
     def test_mid_batch_query_refused(self):
         ldoc = small_ldoc()
-        accelerator = AxisAccelerator(ldoc)
+        accelerator = built(ldoc)
         root = ldoc.document.root
         first = next(iter(root.labeled_children()))
         batch = ldoc.batch()
@@ -142,9 +147,9 @@ class TestIncrementalMaintenance:
 
     def test_rollback_splices_without_rebuild(self):
         ldoc = small_ldoc()
-        accelerator = AxisAccelerator(ldoc)
+        accelerator = built(ldoc)
         builds = get_registry().counter("axes.accelerator.builds")
-        built = builds.value
+        built_before = builds.value
         root = ldoc.document.root
         with pytest.raises(RuntimeError):
             with ldoc.transaction():
@@ -152,12 +157,12 @@ class TestIncrementalMaintenance:
                 raise RuntimeError("abort")
         assert not accelerator.stale
         assert_equivalent(ldoc, accelerator)
-        assert builds.value == built
+        assert builds.value == built_before
 
     def test_detach_stops_maintenance(self):
         ldoc = small_ldoc()
-        accelerator = AxisAccelerator(ldoc)
-        accelerator.detach()
+        accelerator = built(ldoc)
+        ldoc.unsubscribe_deltas(accelerator)
         ldoc.updates.append_child(ldoc.document.root, "late")
         with pytest.raises(StaleIndexError):
             accelerator.evaluate("descendant", ldoc.document.root)
@@ -165,17 +170,19 @@ class TestIncrementalMaintenance:
     def test_unindexed_node_refused(self):
         ldoc = small_ldoc()
         other = small_ldoc()
-        accelerator = AxisAccelerator(ldoc)
+        accelerator = built(ldoc)
         with pytest.raises(StaleIndexError):
             accelerator.evaluate("descendant", other.document.root)
 
 
 class TestStalenessPerMutationKind:
-    """A detached index notices every structural mutation kind."""
+    """An index cut off from the delta stream notices every mutation kind."""
 
     def detached(self):
         ldoc = small_ldoc()
-        return ldoc, AxisAccelerator(ldoc, attach=False)
+        accelerator = built(ldoc)
+        ldoc.unsubscribe_deltas(accelerator)
+        return ldoc, accelerator
 
     def assert_stale(self, ldoc, accelerator):
         with pytest.raises(StaleIndexError):
@@ -228,19 +235,13 @@ class TestStalenessPerMutationKind:
         assert not accelerator.stale
         assert_equivalent(ldoc, accelerator)
 
-    def test_auto_refresh_rebuilds_silently(self):
-        ldoc = small_ldoc()
-        accelerator = AxisAccelerator(ldoc, attach=False, auto_refresh=True)
-        ldoc.updates.append_child(ldoc.document.root, "new")
-        assert_equivalent(ldoc, accelerator)
-
 
 class TestDocumentOrder:
     """Result ordering by position, only from current windows."""
 
     def test_sorts_by_position(self):
         ldoc = small_ldoc()
-        accelerator = AxisAccelerator(ldoc)
+        accelerator = built(ldoc)
         ldoc.updates.append_child(ldoc.document.root, "last")  # a splice
         nodes = list(ldoc.document.labeled_nodes())
         assert ids(accelerator.document_order(nodes[::-1])) == ids(nodes)
@@ -256,7 +257,7 @@ class TestDocumentOrder:
 
     def test_refuses_when_marked_for_rebuild(self):
         ldoc = small_ldoc()
-        accelerator = AxisAccelerator(ldoc)
+        accelerator = built(ldoc)
         first = next(iter(ldoc.document.root.labeled_children()))
         with ldoc.batch() as batch:
             batch.insert_before(first, "head")  # consolidated relabel
@@ -265,14 +266,15 @@ class TestDocumentOrder:
 
     def test_refuses_when_stamp_is_behind(self):
         ldoc = small_ldoc()
-        accelerator = AxisAccelerator(ldoc, attach=False)
+        accelerator = built(ldoc)
+        ldoc.unsubscribe_deltas(accelerator)
         nodes = list(ldoc.document.labeled_nodes())
         ldoc.updates.move(nodes[-1], ldoc.document.root, 0)
         self.assert_refused(accelerator, nodes)
 
     def test_refuses_while_a_batch_is_pending(self):
         ldoc = small_ldoc()
-        accelerator = AxisAccelerator(ldoc)
+        accelerator = built(ldoc)
         nodes = list(ldoc.document.labeled_nodes())
         batch = ldoc.batch()
         batch.insert_before(nodes[1], "head")
@@ -282,7 +284,7 @@ class TestDocumentOrder:
 
     def test_refuses_a_node_off_the_index(self):
         ldoc = small_ldoc()
-        accelerator = AxisAccelerator(ldoc)
+        accelerator = built(ldoc)
         # Same shape, same node ids: only identity tells them apart.
         other = list(small_ldoc().document.labeled_nodes())
         self.assert_refused(accelerator, other)
@@ -290,11 +292,12 @@ class TestDocumentOrder:
 
 class TestEvaluatorRouting:
     def test_accelerated_axes_counted(self):
+        # Every axis, self and attribute included, routes to the index.
         ldoc = small_ldoc()
-        fast = AxisEvaluator(ldoc, accelerator=AxisAccelerator(ldoc))
+        fast = AxisEvaluator(ldoc, accelerator=built(ldoc))
         fast.evaluate("descendant", ldoc.document.root)
         fast.evaluate("self", ldoc.document.root)
-        assert fast.accelerated_hits == 1
+        assert fast.accelerated_hits == 2
 
     def test_repository_xpath_uses_accelerator(self):
         repository = open_repository("memory://")
@@ -302,7 +305,7 @@ class TestEvaluatorRouting:
             "doc", "<a><b><c/><c/></b><b><c/></b></a>", scheme="dewey"
         )
         assert len(stored.xpath("//c")) == 3
-        assert stored.indexes._accelerator is not None
+        assert stored.ldoc._accelerator is stored.ldoc.accelerator()
         # Updates flow through the attached accelerator transparently.
         stored.ldoc.updates.append_child(stored.ldoc.document.root, "b")
         assert len(stored.xpath("/a/b")) == 3
@@ -316,25 +319,52 @@ class TestRollbackSplices:
     @given(program=programs(STRUCTURAL_KINDS, max_size=6))
     def test_rolled_back_structural_transaction(self, scheme_name, program):
         ldoc = labeled(fresh_random_document(40, seed=13), scheme_name)
-        accelerator = AxisAccelerator(ldoc)
-        registry = get_registry()
-        builds = registry.counter("axes.accelerator.builds")
-        storms = registry.counter("axes.accelerator.relabel_storms")
-        built, stormed = builds.value, storms.value
+        accelerator = built(ldoc)
+        builds = get_registry().counter("axes.accelerator.builds")
+        built_before = builds.value
         held = list(ldoc.document.labeled_nodes())
         labels = [ldoc.label_of(node) for node in held]
         with pytest.raises((RuntimeError, ReproError)):
             with ldoc.transaction():
                 run_program(ldoc, ldoc.updates, program)
                 raise RuntimeError("roll back")
-        if storms.value == stormed:
-            # No relabel storm dirtied the index on the way in, so every
-            # change and its undo were splices.
-            assert not accelerator.stale
-            assert builds.value == built
+        # Relabellings publish nothing, so every change and its undo
+        # were splices, relabel storms included.
+        assert not accelerator.stale
         assert_equivalent(ldoc, accelerator)
-        if storms.value == stormed:
-            assert builds.value == built
+        assert builds.value == built_before
         # The held references are the live nodes, labelled as before.
         assert list(ldoc.document.labeled_nodes()) == held
         assert [ldoc.label_of(node) for node in held] == labels
+
+
+class TestOneIndexPerDocument:
+    def test_the_getter_returns_the_same_index(self):
+        ldoc = small_ldoc()
+        assert ldoc.accelerator() is ldoc.accelerator()
+        assert ldoc._delta_listeners == [ldoc.accelerator()]
+
+    def test_built_at_the_first_query(self):
+        ldoc = small_ldoc()
+        accelerator = ldoc.accelerator()
+        assert accelerator.stale and accelerator.size() == 0
+        accelerator.evaluate("child", ldoc.document.root)
+        assert not accelerator.stale
+        assert accelerator.size() == len(ldoc.labels)
+
+    @pytest.mark.parametrize("scheme_name", ["prepost", "lsdx", "cdbs"])
+    def test_relabelling_splices_without_rebuild(self, scheme_name):
+        # PrePost relabels the whole document on every insert, and
+        # LSDX/CDBS reorganise sibling ranges: positions stay valid.
+        ldoc = small_ldoc(scheme_name)
+        accelerator = built(ldoc)
+        builds = accelerator._metric_builds.value
+        relabeled = ldoc.log.relabeled_nodes
+        first = next(iter(ldoc.document.root.labeled_children()))
+        for index in range(12):
+            ldoc.updates.insert_before(first, f"head{index}")
+        if scheme_name == "prepost":
+            assert ldoc.log.relabeled_nodes > relabeled
+        assert not accelerator.stale
+        assert accelerator._metric_builds.value == builds
+        assert_equivalent(ldoc, accelerator)

@@ -1,19 +1,19 @@
 """Mini XPath evaluator tests over the sample document.
 
 Every evaluation test runs on both result-ordering paths.  The scan path
-is ``xpath(ldoc, path)``: label-table axis steps, merges ordered by the
-whole-document order map.  The accelerator path attaches an
-:class:`AxisAccelerator` when the document is labelled: axis steps come
-from its windows and merges are ordered by its positions.  Each test
+is the reference evaluator (``tests/reference_xpath.py``): label-table
+axis steps, merges ordered by the whole-document order map.  The index
+path is ``xpath(ldoc, path)``: axis steps come from the document's
+accelerator windows and merges are ordered by its positions.  Each test
 class runs on the scan path under its own name, and its ``Accelerated``
-subclass reruns every expectation on the accelerator path.
+subclass reruns every expectation on the index path.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from conftest import all_scheme_names, fresh_random_document, labeled
-from repro.axes.accelerator import AxisAccelerator
+from reference_xpath import reference_xpath
 from repro.axes.xpath import XPathEvaluator, parse_path, xpath
 from repro.data.sample import sample_document
 from repro.errors import XPathError
@@ -36,30 +36,33 @@ def assert_same_nodes(got, expected, path=""):
     ), (path, names(got), names(expected))
 
 
-class ScanPath:
-    """Labels and queries a test's documents on the scan path.
+def evaluate(ldoc, path, context=None, accelerated=True):
+    """``xpath()`` on the index path, or the reference scan path."""
+    if not accelerated:
+        return reference_xpath(ldoc, path, context)
+    result = xpath(ldoc, path, context)
+    # Positions still current after the query: they, not a
+    # whole-document map, ordered its merges.
+    ordered = ldoc.accelerator().document_order(result)
+    assert ordered is not None, path
+    assert_same_nodes(ordered, result, path)
+    return result
 
-    Subclasses set ``accelerated = True`` to attach an accelerator to
-    every document they label; their queries then check that it
-    vouched for the order of each result.
+
+class ScanPath:
+    """Queries a test's documents on the reference scan path.
+
+    Subclasses set ``accelerated = True`` to query through the
+    document's index instead.
     """
 
     accelerated = False
 
     def label(self, document, scheme_name):
-        ldoc = labeled(document, scheme_name)
-        self.accelerator = AxisAccelerator(ldoc) if self.accelerated else None
-        return ldoc
+        return labeled(document, scheme_name)
 
     def xpath(self, ldoc, path, context=None):
-        result = xpath(ldoc, path, context, accelerator=self.accelerator)
-        if self.accelerator is not None:
-            # Positions still current after the query: they, not the
-            # whole-document map, ordered its merges.
-            ordered = self.accelerator.document_order(result)
-            assert ordered is not None, path
-            assert_same_nodes(ordered, result, path)
-        return result
+        return evaluate(ldoc, path, context, self.accelerated)
 
 
 class TestParsing:
@@ -220,12 +223,11 @@ SCHEME_RUNS = [
 def test_same_answers_across_schemes(scheme_name, accelerated):
     """XPath results are scheme-independent (fallback where needed)."""
     ldoc = labeled(sample_document(), scheme_name)
-    accelerator = AxisAccelerator(ldoc) if accelerated else None
-    assert names(xpath(ldoc, "//editor/*", accelerator=accelerator)) == [
+    assert names(evaluate(ldoc, "//editor/*", accelerated=accelerated)) == [
         "name", "address",
     ]
     assert names(
-        xpath(ldoc, "//name/ancestor::*", accelerator=accelerator)
+        evaluate(ldoc, "//name/ancestor::*", accelerated=accelerated)
     ) == ["book", "publisher", "editor"]
 
 
@@ -310,10 +312,10 @@ MERGE_PATHS = (
 
 
 def assert_merges_agree(ldoc, accelerator):
-    """Every merge path answers alike on the scan and accelerator paths."""
+    """Every merge path answers alike on the scan and index paths."""
     for path in MERGE_PATHS:
-        expected = xpath(ldoc, path)
-        got = xpath(ldoc, path, accelerator=accelerator)
+        expected = reference_xpath(ldoc, path)
+        got = xpath(ldoc, path)
         assert not accelerator.stale  # its positions ordered the merges
         assert_same_nodes(got, expected, path)
 
@@ -328,7 +330,7 @@ class TestPositionOrderedMerge:
     def test_matches_scan_path_under_updates(self, scheme_name, applied,
                                              undone):
         ldoc = labeled(fresh_random_document(30, seed=5), scheme_name)
-        accelerator = AxisAccelerator(ldoc)
+        accelerator = ldoc.accelerator()
         assert_merges_agree(ldoc, accelerator)
         run_program(ldoc, ldoc.updates, applied)
         assert_merges_agree(ldoc, accelerator)
@@ -343,7 +345,7 @@ class TestPositionOrderedMerge:
         stored = repository.add(
             "doc", "<a><b><c/><c/></b><b><c/></b></a>", scheme="qed"
         )
-        stored.indexes.axis_accelerator()
+        stored.ldoc.accelerator().nodes()  # built
         root = stored.ldoc.document.root
         stored.ldoc.updates.prepend_child(root, "c")  # a splice, no rebuild
 
@@ -356,14 +358,16 @@ class TestPositionOrderedMerge:
 
     def test_stale_index_never_orders_results(self):
         ldoc = labeled(parse("<a><b><c/></b><d><e/></d></a>"), "qed")
-        stale = AxisAccelerator(ldoc)
-        stale.detach()
+        stale = ldoc.accelerator()
+        stale.nodes()
+        ldoc.unsubscribe_deltas(stale)
         root = ldoc.document.root
         ldoc.updates.move(root.element_children()[-1], root, 0)
-        expected = xpath(ldoc, "//* | /a/b")
+        expected = reference_xpath(ldoc, "//* | /a/b")
         assert names(expected) == ["a", "d", "e", "b", "c"]
+        # EXPLAIN answers the refused steps by the label scan; labels,
+        # not the stale positions, order the merges.
         evaluator = XPathEvaluator(
-            ldoc, accelerator=stale,
-            recorder=PlanRecorder(StatsCollector.collect(ldoc)),
+            ldoc, recorder=PlanRecorder(StatsCollector.collect(ldoc)),
         )
         assert_same_nodes(evaluator.evaluate("//* | /a/b"), expected)

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.axes.accelerator import AxisAccelerator
 from repro.durability.faults import InjectedFault, get_injector
 from repro.durability.journal import Journal, recover
 from repro.errors import StaleIndexError
@@ -113,13 +112,14 @@ def storage(tmp_path: Path) -> None:
 def accelerator(tmp_path: Path) -> None:
     """An index build, splices, and a stale refusal."""
     ldoc = labelled("qed")
-    AxisAccelerator(ldoc)
+    index = ldoc.accelerator()
+    index.refresh()
     inserted = ldoc.updates.append_child(ldoc.document.root, "spliced").node
     ldoc.updates.delete(inserted)
-    detached = AxisAccelerator(ldoc, attach=False)
+    ldoc.unsubscribe_deltas(index)
     ldoc.updates.append_child(ldoc.document.root, "unseen")
     with pytest.raises(StaleIndexError):
-        detached.evaluate("descendant", ldoc.document.root)
+        index.evaluate("descendant", ldoc.document.root)
 
 
 def joins(tmp_path: Path) -> None:

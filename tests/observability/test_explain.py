@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from repro.axes.accelerator import AxisAccelerator
-from repro.axes.xpath import xpath
+from reference_xpath import reference_xpath
 from repro.observability.explain import (
     EXPLAIN_SCHEMA_VERSION,
     STRATEGIES,
@@ -38,51 +37,52 @@ def xmark(scheme="qed", scale=0.1, seed=1):
 class TestStrategyRouting:
     def test_accelerated_axes_report_window_strategy(self):
         ldoc = xmark()
-        accelerator = AxisAccelerator(ldoc)
         for path in ("//item", "//item/following::item",
                      "//bidder/preceding::bidder"):
-            plan = explain_query(ldoc, path, accelerator=accelerator,
-                                 analyze=True)
+            plan = explain_query(ldoc, path, analyze=True)
             strategies = {step.strategy for step in plan.steps}
             assert strategies == {"accelerator-window"}, (path, strategies)
 
-    def test_no_accelerator_reports_scan_with_reason(self):
-        ldoc = library()
-        plan = explain_query(ldoc, "//book")
-        assert [s.strategy for s in plan.steps] == ["scan"]
-        assert plan.steps[0].reason == "no accelerator attached"
-
     def test_detached_stale_index_falls_back_to_scan(self):
-        # The acceptance flow: build the index, detach it, mutate the
-        # document; an analyze run answers via scan and states why.
+        # Cut the index off the delta stream, then mutate the document;
+        # an analyze run answers via scan and states why.
         ldoc = xmark()
-        accelerator = AxisAccelerator(ldoc)
-        assert len(explain_query(ldoc, "//item", accelerator=accelerator,
-                                 analyze=True).steps) == 1
-        accelerator.detach()
+        assert len(explain_query(ldoc, "//item", analyze=True).steps) == 1
+        ldoc.unsubscribe_deltas(ldoc.accelerator())
         ldoc.updates.append_child(ldoc.document.root, "annex")
-        plan = explain_query(ldoc, "//item", accelerator=accelerator,
-                             analyze=True)
+        plan = explain_query(ldoc, "//item", analyze=True)
         step = plan.steps[0]
         assert step.strategy == "scan"
         assert "StaleIndexError" in step.reason
         # The scan still answers correctly.
-        assert plan.result_count == len(xpath(ldoc, "//item"))
+        assert plan.result_count == len(reference_xpath(ldoc, "//item"))
 
-    def test_unaccelerated_axis_scans_even_with_index(self):
+    def test_pending_batch_steps_scan_with_reason(self):
+        # The index refuses while a batch has unlabelled pending nodes;
+        # plain and analyze plans both say so, and the scan answers.
+        ldoc = library("prepost")  # containment: inserts defer
+        batch = ldoc.batch()
+        batch.append_child(ldoc.document.root, "annex")
+        assert batch.pending
+        for analyze in (False, True):
+            plan = explain_query(ldoc, "//book/title", analyze=analyze)
+            assert [s.strategy for s in plan.steps] == ["scan", "scan"]
+            assert "pending" in plan.steps[0].reason
+        assert plan.result_count == 3
+        batch.apply()
+        plan = explain_query(ldoc, "//book/title", analyze=True)
+        assert {s.strategy for s in plan.steps} == {"accelerator-window"}
+
+    def test_attribute_and_self_steps_use_the_index(self):
         ldoc = library()
-        accelerator = AxisAccelerator(ldoc)
-        plan = explain_query(ldoc, "//book/attribute::missing",
-                             accelerator=accelerator, analyze=True)
-        by_axis = {step.axis: step for step in plan.steps}
-        assert by_axis["descendant"].strategy == "accelerator-window"
-        assert by_axis["attribute"].strategy == "scan"
-        assert "not accelerated" in by_axis["attribute"].reason
+        plan = explain_query(ldoc, "//book/attribute::missing/self::*",
+                             analyze=True)
+        assert [step.strategy for step in plan.steps] == [
+            "accelerator-window"] * 3
 
     def test_every_strategy_is_catalogued(self):
         ldoc = library()
-        plan = explain_query(ldoc, "//book | //title",
-                             accelerator=AxisAccelerator(ldoc))
+        plan = explain_query(ldoc, "//book | //title")
         for step in plan.steps:
             assert step.strategy in STRATEGIES
 
@@ -95,10 +95,8 @@ class TestAnalyzeActuals:
     @pytest.mark.parametrize("path", PATHS)
     def test_actual_result_count_matches_xpath(self, path):
         ldoc = xmark()
-        accelerator = AxisAccelerator(ldoc)
-        plan = explain_query(ldoc, path, accelerator=accelerator,
-                             analyze=True)
-        assert plan.result_count == len(xpath(ldoc, path))
+        plan = explain_query(ldoc, path, analyze=True)
+        assert plan.result_count == len(reference_xpath(ldoc, path))
         final = plan.steps[-1]
         assert final.actual_rows == plan.result_count
         assert final.elapsed_ms is not None
@@ -111,8 +109,9 @@ class TestAnalyzeActuals:
         finals = {}
         for step in plan.steps:
             finals[step.branch] = step
+        expected = reference_xpath(ldoc, "//book | //title")
         assert sum(s.actual_rows for s in finals.values()) >= \
-            plan.result_count == len(xpath(ldoc, "//book | //title"))
+            plan.result_count == len(expected)
 
     def test_plain_mode_does_not_execute(self):
         ldoc = library()
@@ -131,14 +130,11 @@ class TestEstimateQuality:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_learned_estimates_bounded_error(self, scheme):
         ldoc = xmark(scheme)
-        accelerator = AxisAccelerator(ldoc)
         stats = StatsCollector.collect(ldoc)
         for path in self.PATHS:
-            explain_query(ldoc, path, accelerator=accelerator,
-                          stats=stats, analyze=True)
+            explain_query(ldoc, path, stats=stats, analyze=True)
         for path in self.PATHS:
-            plan = explain_query(ldoc, path, accelerator=accelerator,
-                                 stats=stats, analyze=True)
+            plan = explain_query(ldoc, path, stats=stats, analyze=True)
             actual = plan.result_count
             assert actual > 0
             error = abs(plan.estimated_result - actual) / actual
@@ -150,7 +146,7 @@ class TestEstimateQuality:
         # even the un-learned structural estimate is exact.
         ldoc = xmark(scheme)
         plan = explain_query(ldoc, "//item")
-        assert plan.estimated_result == len(xpath(ldoc, "//item"))
+        assert plan.estimated_result == len(reference_xpath(ldoc, "//item"))
 
 
 class TestPlanPayload:
@@ -172,9 +168,7 @@ class TestPlanPayload:
 
     def test_render_contains_strategies_and_summary(self):
         ldoc = library()
-        plan = explain_query(ldoc, "//book",
-                             accelerator=AxisAccelerator(ldoc),
-                             analyze=True)
+        plan = explain_query(ldoc, "//book", analyze=True)
         text = plan.render()
         assert "EXPLAIN //book" in text
         assert "accelerator-window" in text
@@ -187,10 +181,12 @@ class TestPlanPayload:
         registry = get_registry()
         before_scan = registry.counter("explain.steps_scan").value
         before_acc = registry.counter("explain.steps_accelerated").value
-        ldoc = library()
-        explain_query(ldoc, "//book")  # no accelerator -> scan
-        explain_query(ldoc, "//book",
-                      accelerator=AxisAccelerator(ldoc))
+        ldoc = library("prepost")
+        batch = ldoc.batch()
+        batch.append_child(ldoc.document.root, "annex")
+        explain_query(ldoc, "//book")  # pending nodes -> scan
+        batch.apply()
+        explain_query(ldoc, "//book")
         assert registry.counter("explain.steps_scan").value > before_scan
         assert registry.counter("explain.steps_accelerated").value > \
             before_acc

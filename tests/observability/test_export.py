@@ -126,7 +126,7 @@ class TestHTTPEndpoint:
             server.server_close()
 
     def test_critical_health_returns_503(self, registry):
-        registry.counter("axes.accelerator.relabel_storms").increment(20)
+        registry.counter("store.backend.lock_refusals").increment(20)
         oplog = OpLog(registry=registry)
         server, thread = start_metrics_server(port=0, registry=registry,
                                               oplog=oplog)

@@ -14,7 +14,6 @@ from repro.observability.health import (
     HealthProbe,
     JournalTailProbe,
     OpErrorRateProbe,
-    RelabelStormProbe,
     RollbackRateProbe,
     StaleIndexProbe,
     default_probes,
@@ -91,17 +90,6 @@ class TestProbeTransitions:
             "ok", "warn", "critical"
         ]
 
-    def test_relabel_storm_transitions(self):
-        probe = RelabelStormProbe(warn_at=1, critical_at=8)
-        ok = probe.evaluate(context())
-        warn = probe.evaluate(
-            context(**{"axes.accelerator.relabel_storms": 1}))
-        critical = probe.evaluate(
-            context(**{"axes.accelerator.relabel_storms": 9}))
-        assert [ok.status, warn.status, critical.status] == [
-            "ok", "warn", "critical"
-        ]
-
     def test_backend_lock_transitions(self):
         probe = BackendLockProbe(warn_at=1, critical_at=10)
         ok = probe.evaluate(context())
@@ -128,7 +116,7 @@ class TestProbeTransitions:
 class TestAggregation:
     def test_worst_status_wins(self):
         report = health_from_snapshot(
-            {"axes.accelerator.relabel_storms": 9},
+            {"store.backend.lock_refusals": 10},
             registry=MetricsRegistry())
         assert report.status == "critical"
         assert report.exit_code == 1
@@ -170,14 +158,14 @@ class TestAggregation:
 
     def test_render_health_marks_statuses(self):
         report = health_from_snapshot(
-            {"axes.accelerator.relabel_storms": 1},
+            {"store.backend.lock_refusals": 1},
             registry=MetricsRegistry())
         text = render_health(report)
         assert text.startswith("overall: warn")
-        assert "! relabel-storms" in text
+        assert "! backend-lock-contention" in text
 
     def test_invalid_probe_status_rejected(self):
-        probe = RelabelStormProbe()
+        probe = BackendLockProbe()
         with pytest.raises(ValueError):
             probe.result("fine", "nope")
 
@@ -269,20 +257,17 @@ class TestScanFallbackProbe:
         # Route the global explain counters into a private registry so
         # the probe sees what explain_query actually records.
         import repro.observability.explain as explain_module
-        from repro.axes.accelerator import AxisAccelerator
         from repro.observability.explain import explain_query
 
         registry = MetricsRegistry()
         monkeypatch.setattr(explain_module, "get_registry",
                             lambda: registry)
         ldoc = LabeledDocument(parse(SAMPLE), make_scheme("qed"))
-        accelerator = AxisAccelerator(ldoc)
-        explain_query(ldoc, "//book", accelerator=accelerator, analyze=True)
-        accelerator.detach()
+        explain_query(ldoc, "//book", analyze=True)
+        ldoc.unsubscribe_deltas(ldoc.accelerator())
         ldoc.updates.append_child(ldoc.document.root, "annex")
         for _ in range(9):
-            explain_query(ldoc, "//book", accelerator=accelerator,
-                          analyze=True)
+            explain_query(ldoc, "//book", analyze=True)
         snapshot = registry.snapshot()
         snapshot.setdefault("axes.accelerator.builds", 1)
         probe = self.probe()

@@ -211,11 +211,11 @@ class TestInstrumentedPaths:
         assert rollbacks and rollbacks[-1].outcome == "rollback"
 
     def test_accelerator_build_and_stale_refusal_events(self):
-        from repro.axes.accelerator import AxisAccelerator
-
         with oplog_enabled() as log:
             document = ldoc()
-            accelerator = AxisAccelerator(document, attach=False)
+            accelerator = document.accelerator()
+            accelerator.refresh()
+            document.unsubscribe_deltas(accelerator)
             document.updates.append_child(document.document.root, "new")
             with pytest.raises(StaleIndexError):
                 accelerator.evaluate("descendant", document.document.root)

@@ -6,7 +6,12 @@ import weakref
 import pytest
 
 from repro.data.sample import SAMPLE_XML
-from repro.errors import SnapshotMismatchError, StorageError, UpdateError
+from repro.errors import (
+    BatchError,
+    SnapshotMismatchError,
+    StorageError,
+    UpdateError,
+)
 from repro.store.backends import node_records
 from repro.store.repository import (
     Snapshot,
@@ -124,6 +129,19 @@ class TestSnapshots:
         stored.ldoc.updates.append_child(stored.ldoc.document.root, "late")
         restored = repo.restore(snapshot, name="frozen")
         assert restored.ldoc.labels_in_document_order() == before
+
+    def test_snapshot_refused_while_a_batch_is_open(self):
+        repository = open_repository("memory://")
+        stored = repository.add("doc", LIBRARY, scheme="dewey")
+        root = stored.ldoc.document.root
+        batch = stored.ldoc.batch()
+        batch.insert_before(root.element_children()[0], "head")
+        assert batch.pending  # dewey defers a leftmost insert
+        for call in (repository.snapshot, repository.persist):
+            with pytest.raises(BatchError, match="batch is open"):
+                call("doc")
+        batch.apply()
+        assert repository.snapshot("doc").name == "doc"
 
     def test_restore_rejects_name_clash(self, repo):
         snapshot = repo.snapshot("sample")

@@ -455,14 +455,6 @@ class TestExplainCommand:
         assert "analyze" in out
         assert "actual" in out
 
-    def test_no_accelerator_scans_with_reason(self, sample_file, capsys):
-        assert main(["explain", sample_file, "//book",
-                     "--no-accelerator"]) == 0
-        out = capsys.readouterr().out
-        assert "scan" in out
-        assert "no accelerator attached" in out
-        assert "accelerator-window" not in out
-
     def test_json_plan_is_valid(self, sample_file, capsys):
         import json
 

@@ -5,6 +5,8 @@ import pytest
 from conftest import all_scheme_names, labeled
 from repro.data.sample import sample_document
 from repro.errors import UpdateError
+from repro.xmlmodel.parser import parse
+from update_programs import DOCUMENT_XML, run_step
 
 
 def find(ldoc, name):
@@ -32,6 +34,30 @@ class TestMoveAcrossSchemes:
                           len(ldoc.document.root.children))
         assert editor.node_id == editor_id
         assert [c.name for c in editor.labeled_children()] == child_names
+
+
+    def test_move_relabelled_by_its_own_insert_stays_indexed(self, name):
+        # Labelling the moved root can run a full relabel that labels
+        # the rest of the moved subtree (sector does); the move must not
+        # label those nodes a second time behind the label index.
+        ldoc = labeled(parse(DOCUMENT_XML), name)
+        run_step(ldoc, ldoc.updates, ("move", 0, 1))
+        ldoc.verify_order()
+        for node in ldoc.document.labeled_nodes():
+            assert ldoc.node_by_label(ldoc.label_of(node)) is node
+
+    def test_subtree_graft_keeps_the_label_index(self, name):
+        # A graft attaches and labels its nodes one at a time, so no
+        # relabelling can label a grafted node ahead of its turn.
+        ldoc = labeled(parse(DOCUMENT_XML), name)
+        for step in (("insert-subtree", 0, 0), ("move", 3, 2),
+                     ("insert-subtree", 2, 3)):
+            run_step(ldoc, ldoc.updates, step)
+        if ldoc.log.collisions:
+            return  # LSDX/ComD duplicate labels (section 3.1.2)
+        ldoc.verify_order()
+        for node in ldoc.document.labeled_nodes():
+            assert ldoc.node_by_label(ldoc.label_of(node)) is node
 
 
 class TestMoveSemantics:
