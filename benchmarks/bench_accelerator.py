@@ -7,7 +7,7 @@ Two claims, measured on XMark documents:
   following/preceding steps are window range scans — on a 50k-node
   document they must beat the ``_filter_by_label`` full scan by >=5x;
 * **maintenance**: keeping the index current through the structural
-  delta stream (positional splices) must beat rebuilding it after
+  delta stream (order-maintained splices) must beat rebuilding it after
   every update, on a mixed insert/delete/move workload.
 
 Equality with the scan path is asserted on every timed query, so the

@@ -1,4 +1,4 @@
-"""Scheme-generic axis accelerator: document order as a sorted array.
+"""Scheme-generic axis accelerator: an order-maintained document order.
 
 The paper's section 2.2 argument is that label-decidable relationships
 "contribute significantly to the reduction of XPath processing costs" —
@@ -7,48 +7,55 @@ predicate scan over the label table: O(n) per axis step regardless of
 result size.  This module supplies the sub-linear machinery, in the
 spirit of Grust's XPath Accelerator generalised away from pre/post
 labels: because every scheme's labels sort into document order
-(Definition 1), *positions in that order* are themselves a universal
-labelling.  On a PrePost-labelled document the positions are the pre
-ranks, and every window below is one of Grust's rectangles.
+(Definition 1), the index keeps that order itself, independent of which
+of the 17 schemes labelled the document and without a single label
+comparison.
 
-:class:`AxisAccelerator` keeps three parallel structures over one
-:class:`~repro.updates.document.LabeledDocument`:
+A dense numbering of that order (pre ranks) is exactly what the paper's
+Persistent Labels property (section 5.1) grades down: one insert shifts
+every later number.  :class:`AxisAccelerator` keeps the order the way
+an order-maintenance list does (Dietz & Sleator 1987; Bender et al.
+2002) — the paper's gap-versus-persistence trade-off, inside the index:
 
-* ``_nodes`` — every labelled node, in document order (= preorder);
-* ``_end``   — for each position ``p``, the exclusive end of the
-  subtree window: ``_nodes[p:_end[p]]`` is exactly the subtree rooted
-  at ``_nodes[p]`` (preorder contiguity);
-* ``_pos``   — ``node_id -> position``.
+* every labelled node carries an integer *order tag*; tags increase in
+  document order with gaps between them, so an insert takes a tag
+  between its neighbours' and, when a gap has closed, relabels only the
+  few nodes that follow it (:meth:`AxisAccelerator._spread`);
+* the nodes themselves sit in document order in *blocks* of a few
+  hundred, found by their first tags, so an insert or a subtree cut
+  shifts one block, and a block that grows past twice the build size
+  splits;
+* a subtree window is its root and its *last descendant* (a node
+  reference, not an integer end), so inserting or deleting moves no
+  other window's bounds but those of the ancestors it extends or cuts;
+* each element or attribute name keeps its nodes in document order
+  (the XISS-style element index), so a ``//name`` step reads that
+  name's nodes inside the window instead of the whole window.
 
-Every major axis then falls out as a range copy or a window jump —
-descendants are one slice, following is one slice, ancestors and
-preceding skip over whole subtrees via ``_end`` instead of testing
-nodes one by one — independent of which of the 17 schemes labelled the
-document, and without a single label comparison.  The same positions
-put a query's merged results back into document order
-(:meth:`AxisAccelerator.document_order`) at a cost that follows the
-result, not the document, and give the name and value lookups of
-:class:`~repro.store.indexes.DocumentIndexes` their document order.
+An insert or a subtree delete therefore costs O(log n) amortised plus
+the size of the change, and :meth:`AxisAccelerator.document_order` sorts
+a result by its O(1) tags.  On a PrePost-labelled document the index's
+order is the pre order, and every window is one of Grust's rectangles.
 
 A document owns at most one index, created by
 :meth:`LabeledDocument.accelerator` and built at its first query.  It
 subscribes to the document's
-:class:`~repro.updates.document.StructuralDelta` stream: inserts and
-deletes are positional splices with window repair (O(n - position)
-pointer moves, no label work), rollbacks included — they publish the
-inverse inserts and deletes of what they undo.  A relabelling publishes
-nothing, because it moves no node and positions do not depend on
-labels.  Only batch consolidations (and their rollback) publish
-``rebuild`` deltas that mark the index for a lazy full rebuild at the
-next query.  The document's ``structure_version`` stamp closes the
-remaining hole: a structural mutation the index did not consume (a
-mid-batch deferred insert, a tree mutated behind the document's back)
-makes the next query raise :class:`~repro.errors.StaleIndexError`
-instead of silently answering from dead positions.
+:class:`~repro.updates.document.StructuralDelta` stream: ``insert``,
+``delete`` and ``rename`` deltas are spliced in, rollbacks and batch
+consolidations included — a rollback publishes the inverse inserts,
+deletes and renames of what it undoes, and an applied batch one insert
+per node it labelled.  A relabelling publishes nothing, because it
+moves no node and the order does not depend on labels.  The document's
+``structure_version`` stamp closes the remaining hole: a structural
+mutation the index did not consume (a mid-batch deferred insert, a tree
+mutated behind the document's back) makes the next query raise
+:class:`~repro.errors.StaleIndexError` instead of silently answering
+from a dead order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, NoReturn, Optional, Tuple
 
 from repro.axes.xpath_ast import AXES
@@ -58,14 +65,79 @@ from repro.observability.ops import instrument
 from repro.updates.document import LabeledDocument, StructuralDelta
 from repro.xmlmodel.tree import XMLNode
 
+#: Nodes per block after a build; a block splits past twice this.
+_BLOCK = 256
+
+#: Distance between consecutive order tags after a build, and between
+#: the last node and one appended after it.
+_TAG_GAP = 1 << 24
+
+#: Axis name -> handler method name.
+_HANDLERS = {axis: "_axis_" + axis.replace("-", "_") for axis in AXES}
+
+#: The axes whose handlers apply a name test themselves: the four that
+#: read a name's run, and child, which filters its list once.
+_NAMED_AXES = frozenset(
+    ("descendant", "descendant-or-self", "following", "preceding", "child"))
+
+
+class _Run:
+    """Nodes in document order and their order tags, as parallel lists.
+
+    A block of the document order is one run; so is each name's list.
+    """
+
+    __slots__ = ("nodes", "tags")
+
+    def __init__(self, nodes: List[XMLNode], tags: List[int]):
+        self.nodes = nodes
+        self.tags = tags
+
+
+def _walk(root: XMLNode, labels) -> Tuple[List[XMLNode],
+                                          Dict[XMLNode, XMLNode],
+                                          Dict[str, List[XMLNode]]]:
+    """Preorder of the labelled nodes under ``root``, with each inner
+    node's last descendant and each name's nodes in order.
+
+    Iterative, so document depth is not bounded by the recursion limit:
+    a one-element tuple on the stack closes its node's subtree.
+    """
+    nodes: List[XMLNode] = []
+    last: Dict[XMLNode, XMLNode] = {}
+    groups: Dict[str, List[XMLNode]] = {}
+    append = nodes.append
+    stack: list = [root]
+    pop = stack.pop
+    while stack:
+        node = pop()
+        if node.__class__ is tuple:
+            closed = node[0]
+            last[closed] = nodes[-1]
+            continue
+        append(node)
+        group = groups.get(node.name)
+        if group is None:
+            groups[node.name] = [node]
+        else:
+            group.append(node)
+        children = [child for child in node.children
+                    if child.node_id in labels]
+        if children:
+            stack.append((node,))
+            children.reverse()
+            stack += children
+    return nodes, last, groups
+
 
 class AxisAccelerator:
-    """A document-order window index answering axis steps sub-linearly.
+    """An order-maintained document-order index answering axis steps.
 
     Obtain it with :meth:`LabeledDocument.accelerator`, which creates
     the document's one index on first use; the index subscribes itself
     to the document's structural-delta stream and builds at its first
-    query.
+    query.  Its per-node maps are keyed by the node objects themselves
+    (identity), so a node of another document never matches.
     """
 
     #: EXPLAIN strategy label reported when this index answers a step.
@@ -74,11 +146,19 @@ class AxisAccelerator:
     def __init__(self, ldoc: LabeledDocument):
         self.ldoc = ldoc
         self.document = ldoc.document
-        self._nodes: List[XMLNode] = []
-        self._end: List[int] = []
-        self._pos: Dict[int, int] = {}
+        self._scheme_name = ldoc.scheme.metadata.name
+        #: The document order in blocks, and each block's first tag.
+        self._blocks: List[_Run] = []
+        self._firsts: List[int] = []
+        self._tag: Dict[XMLNode, int] = {}
+        #: Last descendant of each node that has one (a leaf is absent:
+        #: its subtree window ends at itself).
+        self._last: Dict[XMLNode, XMLNode] = {}
+        self._names: Dict[str, _Run] = {}
         self._stamp = -1
         self._dirty = True
+        #: Records rewritten one by one by the splice in progress.
+        self._touched = 0
         registry = get_registry()
         self._metric_builds = registry.counter("axes.accelerator.builds")
         self._metric_splices = registry.counter("axes.accelerator.splices")
@@ -93,32 +173,31 @@ class AxisAccelerator:
     def refresh(self) -> None:
         """Rebuild the whole index from the document and resync the stamp."""
         with instrument("accelerator.build",
-                        scheme=self.ldoc.scheme.metadata.name) as event:
+                        scheme=self._scheme_name) as event:
             # Nodes a batch has deferred are structurally present but
             # carry no label yet; they stay off the index (the
             # pending-batch gate refuses queries until the batch
             # applies anyway).
             labels = self.ldoc.labels
-            nodes = [
-                node for node in self.document.labeled_nodes()
-                if node.node_id in labels
-            ]
+            root = self.document.root
+            if root is not None and root.node_id in labels:
+                nodes, last, groups = _walk(root, labels)
+            else:
+                nodes, last, groups = [], {}, {}
             total = len(nodes)
-            end = [0] * total
-            pos: Dict[int, int] = {}
-            stack: List[tuple] = []  # (node_id, position) of open subtrees
-            for index, node in enumerate(nodes):
-                parent = node.parent
-                parent_id = parent.node_id if parent is not None else None
-                while stack and stack[-1][0] != parent_id:
-                    end[stack.pop()[1]] = index
-                stack.append((node.node_id, index))
-                pos[node.node_id] = index
-            while stack:
-                end[stack.pop()[1]] = total
-            self._nodes = nodes
-            self._end = end
-            self._pos = pos
+            tags = list(range(_TAG_GAP, (total + 1) * _TAG_GAP, _TAG_GAP))
+            self._blocks = [
+                _Run(nodes[start:start + _BLOCK], tags[start:start + _BLOCK])
+                for start in range(0, total, _BLOCK)
+            ]
+            self._firsts = tags[::_BLOCK]
+            tag_of = dict(zip(nodes, tags))
+            self._names = {
+                name: _Run(group, list(map(tag_of.__getitem__, group)))
+                for name, group in groups.items()
+            }
+            self._tag = tag_of
+            self._last = last
             self._dirty = False
             self._stamp = self.document.structure_version
             self._metric_builds.increment()
@@ -130,16 +209,21 @@ class AxisAccelerator:
         return self._dirty or self._stamp != self.document.structure_version
 
     def size(self) -> int:
-        return len(self._nodes)
+        return len(self._tag)
 
     def nodes(self) -> List[XMLNode]:
-        """Every labelled node in document order, brought up to date.
+        """Every labelled node in document order, brought up to date."""
+        self.ensure_current()
+        result: List[XMLNode] = []
+        for block in self._blocks:
+            result += block.nodes
+        return result
 
-        The index's own list, not a copy: callers filter it and must
-        not mutate it.
-        """
-        self._ensure_current()
-        return self._nodes
+    def named(self, name: str) -> List[XMLNode]:
+        """The nodes called ``name``, in document order, brought up to date."""
+        self.ensure_current()
+        run = self._names.get(name)
+        return list(run.nodes) if run is not None else []
 
     def explain_state(self) -> Tuple[str, str]:
         """``(strategy, reason)`` for a step issued right now.
@@ -169,92 +253,267 @@ class AxisAccelerator:
     # ------------------------------------------------------------------
 
     def apply_delta(self, delta: StructuralDelta) -> None:
-        """Fold one structural change into the index."""
+        """Fold one structural change into the index.
+
+        The ``accelerator.splice`` event's ``touched`` attribute counts
+        the per-node and per-block records the splice rewrote one by
+        one: the node's own (each node a cut removes), the windows it
+        extended or cut, the tags a closed gap relabelled and the block
+        directory entries a split, cut or merge rewrote.  A shift
+        inside one list is not counted.
+        """
         if not self._dirty:
-            if delta.kind == "rebuild":
-                self._dirty = True
-            else:
-                with instrument("accelerator.splice",
-                                scheme=self.ldoc.scheme.metadata.name,
-                                kind=delta.kind) as event:
-                    if delta.kind == "insert":
-                        self._splice_insert(delta.node)
-                    else:
-                        self._splice_delete(delta.node_id,
-                                            delta.removed_ids or [])
-                    event.set(nodes=1 + len(delta.removed_ids or ()))
+            with instrument("accelerator.splice", scheme=self._scheme_name,
+                            kind=delta.kind) as event:
+                self._touched = 0
+                if delta.kind == "insert":
+                    nodes = self._splice_insert(delta.node)
+                elif delta.kind == "delete":
+                    nodes = self._splice_delete(delta.node)
+                else:
+                    nodes = self._splice_rename(delta.node, delta.old_name)
+                if event:
+                    event.set(nodes=nodes, touched=self._touched)
         self._stamp = delta.structure_version
 
-    def _splice_insert(self, node: XMLNode) -> None:
-        """Insert one freshly labelled node at its document-order position.
+    def _splice_insert(self, node: XMLNode) -> int:
+        """Give one freshly labelled node its place in the order.
 
-        The window repair is two-phase: every window strictly covering
-        the insertion point grows by one, and then the ancestor chain is
-        walked for windows that *ended exactly at* the insertion point —
-        an ancestor whose subtree the new node joins must extend, while
-        a preceding sibling whose subtree merely abuts must not.
+        Returns the nodes placed (0 or 1), as do the other splices.
         """
+        tag_of = self._tag
+        if node in tag_of:
+            return 0  # placed already (a move can publish it before a batch does)
         parent = node.parent
-        if parent is None:
+        if parent is None or parent not in tag_of:
             self._dirty = True
-            return
-        parent_pos = self._pos.get(parent.node_id)
-        if parent_pos is None:
-            self._dirty = True
-            return
-        insert_at: Optional[int] = None
-        own_index = parent.child_index(node)
-        for sibling in reversed(parent.children[:own_index]):
-            if sibling.kind.is_labeled and sibling.node_id in self._pos:
-                insert_at = self._end[self._pos[sibling.node_id]]
+            return 0
+        last = self._last
+        # The node before it: the last descendant of its nearest indexed
+        # preceding sibling, or the parent itself.
+        before = parent
+        siblings = parent.children
+        index = siblings.index(node)
+        while index:
+            index -= 1
+            sibling = siblings[index]
+            if sibling in tag_of:
+                before = last.get(sibling, sibling)
                 break
-        if insert_at is None:
-            insert_at = parent_pos + 1
-        end = self._end
-        for j in range(len(end)):
-            if end[j] > insert_at:
-                end[j] += 1
+        low = tag_of[before]
+        firsts = self._firsts
+        number = bisect_right(firsts, low) - 1
+        block = self._blocks[number]
+        tags = block.tags
+        at = bisect_right(tags, low)
+        if at < len(tags):
+            high = tags[at]
+        elif number + 1 < len(firsts):
+            high = firsts[number + 1]
+        else:
+            high = None
+        if high is None:
+            tag = low + _TAG_GAP
+        else:
+            if high - low < 2:
+                high = self._spread(number, at, low)
+            tag = (low + high) >> 1
+        block.nodes.insert(at, node)
+        tags.insert(at, tag)
+        tag_of[node] = tag
+        touched = 1
+        # Every window that ended at `before` and holds the node now
+        # ends at it.
         ancestor = parent
-        while ancestor is not None:
-            position = self._pos.get(ancestor.node_id)
-            if position is None:
-                break
-            if end[position] == insert_at:
-                end[position] = insert_at + 1
+        while ancestor is not None and last.get(ancestor, ancestor) is before:
+            last[ancestor] = node
+            touched += 1
             ancestor = ancestor.parent
-        self._nodes.insert(insert_at, node)
-        end.insert(insert_at, insert_at + 1)
-        pos = self._pos
-        pos[node.node_id] = insert_at
-        for j in range(insert_at + 1, len(self._nodes)):
-            pos[self._nodes[j].node_id] = j
+        run = self._names.get(node.name)
+        if run is None:
+            self._names[node.name] = _Run([node], [tag])
+        else:
+            slot = bisect_right(run.tags, tag)
+            run.nodes.insert(slot, node)
+            run.tags.insert(slot, tag)
+        if len(tags) > 2 * _BLOCK:
+            # Split the block in halves: one new directory entry.
+            half = len(tags) // 2
+            self._blocks.insert(number + 1,
+                                _Run(block.nodes[half:], tags[half:]))
+            firsts.insert(number + 1, tags[half])
+            del block.nodes[half:]
+            del tags[half:]
+            touched += 1
+        self._touched += touched
         self._metric_splices.increment()
+        return 1
 
-    def _splice_delete(self, root_id: Optional[int],
-                       removed_ids: List[int]) -> None:
-        """Cut one subtree window out and close the gap."""
-        position = self._pos.get(root_id)
-        if position is None:
-            # The detached root was never indexed (e.g. labelled inside
-            # a batch deferral); if any of its subtree was, positions
-            # are unrecoverable without a rebuild.
-            if any(node_id in self._pos for node_id in removed_ids):
+    def _spread(self, number: int, at: int, low: int) -> int:
+        """Open a gap after tag ``low`` by relabelling the nodes after it.
+
+        Dietz and Sleator's walk: with ``x_1, x_2, ...`` the nodes from
+        position ``at`` of block ``number`` on, find the first ``x_j``
+        whose tag exceeds ``low`` by more than ``j * j`` and space
+        ``x_1 .. x_(j-1)`` evenly below it (past the last node,
+        ``_TAG_GAP`` apart).  Only that enclosing range is relabelled,
+        O(log n) amortised.  Returns the new tag of ``x_1``, at least 2
+        above ``low``.
+        """
+        blocks = self._blocks
+        moved: List[Tuple[int, int]] = []
+        width: Optional[int] = None
+        index = at
+        while number < len(blocks):
+            tags = blocks[number].tags
+            if index == len(tags):
+                number, index = number + 1, 0
+                continue
+            gap = tags[index] - low
+            if gap > (len(moved) + 1) ** 2:
+                width = gap
+                break
+            moved.append((number, index))
+            index += 1
+        count = len(moved) + 1
+        tag_of = self._tag
+        names = self._names
+        firsts = self._firsts
+        # Find every moved node in its name's run by its old tag first:
+        # the new tags keep the order, but not each node's old value.
+        slots = []
+        for number, index in moved:
+            run = names[blocks[number].nodes[index].name]
+            node_tag = blocks[number].tags[index]
+            slots.append((run, bisect_left(run.tags, node_tag)))
+        for rank, ((number, index), (run, slot)) in enumerate(
+                zip(moved, slots), 1):
+            if width is None:
+                tag = low + rank * _TAG_GAP
+            else:
+                tag = low + rank * width // count
+            block = blocks[number]
+            block.tags[index] = tag
+            tag_of[block.nodes[index]] = tag
+            run.tags[slot] = tag
+            if not index:
+                firsts[number] = tag
+        self._touched += len(moved)
+        number, index = moved[0]
+        return blocks[number].tags[index]
+
+    def _splice_delete(self, root: XMLNode) -> int:
+        """Cut one detached subtree's window out of the order."""
+        tag_of = self._tag
+        if root not in tag_of:
+            # The detached root was never indexed (e.g. deferred by a
+            # batch); if any of its subtree was, the order cannot be
+            # repaired without a rebuild.
+            if any(node in tag_of for node in root.preorder()):
                 self._dirty = True
-            return
-        stop = self._end[position]
-        size = stop - position
-        pos = self._pos
-        for node in self._nodes[position:stop]:
-            del pos[node.node_id]
-        del self._nodes[position:stop]
-        del self._end[position:stop]
-        end = self._end
-        for j in range(len(end)):
-            if end[j] > position:
-                end[j] -= size
-        for j in range(position, len(self._nodes)):
-            pos[self._nodes[j].node_id] = j
+            return 0
+        last = self._last
+        end = last.get(root, root)
+        blocks = self._blocks
+        number, first = self._locate(root)
+        final, stop = self._locate(end)
+        stop += 1
+        # The root element is never deleted, so a node precedes `root`.
+        if first:
+            before = blocks[number].nodes[first - 1]
+        else:
+            before = blocks[number - 1].nodes[-1]
+        # The windows that ended at `end` (the old ancestors whose last
+        # subtree this was) end at `before` now.  They sit on the chain
+        # above `before`, past the nodes whose own windows end there.
+        touched = 0
+        node = before
+        while node is not None and last.get(node, node) is before:
+            node = node.parent
+        while node is not None and last.get(node, node) is end:
+            if node is before:
+                del last[node]
+            else:
+                last[node] = before
+            touched += 1
+            node = node.parent
+        block = blocks[number]
+        if number == final:
+            removed = block.nodes[first:stop]
+        else:
+            removed = block.nodes[first:]
+            for inner in blocks[number + 1:final]:
+                removed += inner.nodes
+            tail = blocks[final]
+            removed += tail.nodes[:stop]
+            del tail.nodes[:stop]
+            del tail.tags[:stop]
+            touched += final - number - 1
+            del blocks[number + 1:final]
+            del self._firsts[number + 1:final]
+            touched += self._rebalance(number + 1)
+            stop = len(block.nodes)
+        del block.nodes[first:stop]
+        del block.tags[first:stop]
+        low, high = tag_of[root], tag_of[end]
+        names = self._names
+        for name in {node.name for node in removed}:
+            run = names[name]
+            start = bisect_left(run.tags, low)
+            stop = bisect_right(run.tags, high)
+            del run.nodes[start:stop]
+            del run.tags[start:stop]
+            if not run.nodes:
+                del names[name]
+        for node in removed:
+            del tag_of[node]
+            last.pop(node, None)
+        touched += len(removed) + self._rebalance(number)
+        self._touched += touched
         self._metric_splices.increment()
+        return len(removed)
+
+    def _rebalance(self, number: int) -> int:
+        """Repair block ``number`` after a cut: drop it if empty, else
+        refresh its first tag and fold a successor it fits with into it.
+        Returns the directory entries rewritten."""
+        blocks = self._blocks
+        firsts = self._firsts
+        block = blocks[number]
+        if not block.nodes:
+            del blocks[number]
+            del firsts[number]
+            return 1
+        firsts[number] = block.tags[0]
+        if (number + 1 == len(blocks)
+                or len(block.nodes) + len(blocks[number + 1].nodes) > _BLOCK):
+            return 0
+        follower = blocks.pop(number + 1)
+        del firsts[number + 1]
+        block.nodes += follower.nodes
+        block.tags += follower.tags
+        return 1
+
+    def _splice_rename(self, node: XMLNode, old_name: Optional[str]) -> int:
+        """Move a renamed node from its old name's run to its new one's."""
+        tag = self._tag.get(node)
+        if tag is None:
+            return 0  # not on the index (deferred by a batch)
+        run = self._names[old_name]
+        slot = bisect_left(run.tags, tag)
+        del run.nodes[slot]
+        del run.tags[slot]
+        if not run.nodes:
+            del self._names[old_name]
+        run = self._names.get(node.name)
+        if run is None:
+            self._names[node.name] = _Run([node], [tag])
+        else:
+            slot = bisect_right(run.tags, tag)
+            run.nodes.insert(slot, node)
+            run.tags.insert(slot, tag)
+        self._touched += 2
+        return 1
 
     # ------------------------------------------------------------------
     # Staleness gate
@@ -264,42 +523,34 @@ class AxisAccelerator:
         """Count one staleness refusal and raise it as an error event."""
         self._metric_stale.increment()
         with instrument("accelerator.stale_refusal",
-                        scheme=self.ldoc.scheme.metadata.name,
-                        message=message):
+                        scheme=self._scheme_name, message=message):
             raise StaleIndexError(message)
 
     def _batch_pending(self) -> bool:
         batch = self.ldoc._active_batch
         return batch is not None and batch.pending > 0
 
-    def _ensure_current(self) -> None:
+    def ensure_current(self) -> None:
+        """Build the index if it is marked for it, or refuse: raise
+        :class:`StaleIndexError` if it cannot answer right now."""
+        if (not self._dirty and self.ldoc._active_batch is None
+                and self._stamp == self.document.structure_version):
+            return  # current: the check every axis step makes
         strategy, reason = self.explain_state()
         if strategy != self.STRATEGY:
             self._refuse_stale(reason)
         if self._dirty:
             self.refresh()
 
-    def _position(self, node: XMLNode) -> int:
-        # Identity check, not just id: node ids are per-document
-        # counters, so a node from another document (or a replaced tree)
-        # can collide with a live id.
-        position = self._pos.get(node.node_id)
-        if position is None or self._nodes[position] is not node:
-            self._refuse_stale(
-                f"node {node.node_id} is not on the index "
-                f"(refresh needed?)"
-            )
-        return position
-
     # ------------------------------------------------------------------
     # Result ordering
     # ------------------------------------------------------------------
 
     def document_order(self, nodes: List[XMLNode]) -> Optional[List[XMLNode]]:
-        """``nodes`` sorted into document order by their index positions.
+        """``nodes`` sorted into document order by their order tags.
 
         O(k log k) in ``len(nodes)``, whatever the document size.  The
-        index only vouches for positions a query would be answered from:
+        index only vouches for tags a query would be answered from:
         when it is marked for rebuild, its stamp is behind the
         document's ``structure_version``, a batch has unlabelled pending
         nodes, or a node is not on the index (by identity, as for axis
@@ -308,110 +559,179 @@ class AxisAccelerator:
         """
         if self.stale or self._batch_pending():
             return None
-        index = self._nodes
-        lookup = self._pos.get
-        positions = []
+        tag_of = self._tag
         for node in nodes:
-            position = lookup(node.node_id)
-            if position is None or index[position] is not node:
+            if node not in tag_of:
                 return None
-            positions.append(position)
-        positions.sort()
-        return [index[position] for position in positions]
+        return sorted(nodes, key=tag_of.__getitem__)
 
     # ------------------------------------------------------------------
     # Axis queries
     # ------------------------------------------------------------------
 
-    def evaluate(self, axis: str, node: XMLNode) -> List[XMLNode]:
-        """All nodes on ``axis`` from ``node``, in document order."""
-        if axis not in AXES:
+    def evaluate(self, axis: str, node: XMLNode,
+                 name: Optional[str] = None) -> List[XMLNode]:
+        """All nodes on ``axis`` from ``node``, in document order.
+
+        With ``name``, only the nodes called ``name`` (of any kind):
+        the descendant, descendant-or-self, following and preceding
+        axes then read that name's run of the order instead of the
+        whole window.
+        """
+        handler = _HANDLERS.get(axis)
+        if handler is None:
             raise UnsupportedRelationshipError(f"unknown axis {axis!r}")
-        self._ensure_current()
+        self.ensure_current()
         self._metric_queries.increment()
-        handler = getattr(self, "_axis_" + axis.replace("-", "_"))
-        return handler(self._position(node))
+        if node not in self._tag:
+            self._refuse_stale(
+                f"node {node.node_id} is not on the index "
+                f"(refresh needed?)"
+            )
+        if axis in _NAMED_AXES:
+            return getattr(self, handler)(node, name)
+        nodes = getattr(self, handler)(node)
+        if name is None:
+            return nodes
+        return [other for other in nodes if other.name == name]
 
-    def _axis_self(self, position: int) -> List[XMLNode]:
-        return [self._nodes[position]]
+    # -- windows -----------------------------------------------------------
 
-    def _axis_attribute(self, position: int) -> List[XMLNode]:
-        return self._nodes[position].attributes()
+    def _locate(self, node: XMLNode) -> Tuple[int, int]:
+        """``(block number, position in the block)`` of an indexed node."""
+        tag = self._tag[node]
+        number = bisect_right(self._firsts, tag) - 1
+        return number, bisect_left(self._blocks[number].tags, tag)
 
-    def _axis_descendant(self, position: int) -> List[XMLNode]:
-        return self._nodes[position + 1:self._end[position]]
-
-    def _axis_descendant_or_self(self, position: int) -> List[XMLNode]:
-        return self._nodes[position:self._end[position]]
-
-    def _axis_following(self, position: int) -> List[XMLNode]:
-        return self._nodes[self._end[position]:]
-
-    def _axis_preceding(self, position: int) -> List[XMLNode]:
-        # Jump whole subtree windows: a window closing at or before the
-        # context position is entirely preceding (copied as one slice);
-        # a window still open there belongs to an ancestor, which is
-        # skipped without scanning its other children one by one.
-        result: List[XMLNode] = []
-        j = 0
-        while j < position:
-            stop = self._end[j]
-            if stop <= position:
-                result.extend(self._nodes[j:stop])
-                j = stop
-            else:
-                j += 1
+    def _between(self, number: int, first: int,
+                 final: Optional[int], stop: int) -> List[XMLNode]:
+        """The order from position ``first`` of block ``number`` up to,
+        not including, position ``stop`` of block ``final`` (``None``:
+        to the end)."""
+        blocks = self._blocks
+        if number == final:
+            return blocks[number].nodes[first:stop]
+        result = blocks[number].nodes[first:]
+        for block in blocks[number + 1:final]:
+            result += block.nodes
+        if final is not None:
+            result += blocks[final].nodes[:stop]
         return result
 
-    def _axis_ancestor(self, position: int) -> List[XMLNode]:
-        result: List[XMLNode] = []
-        j = 0
-        while j < position:
-            if self._end[j] > position:
-                result.append(self._nodes[j])
-                j += 1
-            else:
-                j = self._end[j]
-        return result
-
-    def _axis_ancestor_or_self(self, position: int) -> List[XMLNode]:
-        result = self._axis_ancestor(position)
-        result.append(self._nodes[position])
-        return result
-
-    def _axis_parent(self, position: int) -> List[XMLNode]:
-        ancestors = self._axis_ancestor(position)
-        return ancestors[-1:]
-
-    def _axis_child(self, position: int) -> List[XMLNode]:
-        result: List[XMLNode] = []
-        j = position + 1
-        stop = self._end[position]
-        while j < stop:
-            result.append(self._nodes[j])
-            j = self._end[j]
-        return result
-
-    def _axis_following_sibling(self, position: int) -> List[XMLNode]:
-        ancestors = self._axis_ancestor(position)
-        if not ancestors:
+    def _run_range(self, name: str, low: int, high: Optional[int],
+                   inclusive: bool) -> List[XMLNode]:
+        """``name``'s nodes with tags above ``low`` (or equal, when
+        ``inclusive``) and at most ``high`` (``None``: no bound)."""
+        run = self._names.get(name)
+        if run is None:
             return []
-        parent_pos = self._pos[ancestors[-1].node_id]
+        tags = run.tags
+        start = (bisect_left if inclusive else bisect_right)(tags, low)
+        if high is None:
+            return run.nodes[start:]
+        return run.nodes[start:bisect_right(tags, high)]
+
+    @staticmethod
+    def _chain(node: XMLNode) -> List[XMLNode]:
+        """The ancestors of ``node``, root first."""
+        chain = []
+        ancestor = node.parent
+        while ancestor is not None:
+            chain.append(ancestor)
+            ancestor = ancestor.parent
+        chain.reverse()
+        return chain
+
+    # -- axes --------------------------------------------------------------
+
+    def _axis_self(self, node: XMLNode) -> List[XMLNode]:
+        return [node]
+
+    def _axis_attribute(self, node: XMLNode) -> List[XMLNode]:
+        return node.attributes()
+
+    def _axis_descendant(self, node: XMLNode,
+                         name: Optional[str]) -> List[XMLNode]:
+        end = self._last.get(node)
+        if end is None:
+            return []
+        if name is not None:
+            tag_of = self._tag
+            return self._run_range(name, tag_of[node], tag_of[end], False)
+        number, first = self._locate(node)
+        final, stop = self._locate(end)
+        return self._between(number, first + 1, final, stop + 1)
+
+    def _axis_descendant_or_self(self, node: XMLNode,
+                                 name: Optional[str]) -> List[XMLNode]:
+        end = self._last.get(node, node)
+        if name is not None:
+            tag_of = self._tag
+            return self._run_range(name, tag_of[node], tag_of[end], True)
+        number, first = self._locate(node)
+        final, stop = self._locate(end)
+        return self._between(number, first, final, stop + 1)
+
+    def _axis_following(self, node: XMLNode,
+                        name: Optional[str]) -> List[XMLNode]:
+        end = self._last.get(node, node)
+        if name is not None:
+            return self._run_range(name, self._tag[end], None, False)
+        number, stop = self._locate(end)
+        return self._between(number, stop + 1, None, 0)
+
+    def _axis_preceding(self, node: XMLNode,
+                        name: Optional[str]) -> List[XMLNode]:
+        # Every node before this one but its ancestors: the stretches
+        # between consecutive members of the ancestor chain.
+        chain = self._chain(node)
+        if name is not None:
+            result = self._run_range(name, 0, self._tag[node] - 1, True)
+            named = {ancestor for ancestor in chain if ancestor.name == name}
+            if named:
+                result = [other for other in result if other not in named]
+            return result
+        chain.append(node)
         result: List[XMLNode] = []
-        j = self._end[position]
-        stop = self._end[parent_pos]
-        while j < stop:
-            result.append(self._nodes[j])
-            j = self._end[j]
+        for upper, lower in zip(chain, chain[1:]):
+            number, first = self._locate(upper)
+            final, stop = self._locate(lower)
+            result += self._between(number, first + 1, final, stop)
         return result
 
-    def _axis_preceding_sibling(self, position: int) -> List[XMLNode]:
-        ancestors = self._axis_ancestor(position)
-        if not ancestors:
+    def _axis_ancestor(self, node: XMLNode) -> List[XMLNode]:
+        return self._chain(node)
+
+    def _axis_ancestor_or_self(self, node: XMLNode) -> List[XMLNode]:
+        chain = self._chain(node)
+        chain.append(node)
+        return chain
+
+    def _axis_parent(self, node: XMLNode) -> List[XMLNode]:
+        return [node.parent] if node.parent is not None else []
+
+    def _axis_child(self, node: XMLNode,
+                    name: Optional[str]) -> List[XMLNode]:
+        tag_of = self._tag
+        if name is None:
+            return [child for child in node.children if child in tag_of]
+        return [child for child in node.children
+                if child.name == name and child in tag_of]
+
+    def _axis_following_sibling(self, node: XMLNode) -> List[XMLNode]:
+        parent = node.parent
+        if parent is None:
             return []
-        result: List[XMLNode] = []
-        j = self._pos[ancestors[-1].node_id] + 1
-        while j < position:
-            result.append(self._nodes[j])
-            j = self._end[j]
-        return result
+        siblings = parent.children
+        tag_of = self._tag
+        return [sibling for sibling in siblings[siblings.index(node) + 1:]
+                if sibling in tag_of]
+
+    def _axis_preceding_sibling(self, node: XMLNode) -> List[XMLNode]:
+        parent = node.parent
+        if parent is None:
+            return []
+        siblings = parent.children
+        tag_of = self._tag
+        return [sibling for sibling in siblings[:siblings.index(node)]
+                if sibling in tag_of]

@@ -39,7 +39,8 @@ class AxisEvaluator:
 
     ``accelerator`` (the document's own index,
     ``ldoc.accelerator()``) answers every axis instead of the O(n)
-    label-table scan; without one, every axis takes the scan.
+    label-table scan; without one, every axis takes the scan.  A
+    ``name`` passed to :meth:`evaluate` keeps only the nodes so called.
     """
 
     def __init__(self, ldoc: LabeledDocument, allow_fallback: bool = False,
@@ -53,14 +54,20 @@ class AxisEvaluator:
 
     # ------------------------------------------------------------------
 
-    def evaluate(self, axis: str, node: XMLNode) -> List[XMLNode]:
-        """All nodes on ``axis`` from ``node``, in document order."""
+    def evaluate(self, axis: str, node: XMLNode,
+                 name: Optional[str] = None) -> List[XMLNode]:
+        """All nodes on ``axis`` from ``node``, in document order.
+
+        With ``name``, only the nodes called ``name``: the index then
+        reads that name's nodes instead of the whole axis.
+        """
         if self.accelerator is not None:
             self.accelerated_hits += 1
-            return self.accelerator.evaluate(axis, node)
-        return self.evaluate_scan(axis, node)
+            return self.accelerator.evaluate(axis, node, name)
+        return self.evaluate_scan(axis, node, name)
 
-    def evaluate_scan(self, axis: str, node: XMLNode) -> List[XMLNode]:
+    def evaluate_scan(self, axis: str, node: XMLNode,
+                      name: Optional[str] = None) -> List[XMLNode]:
         """``axis`` from ``node`` via the label-table scan path only.
 
         EXPLAIN uses it to answer a step the index refuses (a batch with
@@ -71,7 +78,10 @@ class AxisEvaluator:
         if axis not in AXES:
             raise UnsupportedRelationshipError(f"unknown axis {axis!r}")
         handler = getattr(self, "_axis_" + axis.replace("-", "_"))
-        return handler(node)
+        nodes = handler(node)
+        if name is None:
+            return nodes
+        return [other for other in nodes if other.name == name]
 
     def document_order(self, nodes: List[XMLNode]) -> List[XMLNode]:
         """``nodes`` sorted by label comparison (Definition 1)."""

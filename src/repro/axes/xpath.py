@@ -97,7 +97,9 @@ class XPathEvaluator:
 
         Predicates are evaluated once per context node, over that
         node's own axis result — XPath 1.0 semantics: /a/b/c[1] is the
-        first c of *each* b, not the first of the merged set.
+        first c of *each* b, not the first of the merged set.  A name
+        test reaches the index with the axis, so only nodes of that
+        name count as the step's axis rows.
         """
         recorder = self.recorder
         evaluate = self.axes.evaluate
@@ -106,10 +108,11 @@ class XPathEvaluator:
             strategy, reason = self.index.explain_state()
             if strategy == "scan":
                 evaluate = self.axes.evaluate_scan
+        name = step.name_test if step.name_test != "*" else None
         axis_rows = 0
         gathered: List[XMLNode] = []
         for node in contexts:
-            candidates = evaluate(axis, node)
+            candidates = evaluate(axis, node, name)
             axis_rows += len(candidates)
             gathered.extend(apply_node_tests(step, candidates))
         output = self._dedupe(gathered)

@@ -24,7 +24,8 @@ Rollback replays the log newest first through the tree's own
 that were removed: node references held across a rollback stay valid
 (nodes created inside the scope are detached again), and delta
 subscribers such as the axis accelerator receive the inverse
-``insert``/``delete`` deltas and splice instead of rebuilding.  Node ids
+``insert``/``delete``/``rename`` deltas and splice instead of
+rebuilding.  Node ids
 are never rewound, so ids stay unique across rollbacks.  A batch opened
 inside a transaction rolls back only to its own savepoint; committing
 the outermost scope drops the log.

@@ -31,7 +31,7 @@ from repro.core.properties import (
     EncodingRepresentation,
 )
 from repro.errors import OverflowEvent, UnsupportedRelationshipError
-from repro.xmlmodel.tree import Document
+from repro.xmlmodel.tree import Document, XMLNode
 
 
 class SchemeFamily(enum.Enum):
@@ -91,14 +91,15 @@ class SiblingInsertContext:
     """Everything a scheme may need to label one newly inserted node.
 
     The tree already contains the new node (``new_id``) positioned under
-    ``parent_id`` between ``left_id`` and ``right_id`` (either may be
-    ``None`` at the ends); ``labels`` is the current label map, which the
-    scheme must not mutate — changes are reported via
+    ``parent`` (id ``parent_id``) between ``left_id`` and ``right_id``
+    (either may be ``None`` at the ends); ``labels`` is the current label
+    map, which the scheme must not mutate — changes are reported via
     :class:`InsertOutcome`.
     """
 
     document: Document
     labels: Dict[int, Any]
+    parent: XMLNode
     parent_id: int
     left_id: Optional[int]
     right_id: Optional[int]

@@ -115,7 +115,7 @@ class DeweyScheme(PrefixSchemeBase):
         earlier deletions are reused, so only genuinely colliding
         followers move.
         """
-        parent = context.document.node_by_id(context.parent_id)
+        parent = context.parent
         parent_label = context.parent_label
         # Siblings not yet labelled (later nodes of a subtree graft) are
         # invisible: they will be labelled after this node.

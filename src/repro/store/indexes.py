@@ -3,17 +3,19 @@
 An XML repository answers pattern queries from *indexes*, not tree
 walks: the name lookup lists an element/attribute name's labelled
 occurrences in document order (exactly what the structural joins
-consume), and the value lookup finds nodes by text content.  Both
-filter the document order kept by the document's one
-:class:`~repro.axes.accelerator.AxisAccelerator` — the element index
-over a structural index — so they follow every update the index
-follows, with no copy of their own to rebuild.
+consume), and the value lookup finds nodes by text content.  Both read
+the document's one :class:`~repro.axes.accelerator.AxisAccelerator`:
+the name lookup returns its per-name list (the element index over a
+structural index), the value lookup filters its document order, so
+they follow every update the index follows, with no copy of their own
+to rebuild.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Tuple
 
+from repro.axes.accelerator import AxisAccelerator
 from repro.updates.document import LabeledDocument
 from repro.xmlmodel.tree import XMLNode
 
@@ -27,15 +29,17 @@ class DocumentIndexes:
     def __init__(self, ldoc: LabeledDocument):
         self.ldoc = ldoc
 
-    def refresh(self) -> List[XMLNode]:
-        """Bring the document's index up to date; its nodes, in order."""
-        return self.ldoc.accelerator().nodes()
+    def refresh(self) -> AxisAccelerator:
+        """The document's index, brought up to date."""
+        index = self.ldoc.accelerator()
+        index.ensure_current()
+        return index
 
     def by_name(self, name: str) -> List[Entry]:
         """Occurrences of ``name``, in document order."""
         labels = self.ldoc.labels
-        return [(labels[node.node_id], node) for node in self.refresh()
-                if node.name == name]
+        return [(labels[node.node_id], node)
+                for node in self.refresh().named(name)]
 
     def by_value(self, value: str) -> List[Entry]:
         """Nodes whose (stripped) text or attribute value equals ``value``.
@@ -46,7 +50,7 @@ class DocumentIndexes:
             return []
         labels = self.ldoc.labels
         return [
-            (labels[node.node_id], node) for node in self.refresh()
+            (labels[node.node_id], node) for node in self.refresh().nodes()
             if (node.value if node.is_attribute
                 else node.text_value().strip()) == value
         ]

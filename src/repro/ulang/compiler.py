@@ -20,7 +20,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.axes.xpath_ast import LocationPath, parse_xpath
+from repro.axes.xpath_ast import (
+    REVERSE_AXES,
+    LocationPath,
+    apply_node_tests,
+    parse_xpath,
+)
 from repro.errors import ULangTargetError
 from repro.observability.metrics import get_registry
 from repro.ulang.ast import (
@@ -96,18 +101,25 @@ def resolve_targets(ldoc, paths: Union[str, Sequence[LocationPath]],
     ``paths`` is either a raw XPath string or pre-parsed
     :class:`LocationPath` branches.  Results are in document order with
     duplicates removed; an empty list means the target is unsatisfied.
-    """
-    from repro.axes.xpath_ast import apply_node_tests
 
+    A step from one context node already lists its nodes in document
+    order, so the preorder numbering of the whole tree is built only
+    when something reads it: a ``following`` or ``preceding`` step, or
+    a merge of results from several context nodes or union branches.
+    """
     if isinstance(paths, str):
         paths = parse_xpath(paths)
     root = ldoc.document.root
     if root is None:
         return []
-    order = {
-        node.node_id: position
-        for position, node in enumerate(root.preorder())
-    }
+    order: Dict[int, int] = {}
+
+    def numbered() -> Dict[int, int]:
+        if not order:
+            order.update((node.node_id, position)
+                         for position, node in enumerate(root.preorder()))
+        return order
+
     gathered: List[XMLNode] = []
     for branch in paths:
         steps = list(branch.steps)
@@ -126,6 +138,16 @@ def resolve_targets(ldoc, paths: Union[str, Sequence[LocationPath]],
         else:
             current = [root]
         for step in steps:
+            if not current:
+                break
+            if step.axis in ("following", "preceding"):
+                numbered()
+            if len(current) == 1:
+                current = apply_node_tests(
+                    step, _axis_candidates(step.axis, current[0], order))
+                if step.predicates and step.axis in REVERSE_AXES:
+                    current.reverse()  # back from proximity order
+                continue
             step_gathered: List[XMLNode] = []
             seen = set()
             for node in current:
@@ -134,8 +156,11 @@ def resolve_targets(ldoc, paths: Union[str, Sequence[LocationPath]],
                     if match.node_id not in seen:
                         seen.add(match.node_id)
                         step_gathered.append(match)
+            positions = numbered()
             current = sorted(step_gathered,
-                             key=lambda node: order[node.node_id])
+                             key=lambda node: positions[node.node_id])
+        if len(paths) == 1:
+            return current
         gathered.extend(current)
     seen = set()
     unique = []
@@ -143,7 +168,8 @@ def resolve_targets(ldoc, paths: Union[str, Sequence[LocationPath]],
         if node.node_id not in seen:
             seen.add(node.node_id)
             unique.append(node)
-    return sorted(unique, key=lambda node: order[node.node_id])
+    positions = numbered()
+    return sorted(unique, key=lambda node: positions[node.node_id])
 
 
 def _outermost(nodes: List[XMLNode]) -> List[XMLNode]:

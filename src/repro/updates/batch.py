@@ -42,7 +42,7 @@ Accounting contract (the batch/per-op parity rules):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
 from repro.errors import BatchError
 from repro.observability.metrics import get_registry
@@ -103,6 +103,8 @@ class UpdateBatch:
         self._ldoc = ldoc
         self._undo = None
         self._pending: Set[int] = set()
+        #: Deferred nodes not yet published to the delta stream, by id.
+        self._unpublished: Dict[int, "XMLNode"] = {}
         self._results: List[UpdateResult] = []
         self._operations = 0
         self._deferrals = 0
@@ -207,10 +209,12 @@ class UpdateBatch:
         self._prepare()
         doomed = [
             child.node_id for child in node.preorder()
-            if child.node_id in self._pending
+            if child.node_id in self._unpublished
         ]
         result = self._ldoc._do_delete(node)
         self._pending.difference_update(doomed)
+        for node_id in doomed:
+            del self._unpublished[node_id]
         self._drop_labelled_pending()
         self._deletions += 1
         return self._record(result)
@@ -259,7 +263,9 @@ class UpdateBatch:
         produces every outstanding label — and, as a full relabelling,
         replaces fast-path labels assigned earlier in the batch so the
         final label set is exactly the scheme's canonical labelling of
-        the current tree.
+        the current tree.  Delta subscribers then receive one ``insert``
+        per node the pass labelled, in document order; the relabelling
+        itself publishes nothing, since it moves no node.
 
         If the pass itself fails partway (a collision, an injected
         crash), the batch is *not* closed: :meth:`rollback` — or the
@@ -298,9 +304,9 @@ class UpdateBatch:
                     get_registry().histogram(
                         f"scheme.{scheme_name}.relabel_extent"
                     ).observe(relabeled_nodes)
-                ldoc._publish_rebuild("batch-apply")
                 passes = 1
                 self._pending.clear()
+            self._publish_labelled()
             for result in self._results:
                 if result.node is not None and result.kind != "delete":
                     result.label = ldoc.labels.get(result.node.node_id)
@@ -385,6 +391,7 @@ class UpdateBatch:
         self._applied = True
         self._undo = None
         self._pending.clear()
+        self._unpublished.clear()
         self._ldoc._active_batch = None
 
     def _prepare(self) -> None:
@@ -424,6 +431,7 @@ class UpdateBatch:
             outcome = ldoc.scheme.plan_insert(ldoc._insert_context_for(node))
         if outcome is None:
             self._pending.add(node.node_id)
+            self._unpublished[node.node_id] = node
             self._deferrals += 1
             self._metric_deferred.value += 1
             return UpdateResult(kind="insert", node=node, labels_assigned=1,
@@ -433,12 +441,28 @@ class UpdateBatch:
             self._overflow_events += 1
         ldoc._assign(node.node_id, outcome.label)
         ldoc._publish_insert(node)
+        self._unpublished.pop(node.node_id, None)
         self._fast_labels += 1
         self._metric_fast.value += 1
         return UpdateResult(
             kind="insert", node=node, label=outcome.label, labels_assigned=1,
             overflow_events=1 if outcome.overflowed else 0,
         )
+
+    def _publish_labelled(self) -> None:
+        """Publish the deferred nodes that carry labels now, in order.
+
+        They were attached while deferred, so the delta stream has not
+        seen them; parents come before children, as the index needs.
+        """
+        labels = self._ldoc.labels
+        nodes = [node for node_id, node in self._unpublished.items()
+                 if node_id in labels]
+        self._unpublished.clear()
+        if len(nodes) > 1:
+            nodes.sort(key=_tree_position)
+        for node in nodes:
+            self._ldoc._publish_insert(node)
 
     def _drop_labelled_pending(self) -> None:
         """Forget pending nodes a relabelling just gave labels to."""
@@ -448,6 +472,16 @@ class UpdateBatch:
             node_id for node_id in self._pending if node_id in self._ldoc.labels
         ]
         self._pending.difference_update(labelled)
+
+
+def _tree_position(node: "XMLNode") -> List[int]:
+    """``node``'s child indexes from the root down: a document-order key."""
+    path = []
+    while node.parent is not None:
+        path.append(node.parent.children.index(node))
+        node = node.parent
+    path.reverse()
+    return path
 
 
 def apply_batch(ldoc: "LabeledDocument",

@@ -55,29 +55,29 @@ class StructuralDelta:
 
     * ``"insert"`` — ``node`` was just labelled in place (its labelled
       descendants, if any in the tree, are not labelled yet — subtree
-      grafts and moves publish one insert per node, in preorder);
-    * ``"delete"`` — the subtree rooted at ``node_id`` was detached;
-      ``removed_ids`` lists every labelled-kind node id that went with it;
-    * ``"rebuild"`` — the label space was replaced wholesale: a batch's
-      consolidated relabelling, or the rollback of one.  Incremental
-      repair is not possible and subscribers must rebuild.  Other
-      rollbacks publish the inverse ``insert``/``delete`` deltas of
-      what they undo.
+      grafts and moves publish one insert per node, in preorder; an
+      applied batch publishes one per node it labelled, in document
+      order);
+    * ``"delete"`` — the subtree rooted at ``node`` was detached (it is
+      intact, only cut off from the tree);
+    * ``"rename"`` — ``node``, called ``old_name`` until now, took its
+      current name.
 
-    ``structure_version`` is the document's
+    A rollback publishes the inverse ``insert``, ``delete`` and
+    ``rename`` deltas of what it undoes.  ``structure_version`` is the
+    document's
     :attr:`~repro.xmlmodel.tree.Document.structure_version` at publish
     time — subscribers stamp themselves with it after consuming the
     delta.
 
-    A relabelling publishes nothing: it moves no node, so no
-    position-based index depends on it.
+    A relabelling publishes nothing, batch consolidations and their
+    rollback included: it moves no node, so no order-based index
+    depends on it.
     """
 
     kind: str
-    node: Optional[XMLNode] = None
-    node_id: Optional[int] = None
-    removed_ids: Optional[List[int]] = None
-    reason: str = ""
+    node: XMLNode
+    old_name: Optional[str] = None
     structure_version: int = 0
 
 
@@ -213,15 +213,14 @@ class LabeledDocument:
         if self._delta_listeners:
             self._publish(StructuralDelta(kind="insert", node=node))
 
-    def _publish_delete(self, node_id: int, removed_ids: List[int]) -> None:
+    def _publish_delete(self, node: XMLNode) -> None:
         if self._delta_listeners:
-            self._publish(StructuralDelta(
-                kind="delete", node_id=node_id, removed_ids=removed_ids
-            ))
+            self._publish(StructuralDelta(kind="delete", node=node))
 
-    def _publish_rebuild(self, reason: str) -> None:
+    def _publish_rename(self, node: XMLNode, old_name: str) -> None:
         if self._delta_listeners:
-            self._publish(StructuralDelta(kind="rebuild", reason=reason))
+            self._publish(StructuralDelta(kind="rename", node=node,
+                                          old_name=old_name))
 
     def accelerator(self) -> "Any":
         """The document's structural index, created on first use.
@@ -375,7 +374,7 @@ class LabeledDocument:
                 self.document, self.labels, node.node_id
             )
             self._drop_labels(removed_ids)
-            self._publish_delete(node.node_id, removed_ids)
+            self._publish_delete(node)
             result = UpdateResult(kind="delete", node=None,
                                   nodes_detached=len(removed_ids))
             if relabeled:
@@ -404,7 +403,7 @@ class LabeledDocument:
                 self.document, self.labels, node.node_id
             )
             self._drop_labels(moved_ids)
-            self._publish_delete(node.node_id, moved_ids)
+            self._publish_delete(node)
             combined = UpdateResult(kind="move", node=node,
                                     nodes_detached=len(moved_ids))
             if relabeled:
@@ -460,9 +459,14 @@ class LabeledDocument:
     def _do_rename(self, node: XMLNode, name: str) -> UpdateResult:
         if not node.kind.is_labeled:
             raise UpdateError("rename targets element or attribute nodes")
+        old_name = node.name
         if self._undo_log is not None:
-            self._undo_log.append(("name", node, node.name))
+            self._undo_log.append(("name", node, old_name))
         node.name = name
+        # The index lists nodes by name: an index that misses this must
+        # see its stamp fall behind.
+        self.document.note_structural_change()
+        self._publish_rename(node, old_name)
         self.log.record("content_updates")
         return UpdateResult(kind="content", node=node,
                             label=self.labels.get(node.node_id))
@@ -553,23 +557,26 @@ class LabeledDocument:
         # Siblings without labels yet (later nodes of a subtree being
         # moved or grafted in preorder, or batch-deferred insertions) are
         # invisible to the insertion: the new node is positioned among
-        # the already-labelled ones.
-        siblings = [
-            child for child in parent.labeled_children()
-            if child.node_id == node.node_id or child.node_id in self.labels
-        ]
-        position = next(
-            index for index, child in enumerate(siblings)
-            if child.node_id == node.node_id
-        )
-        left = siblings[position - 1] if position > 0 else None
-        right = siblings[position + 1] if position + 1 < len(siblings) else None
+        # the already-labelled ones, its nearest labelled neighbours.
+        siblings = parent.children
+        labels = self.labels
+        slot = siblings.index(node)
+        left = right = None
+        for index in range(slot - 1, -1, -1):
+            if siblings[index].node_id in labels:
+                left = siblings[index].node_id
+                break
+        for index in range(slot + 1, len(siblings)):
+            if siblings[index].node_id in labels:
+                right = siblings[index].node_id
+                break
         return SiblingInsertContext(
             document=self.document,
-            labels=self.labels,
+            labels=labels,
+            parent=parent,
             parent_id=parent.node_id,
-            left_id=left.node_id if left is not None else None,
-            right_id=right.node_id if right is not None else None,
+            left_id=left,
+            right_id=right,
             new_id=node.node_id,
         )
 
@@ -729,8 +736,9 @@ class LabeledDocument:
         (so ``structure_version`` only moves forward) and publish the
         inverse ``insert``/``delete`` deltas; the node objects put back
         are the ones removed, so references held across the rollback
-        stay valid.  Undoing a whole-map replacement publishes
-        ``rebuild``.
+        stay valid; an undone rename publishes the inverse ``rename``.
+        Undoing a whole-map replacement publishes nothing: the attach
+        and detach entries around it already publish every move.
         """
         log = self._undo_log
         self.document._undo_log = None  # the replay must not log itself
@@ -761,22 +769,21 @@ class LabeledDocument:
                         child.parent = element
                     element.children = children
                 elif tag == "name":
-                    entry[1].name = entry[2]
+                    _tag, node, name = entry
+                    renamed_from, node.name = node.name, name
+                    self.document.note_structural_change()
+                    self._publish_rename(node, renamed_from)
                 elif tag == "value":
                     entry[1].value = entry[2]
-                else:  # "labels"
+                else:  # "labels": positions do not depend on labels
                     self.labels, self._label_index = entry[1], entry[2]
-                    self._publish_rebuild("rollback")
         finally:
             self.document._undo_log = log
 
     def _undo_attach(self, node: XMLNode) -> None:
         node.parent.remove_child(node)
-        if node.kind.is_labeled and self._delta_listeners:
-            self._publish_delete(node.node_id, [
-                child.node_id for child in node.preorder()
-                if child.kind.is_labeled
-            ])
+        if node.kind.is_labeled:
+            self._publish_delete(node)
 
     def _undo_detach(self, node: XMLNode, parent: XMLNode,
                      index: int) -> None:

@@ -304,7 +304,9 @@ class Document:
         Bumped whenever a labelled node is attached to or detached from
         the tree (text/comment/PI churn never moves it), including by a
         rollback, which replays its inverse attaches and detaches
-        through the same calls.  Derived indexes stamp themselves with
+        through the same calls, and by every rename the labelled
+        document performs or undoes (the structural index lists nodes
+        by name).  Derived indexes stamp themselves with
         this value so a stale index can refuse to answer instead of
         silently serving results for a shape the document no longer has.
         """

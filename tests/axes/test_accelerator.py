@@ -123,14 +123,21 @@ class TestIncrementalMaintenance:
         ldoc.updates.move(node, target, len(target.children))
         assert_equivalent(ldoc, accelerator)
 
-    def test_batch_apply_rebuilds_lazily(self):
+    def test_batch_apply_splices_without_rebuild(self):
         ldoc = small_ldoc()
         accelerator = built(ldoc)
+        builds = accelerator._metric_builds.value
+        splices = accelerator._metric_splices.value
         root = ldoc.document.root
         first = next(iter(root.labeled_children()))
         with ldoc.batch() as batch:
             batch.insert_before(first, "head")  # forces a deferral on dewey
+            assert batch.pending
+        assert ldoc.last_batch_result.relabel_passes == 1
+        assert not accelerator.stale
+        assert accelerator._metric_splices.value == splices + 1
         assert_equivalent(ldoc, accelerator)
+        assert accelerator._metric_builds.value == builds
 
     def test_mid_batch_query_refused(self):
         ldoc = small_ldoc()
@@ -230,10 +237,23 @@ class TestStalenessPerMutationKind:
         element = next(
             node for node in ldoc.document.labeled_nodes() if node.name == "d"
         )
+        attribute = next(
+            node for node in ldoc.document.labeled_nodes() if node.name == "i"
+        )
         ldoc.updates.set_text(element, "payload")
-        ldoc.updates.rename(element, "renamed")
+        ldoc.updates.set_attribute_value(attribute, "9")
         assert not accelerator.stale
         assert_equivalent(ldoc, accelerator)
+
+    def test_rename(self):
+        # The index keeps each name's nodes: a rename it missed stales it.
+        ldoc, accelerator = self.detached()
+        element = next(
+            node for node in ldoc.document.labeled_nodes() if node.name == "d"
+        )
+        ldoc.updates.rename(element, "renamed")
+        self.assert_stale(ldoc, accelerator)
+        assert accelerator.named("renamed") == [element]
 
 
 class TestDocumentOrder:
@@ -256,11 +276,10 @@ class TestDocumentOrder:
                 == refusals)
 
     def test_refuses_when_marked_for_rebuild(self):
+        # A new index is marked for a build until its first query, and
+        # ordering does not run that build.
         ldoc = small_ldoc()
-        accelerator = built(ldoc)
-        first = next(iter(ldoc.document.root.labeled_children()))
-        with ldoc.batch() as batch:
-            batch.insert_before(first, "head")  # consolidated relabel
+        accelerator = ldoc.accelerator()
         assert accelerator.stale
         self.assert_refused(accelerator, list(ldoc.document.labeled_nodes()))
 

@@ -80,7 +80,11 @@ class CloneUndoRecord:
             setattr(ldoc.log, name, value)
         ldoc.last_batch_result = self.last_batch_result
         document.note_structural_change()
-        ldoc._publish_rebuild("rollback")
+        # Every node object was swapped, so the document's index orders
+        # a dead tree: drop it, and the next query builds a new one.
+        if ldoc._accelerator is not None:
+            ldoc.unsubscribe_deltas(ldoc._accelerator)
+            ldoc._accelerator = None
 
 
 class Abort(Exception):

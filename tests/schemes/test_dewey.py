@@ -1,7 +1,10 @@
 """DeweyID tests, including the Figure 3 labels."""
 
+import pytest
+
 from conftest import label_sequence, labeled
 from repro.data.sample import FIGURE_3_DEWEY_LABELS, figure3_tree
+from repro.xmlmodel.tree import Document
 
 
 class TestFigure3:
@@ -50,3 +53,30 @@ class TestInsertionShifts:
         ldoc = labeled(figure3_tree(), "dewey")
         for node in ldoc.document.labeled_nodes():
             assert ldoc.scheme.level(ldoc.label_of(node)) == node.depth()
+
+
+class TestInsertFindsItsParentWithoutAWalk:
+    """The insert context carries the parent; no whole-tree id lookup."""
+
+    @pytest.fixture
+    def no_id_lookup(self, monkeypatch):
+        def refuse(self, node_id):
+            raise AssertionError(f"node_by_id({node_id}) walks the tree")
+
+        monkeypatch.setattr(Document, "node_by_id", refuse)
+
+    def test_immediate_inserts(self, no_id_lookup):
+        ldoc = labeled(figure3_tree(), "dewey")
+        first = ldoc.document.root.element_children()[0]
+        ldoc.updates.insert_before(first, "head")  # shifts followers
+        ldoc.updates.append_child(first, "tail")
+        ldoc.verify_order()
+
+    def test_batched_inserts(self, no_id_lookup):
+        ldoc = labeled(figure3_tree(), "dewey")
+        first = ldoc.document.root.element_children()[0]
+        with ldoc.batch() as batch:
+            batch.append_child(first, "fast")  # plan_insert probes
+            batch.insert_before(first, "deferred")
+        assert ldoc.last_batch_result.relabel_passes == 1
+        ldoc.verify_order()

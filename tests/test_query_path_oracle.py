@@ -2,13 +2,17 @@
 
 The document's index (``ldoc.accelerator()``) answers XPath, ``find``,
 ``find_value`` and ``descendant_path``.  After every step of a random
-update program — run through ``ldoc.updates``, through a batch, and
-through a transaction that is rolled back — each must equal its
-reference: the scan-path evaluator of ``tests/reference_xpath.py`` and
-the whole-document rebuild of ``tests/reference_indexes.py``.  The
+update program — run through ``ldoc.updates``, through a batch, through
+a transaction that is rolled back, and through a batch applied inside a
+transaction that is then rolled back — each must equal its reference:
+the scan-path evaluator of ``tests/reference_xpath.py``, the
+whole-document rebuild of ``tests/reference_indexes.py``, and, axis by
+axis with and without a name test, the dense index of
+``tests/reference_accelerator.py`` built from scratch.  The
 ``ElementTree.findall`` subset (``/``, ``//``, ``[tag]``, ``[@a='v']``,
 ``[n]``) must also agree with the standard library on the serialised
-document.
+document.  No batch apply or rollback may rebuild the index: they
+splice.
 """
 
 import xml.etree.ElementTree as ET
@@ -17,10 +21,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from conftest import all_scheme_names, labeled
+from reference_accelerator import DenseAccelerator
 from reference_indexes import reference_indexes
 from reference_xpath import reference_xpath
 from repro.axes.xpath import xpath
+from repro.axes.xpath_ast import AXES
 from repro.errors import StaleIndexError
+from repro.observability.metrics import get_registry
 from repro.store.repository import StoredDocument
 from repro.xmlmodel.parser import parse
 from repro.xmlmodel.serializer import serialize
@@ -35,6 +42,8 @@ QUERIES = (
     "//person/following-sibling::*", "//*/preceding-sibling::*[1]",
     "//person/self::person", "//name/parent::*", "//*/child::*[1]",
     "//*[@id] | //name", "//person[@id='p2']/city", "//item[desc]",
+    "//people//name", "//person/following::name", "//item/preceding::person",
+    "//*[@id]/descendant-or-self::name",
 )
 
 #: ``find`` names (``id`` is an attribute) and ``find_value`` values.
@@ -64,8 +73,24 @@ def assert_same(got, expected, what):
     assert all(left is right for left, right in zip(got, expected)), what
 
 
+def check_index(ldoc):
+    """Every axis from every node, bare and with name tests, against the
+    dense index built from scratch: in order and by identity."""
+    index = ldoc.accelerator()
+    dense = DenseAccelerator(ldoc)
+    nodes = dense.nodes()
+    assert_same(index.nodes(), nodes, "document order")
+    for node in nodes:
+        for axis in AXES:
+            for name in (None, node.name, "name"):
+                assert_same(index.evaluate(axis, node, name),
+                            dense.evaluate(axis, node, name),
+                            (axis, node.name, name))
+
+
 def check_queries(stored):
     ldoc = stored.ldoc
+    check_index(ldoc)
     by_name, by_value = reference_indexes(ldoc)
     for name in NAMES:
         assert_same(stored.find(name),
@@ -111,6 +136,10 @@ def fresh(scheme_name):
     return StoredDocument("doc", labeled(parse(DOCUMENT_XML), scheme_name))
 
 
+def builds():
+    return get_registry().counter("axes.accelerator.builds").value
+
+
 def run_and_check(scheme_name, program):
     # Per operation.
     stored = fresh(scheme_name)
@@ -123,6 +152,8 @@ def run_and_check(scheme_name, program):
     # refuses while one is.
     stored = fresh(scheme_name)
     ldoc = stored.ldoc
+    check_queries(stored)
+    built = builds()
     with ldoc.batch() as batch:
         for serial, step in enumerate(program):
             run_step(ldoc, batch, step, serial)
@@ -131,6 +162,7 @@ def run_and_check(scheme_name, program):
                     xpath(ldoc, "//*")
             else:
                 check_queries(stored)
+    assert builds() == built  # the apply spliced
     check_queries(stored)
     # Through a transaction that rolls back.
     before = [node.node_id for node in ldoc.document.labeled_nodes()]
@@ -141,6 +173,16 @@ def run_and_check(scheme_name, program):
                 check_queries(stored)
             raise RuntimeError("roll back")
     assert [node.node_id for node in ldoc.document.labeled_nodes()] == before
+    check_queries(stored)
+    # Through a batch applied inside a transaction that then rolls back.
+    with pytest.raises(RuntimeError):
+        with ldoc.transaction():
+            with ldoc.batch() as batch:
+                run_program(ldoc, batch, program, 2 * len(program))
+            check_queries(stored)
+            raise RuntimeError("roll back")
+    assert [node.node_id for node in ldoc.document.labeled_nodes()] == before
+    assert builds() == built  # rollbacks spliced too
     check_queries(stored)
 
 
@@ -163,6 +205,33 @@ def test_every_query_axis_is_covered():
     axes = {step.axis for query in QUERIES for branch in split_union(query)
             for step in parse_path(branch)[1]}
     assert axes == set(AXES)
+
+
+def test_renames_move_nodes_between_name_lists():
+    # Renames onto names the index already lists, and back by rollback,
+    # on a persistent scheme and on one whose batches defer (dewey).
+    for scheme_name in ("qed", "dewey"):
+        stored = fresh(scheme_name)
+        ldoc = stored.ldoc
+        check_queries(stored)
+        built = builds()
+        people = stored.find("person")
+        items = stored.find("item")
+        ldoc.updates.rename(people[0], "item")
+        ldoc.updates.rename(items[1], "person")
+        ldoc.updates.rename(stored.find("name")[0], "id")  # an attribute's
+        check_queries(stored)
+        with pytest.raises(RuntimeError):
+            with ldoc.transaction():
+                with ldoc.batch() as batch:
+                    batch.insert_before(people[1], "person")
+                    batch.rename(people[1], "name")
+                    batch.rename(stored.ldoc.document.root, "people")
+                check_queries(stored)
+                raise RuntimeError("roll back")
+        check_queries(stored)
+        assert [node.name for node in stored.find("item")][:1] == ["item"]
+        assert builds() == built
 
 
 def test_a_fixed_program_of_every_kind():
