@@ -44,6 +44,8 @@ from repro.schemes.prefix import ordpath as ordpath_module
 
 _COUNT_BITS = 32
 _DEPTH_BITS = 8
+#: ``struct`` codes for big-endian unsigned fields of 1, 2, 4 and 8 bytes.
+_COMPONENT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 #: Each byte as its four 2-bit units, in base-4 digits, MSB first.
 _BYTE_DIGITS = tuple(
@@ -344,6 +346,43 @@ class DeweyStreamCodec(LabelStreamCodec):
         return tuple(
             reader.read_bits(self.component_bits) for _ in range(depth)
         )
+
+    def read_labels(self, reader: BitReader,
+                    count: int) -> List[Tuple[int, ...]]:
+        """Whole-byte fields are read from the bytes, not bit by bit.
+
+        When the components are a whole number of bytes wide and the
+        reader is on a byte boundary, every field is byte-aligned: an
+        8-bit depth, then whole-byte big-endian components.  Other
+        widths read one field at a time.
+        """
+        width, spare = divmod(self.component_bits, 8)
+        window = None if spare else reader.aligned_bytes()
+        if window is None:
+            return super().read_labels(reader, count)
+        unpack = _COMPONENT_FORMATS.get(width)
+        size = len(window)
+        labels: List[Tuple[int, ...]] = []
+        offset = 0
+        for _ in range(count):
+            if offset >= size:
+                # Past the end: raises, leaving the reader at its end.
+                reader.skip_bits(8 * offset + _DEPTH_BITS)
+            depth = window[offset]
+            start = offset + 1
+            offset = start + depth * width
+            if offset > size:
+                reader.skip_bits(8 * offset)  # past the end: raises
+            if unpack is not None:
+                labels.append(struct.unpack_from(
+                    f">{depth}{unpack}", window, start))
+            else:
+                labels.append(tuple([
+                    int.from_bytes(window[at : at + width], "big")
+                    for at in range(start, offset, width)
+                ]))
+        reader.skip_bits(8 * offset)
+        return labels
 
 
 class DLNStreamCodec(LabelStreamCodec):

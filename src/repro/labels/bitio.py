@@ -19,6 +19,7 @@ ever-growing integer would copy itself on every shift.
 from __future__ import annotations
 
 import re
+from typing import Optional
 
 from repro.errors import InvalidLabelError
 
@@ -150,6 +151,24 @@ class BitReader:
         if count <= 0:
             return b""
         return self.read_bits(8 * count).to_bytes(count, "big")
+
+    def aligned_bytes(self) -> Optional[memoryview]:
+        """The unread whole bytes, or ``None`` off a byte boundary.
+
+        For decoders whose fields are whole bytes: they parse the view
+        and then move past what they used with :meth:`skip_bits`.
+        """
+        if self._position & 7:
+            return None
+        return memoryview(self._data)[self._position >> 3 : self._limit >> 3]
+
+    def skip_bits(self, width: int) -> None:
+        """Consume ``width`` bits unread; past the end as :meth:`read_bits`."""
+        end = self._position + max(width, 0)
+        if end > self._limit:
+            self._position = self._limit
+            raise InvalidLabelError("bit stream exhausted")
+        self._position = end
 
     def peek_bits(self, width: int) -> int:
         """Read ahead without consuming (used by prefix-code decoders)."""

@@ -8,6 +8,7 @@ the inverse of :mod:`repro.xmlmodel.parser` for the supported XML subset.
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional
 
 from repro.errors import TreeStructureError
@@ -15,6 +16,15 @@ from repro.xmlmodel.tree import Document, NodeKind, XMLNode
 
 _TEXT_ESCAPES = [("&", "&amp;"), ("<", "&lt;"), (">", "&gt;")]
 _ATTR_ESCAPES = _TEXT_ESCAPES + [('"', "&quot;")]
+#: A character either escape rewrites; a value without one is written
+#: as it is.
+_ESCAPED = re.compile('[&<>"]')
+
+_ELEMENT = NodeKind.ELEMENT
+_ATTRIBUTE = NodeKind.ATTRIBUTE
+_TEXT = NodeKind.TEXT
+_COMMENT = NodeKind.COMMENT
+_PROCESSING_INSTRUCTION = NodeKind.PROCESSING_INSTRUCTION
 
 
 def escape_text(value: str) -> str:
@@ -36,7 +46,12 @@ class XMLSerializer:
 
     ``indent=None`` (default) produces the compact canonical form the
     parser round-trips exactly; an integer indent produces a pretty-printed
-    rendering for human inspection (used by the examples).
+    rendering for human inspection (used by the examples).  An element
+    whose content holds no text node puts each child on its own line,
+    indented by its depth; mixed content is written as it stands.
+
+    The tree is written in one loop over an explicit stack, so nesting
+    depth is bounded by memory, not by Python's recursion limit.
     """
 
     def __init__(self, indent: Optional[int] = None):
@@ -51,47 +66,75 @@ class XMLSerializer:
     def serialize_node(self, node: XMLNode) -> str:
         """Render the subtree under ``node``."""
         pieces: List[str] = []
-        self._write(node, pieces, depth=0)
+        self._write(node, pieces)
         text = "".join(pieces)
         return text + "\n" if self.indent is not None else text
 
     # ------------------------------------------------------------------
 
-    def _write(self, node: XMLNode, out: List[str], depth: int) -> None:
-        if node.kind is NodeKind.TEXT:
-            out.append(escape_text(node.value or ""))
-        elif node.kind is NodeKind.COMMENT:
-            out.append(f"<!--{node.value or ''}-->")
-        elif node.kind is NodeKind.PROCESSING_INSTRUCTION:
-            data = f" {node.value}" if node.value else ""
-            out.append(f"<?{node.name}{data}?>")
-        elif node.kind is NodeKind.ATTRIBUTE:
-            raise TreeStructureError(
-                "attribute nodes are serialized inside their owner element"
-            )
-        else:
-            self._write_element(node, out, depth)
+    def _write(self, top: XMLNode, out: List[str]) -> None:
+        """Append the text of the subtree under ``top`` to ``out``.
 
-    def _write_element(self, node: XMLNode, out: List[str], depth: int) -> None:
-        attributes = "".join(
-            f' {attr.name}="{escape_attribute(attr.value or "")}"'
-            for attr in node.attributes()
-        )
-        content = [child for child in node.children if not child.is_attribute]
-        if not content:
-            out.append(f"<{node.name}{attributes}/>")
-            return
-        out.append(f"<{node.name}{attributes}>")
-        pretty = self.indent is not None and all(
-            not child.is_text for child in content
-        )
-        for child in content:
-            if pretty:
-                out.append("\n" + " " * self.indent * (depth + 1))
-            self._write(child, out, depth + 1)
-        if pretty:
-            out.append("\n" + " " * self.indent * depth)
-        out.append(f"</{node.name}>")
+        The stack holds ``(item, depth)`` pairs, where an item is a node
+        still to write or a string (an end tag, or a line break and
+        indent) to append as it is.  An element's attributes are its
+        leading children.
+        """
+        indent = self.indent
+        append = out.append
+        stack: list = [(top, 0)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, depth = pop()
+            if node.__class__ is str:
+                append(node)
+                continue
+            kind = node.kind
+            if kind is _ELEMENT:
+                name = node.name
+                children = node.children
+                append("<" + name)
+                first = 0
+                for child in children:
+                    if child.kind is not _ATTRIBUTE:
+                        break
+                    value = child.value or ""
+                    if _ESCAPED.search(value) is not None:
+                        value = escape_attribute(value)
+                    append(f' {child.name}="{value}"')
+                    first += 1
+                if first == len(children):
+                    append("/>")
+                    continue
+                append(">")
+                depth += 1
+                if indent is None or any(
+                    child.kind is _TEXT for child in children
+                ):
+                    push(("</" + name + ">", None))
+                    line = None
+                else:
+                    push((f"\n{' ' * (indent * (depth - 1))}</{name}>", None))
+                    line = "\n" + " " * (indent * depth)
+                for child in reversed(children):
+                    if child.kind is _ATTRIBUTE:
+                        break
+                    push((child, depth))
+                    if line is not None:
+                        push((line, None))
+            elif kind is _TEXT:
+                value = node.value or ""
+                append(escape_text(value)
+                       if _ESCAPED.search(value) is not None else value)
+            elif kind is _COMMENT:
+                append(f"<!--{node.value or ''}-->")
+            elif kind is _PROCESSING_INSTRUCTION:
+                data = f" {node.value}" if node.value else ""
+                append(f"<?{node.name}{data}?>")
+            else:
+                raise TreeStructureError(
+                    "attribute nodes are serialized inside their owner element"
+                )
 
 
 def serialize(document: Document, indent: Optional[int] = None) -> str:

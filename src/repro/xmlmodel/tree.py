@@ -39,18 +39,25 @@ class NodeKind(enum.Enum):
         return self in (NodeKind.ELEMENT, NodeKind.ATTRIBUTE)
 
 
+#: Read once: a member lookup on the enum class is a quarter of the cost
+#: of constructing a node.
+_ELEMENT = NodeKind.ELEMENT
+
+
 class XMLNode:
     """A single node of an XML tree.
 
-    Nodes are created through :class:`Document` (or the builder/parser on
-    top of it) so that every node receives a document-unique integer
-    ``node_id``.  The id is the *identity* used throughout the package:
-    labelling schemes map ``node_id -> label`` and never hold node
-    references, which keeps relabelling and persistence accounting honest.
+    Nodes are created through :class:`Document` (or the builder on top
+    of it; the parser draws ids from the same counter) so that every node
+    receives a document-unique integer ``node_id``.  The id is the
+    *identity* used throughout the package: labelling schemes map
+    ``node_id -> label`` and never hold node references, which keeps
+    relabelling and persistence accounting honest.
 
     ``elements`` is the number of element nodes in the subtree rooted
     here, the node itself included.  :meth:`insert_child` and
-    :meth:`remove_child` keep it current along the ancestor chain, so a
+    :meth:`remove_child` keep it current along the ancestor chain (the
+    parser adds an element's count into its parent when it closes), so a
     node's rank among the document's elements is found from the counts
     on its ancestors' children instead of by listing every element.
     """
@@ -73,7 +80,7 @@ class XMLNode:
         self.value = value
         self.parent: Optional[XMLNode] = None
         self.children: List[XMLNode] = []
-        self.elements = 1 if kind is NodeKind.ELEMENT else 0
+        self.elements = 1 if kind is _ELEMENT else 0
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -201,7 +208,7 @@ class XMLNode:
         return sum(1 for _ in self.preorder())
 
     # ------------------------------------------------------------------
-    # Mutation (used by the parser, builder and updates layer)
+    # Mutation (used by the builder and the updates layer)
     # ------------------------------------------------------------------
 
     def append_child(self, child: "XMLNode") -> "XMLNode":
@@ -372,10 +379,25 @@ class Document:
         will always contain content values and not structural information
         and are thus considered by the XML encoding scheme and not the
         labelling scheme."
+
+        A lazy walk over an explicit stack onto which only element and
+        attribute children are pushed, so no text, comment or PI node
+        is visited.
         """
-        for node in self.all_nodes():
-            if node.kind.is_labeled:
-                yield node
+        if self.root is None:
+            return
+        element, attribute = NodeKind.ELEMENT, NodeKind.ATTRIBUTE
+        stack = [self.root]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node = pop()
+            yield node
+            children = node.children
+            if children:
+                for child in reversed(children):
+                    kind = child.kind
+                    if kind is element or kind is attribute:
+                        push(child)
 
     def node_by_id(self, node_id: int) -> XMLNode:
         """Linear-scan lookup by id (tests and probes only)."""

@@ -124,3 +124,62 @@ def test_encode_and_decode_labels_are_the_only_entry_points(scheme_name):
     codec_class = type(codec_for(make_scheme(scheme_name)))
     assert codec_class.encode_labels is LabelStreamCodec.encode_labels
     assert codec_class.decode_labels is LabelStreamCodec.decode_labels
+
+
+DEWEY_WIDTHS = [8, 12, 16, 32]
+
+
+@pytest.mark.parametrize("width", DEWEY_WIDTHS)
+@settings(max_examples=10, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(program=programs(max_size=10))
+def test_dewey_widths_match_the_reference(width, program):
+    """Whole-byte widths decode from the bytes, 12 bits from the bit
+    reader; all four must agree with the per-field reference."""
+    ldoc = labeled(parse(DOCUMENT_XML), "dewey", component_bits=width)
+    for serial, step in enumerate(program):
+        run_step(ldoc, ldoc.updates, step, serial)
+    assert_matches_reference(codec_for(ldoc.scheme),
+                             ldoc.labels_in_document_order())
+
+
+@pytest.mark.parametrize("width", DEWEY_WIDTHS)
+def test_dewey_widths_raise_on_truncated_streams(width):
+    ldoc = labeled(parse(DOCUMENT_XML), "dewey", component_bits=width)
+    codec = codec_for(ldoc.scheme)
+    data = assert_matches_reference(codec, ldoc.labels_in_document_order())
+    for cut in range(len(data)):
+        with pytest.raises(InvalidLabelError):
+            codec.decode_labels(data[:cut])
+        with pytest.raises(InvalidLabelError):
+            reference_decode(codec, data[:cut])
+
+
+@pytest.mark.parametrize("width", DEWEY_WIDTHS)
+def test_dewey_widths_at_xmark_scale(width):
+    """Components up to the widest 8-bit sibling ordinal, at scale 1."""
+    ldoc = labeled(xmark_document(scale=1, seed=3), "dewey",
+                   component_bits=width)
+    assert_matches_reference(codec_for(ldoc.scheme),
+                             ldoc.labels_in_document_order())
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_dewey_reads_from_a_bit_limited_reader(width):
+    """``read_labels`` from a reader whose limit is not a byte boundary
+    stops where the bit reader would, and leaves the reader after the
+    last label."""
+    from repro.labels.bitio import BitReader, BitWriter
+
+    codec = codec_for(make_scheme("dewey", component_bits=width))
+    labels = [(1,), (1, 2), (1, 2, 3), ()]
+    writer = BitWriter()
+    codec.write_labels(writer, labels)
+    writer.write_bits(0b101, 3)
+    reader = BitReader(writer.getvalue(), writer.bit_length)
+    assert codec.read_labels(reader, len(labels)) == labels
+    assert reader.read_bits(3) == 0b101
+    reader = BitReader(writer.getvalue(), writer.bit_length - 3 - width)
+    with pytest.raises(InvalidLabelError):
+        codec.read_labels(reader, len(labels))
+    assert reader.exhausted

@@ -1,11 +1,13 @@
 """The character-at-a-time XML parser: the parser test oracle.
 
 This is the original :mod:`repro.xmlmodel.parser`, kept whole as the
-reference the run-scanning parser is compared against: character data
-appended one character per loop turn, names and whitespace consumed one
-predicate call per character, entity references decoded one character
-at a time.  The run-scanning parser must build the same tree and raise
-the same ``XMLSyntaxError`` (message, line and column) on every input.
+reference the one-pass parser is compared against: recursive descent,
+one call per element, character data appended one character per loop
+turn, names and whitespace consumed one predicate call per character,
+entity references decoded one character at a time, every node attached
+through ``XMLNode.append_child``.  The one-pass parser must build the
+same tree and raise the same ``XMLSyntaxError`` (message, line and
+column) on every input.
 """
 
 from __future__ import annotations
