@@ -30,7 +30,12 @@ an order-maintenance list does (Dietz & Sleator 1987; Bender et al.
   other window's bounds but those of the ancestors it extends or cuts;
 * each element or attribute name keeps its nodes in document order
   (the XISS-style element index), so a ``//name`` step reads that
-  name's nodes inside the window instead of the whole window.
+  name's nodes inside the window instead of the whole window;
+* each attribute name a step has asked about keeps a map from value to
+  its attribute nodes (a value index beside the element index, as in
+  Mahboubi and Darmont's survey), so an ``[@a='v']`` step on the child,
+  descendant and descendant-or-self axes reads the owners of ``v``
+  instead of filtering every candidate.
 
 An insert or a subtree delete therefore costs O(log n) amortised plus
 the size of the change, and :meth:`AxisAccelerator.document_order` sorts
@@ -41,10 +46,10 @@ A document owns at most one index, created by
 :meth:`LabeledDocument.accelerator` and built at its first query.  It
 subscribes to the document's
 :class:`~repro.updates.document.StructuralDelta` stream: ``insert``,
-``delete`` and ``rename`` deltas are spliced in, rollbacks and batch
-consolidations included — a rollback publishes the inverse inserts,
-deletes and renames of what it undoes, and an applied batch one insert
-per node it labelled.  A relabelling publishes nothing, because it
+``delete``, ``rename`` and ``value`` deltas are spliced in, rollbacks
+and batch consolidations included — a rollback publishes the inverse
+deltas of what it undoes, and an applied batch one insert per node it
+labelled.  A relabelling publishes nothing, because it
 moves no node and the order does not depend on labels.  The document's
 ``structure_version`` stamp closes the remaining hole: a structural
 mutation the index did not consume (a mid-batch deferred insert, a tree
@@ -56,14 +61,16 @@ from a dead order.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, NoReturn, Optional, Tuple
+from typing import Dict, List, NoReturn, Optional, Set, Tuple
 
-from repro.axes.xpath_ast import AXES
+from repro.axes.xpath_ast import AXES, with_attribute
 from repro.errors import StaleIndexError, UnsupportedRelationshipError
 from repro.observability.metrics import get_registry
 from repro.observability.ops import instrument
 from repro.updates.document import LabeledDocument, StructuralDelta
-from repro.xmlmodel.tree import XMLNode
+from repro.xmlmodel.tree import NodeKind, XMLNode
+
+_ATTRIBUTE = NodeKind.ATTRIBUTE
 
 #: Nodes per block after a build; a block splits past twice this.
 _BLOCK = 256
@@ -79,6 +86,11 @@ _HANDLERS = {axis: "_axis_" + axis.replace("-", "_") for axis in AXES}
 #: read a name's run, and child, which filters its list once.
 _NAMED_AXES = frozenset(
     ("descendant", "descendant-or-self", "following", "preceding", "child"))
+
+#: The axes an attribute-value test reads the value maps on: their
+#: results are the owners whose parent is the context (child) or whose
+#: tag lies in its window.
+_VALUE_AXES = frozenset(("child", "descendant", "descendant-or-self"))
 
 
 class _Run:
@@ -155,6 +167,9 @@ class AxisAccelerator:
         #: its subtree window ends at itself).
         self._last: Dict[XMLNode, XMLNode] = {}
         self._names: Dict[str, _Run] = {}
+        #: Attribute name -> value -> that name's attribute nodes so
+        #: valued, for the names a step has asked about.
+        self._values: Dict[str, Dict[str, Set[XMLNode]]] = {}
         self._stamp = -1
         self._dirty = True
         #: Records rewritten one by one by the splice in progress.
@@ -198,6 +213,7 @@ class AxisAccelerator:
             }
             self._tag = tag_of
             self._last = last
+            self._values = {}
             self._dirty = False
             self._stamp = self.document.structure_version
             self._metric_builds.increment()
@@ -258,20 +274,24 @@ class AxisAccelerator:
         The ``accelerator.splice`` event's ``touched`` attribute counts
         the per-node and per-block records the splice rewrote one by
         one: the node's own (each node a cut removes), the windows it
-        extended or cut, the tags a closed gap relabelled and the block
-        directory entries a split, cut or merge rewrote.  A shift
-        inside one list is not counted.
+        extended or cut, the tags a closed gap relabelled, the value-map
+        entries it added or removed and the block directory entries a
+        split, cut or merge rewrote.  A shift inside one list is not
+        counted.
         """
         if not self._dirty:
             with instrument("accelerator.splice", scheme=self._scheme_name,
                             kind=delta.kind) as event:
                 self._touched = 0
-                if delta.kind == "insert":
+                kind = delta.kind
+                if kind == "insert":
                     nodes = self._splice_insert(delta.node)
-                elif delta.kind == "delete":
+                elif kind == "delete":
                     nodes = self._splice_delete(delta.node)
-                else:
+                elif kind == "rename":
                     nodes = self._splice_rename(delta.node, delta.old_name)
+                else:
+                    nodes = self._splice_value(delta.node, delta.old_value)
                 if event:
                     event.set(nodes=nodes, touched=self._touched)
         self._stamp = delta.structure_version
@@ -336,6 +356,8 @@ class AxisAccelerator:
             slot = bisect_right(run.tags, tag)
             run.nodes.insert(slot, node)
             run.tags.insert(slot, tag)
+        if node.kind is _ATTRIBUTE:
+            touched += self._value_add(node)
         if len(tags) > 2 * _BLOCK:
             # Split the block in halves: one new directory entry.
             half = len(tags) // 2
@@ -468,6 +490,8 @@ class AxisAccelerator:
         for node in removed:
             del tag_of[node]
             last.pop(node, None)
+            if node.kind is _ATTRIBUTE:
+                touched += self._value_remove(node, node.name, node.value)
         touched += len(removed) + self._rebalance(number)
         self._touched += touched
         self._metric_splices.increment()
@@ -513,6 +537,52 @@ class AxisAccelerator:
             run.nodes.insert(slot, node)
             run.tags.insert(slot, tag)
         self._touched += 2
+        if node.kind is _ATTRIBUTE:
+            self._touched += (self._value_remove(node, old_name, node.value)
+                              + self._value_add(node))
+        return 1
+
+    def _splice_value(self, node: XMLNode, old_value: Optional[str]) -> int:
+        """Move an attribute from its old value's entry to its new one's."""
+        if node not in self._tag:
+            return 0  # not on the index (deferred by a batch)
+        self._touched += (self._value_remove(node, node.name, old_value)
+                          + self._value_add(node))
+        return 1
+
+    # -- value maps ----------------------------------------------------------
+
+    def _value_map(self, name: str) -> Dict[str, Set[XMLNode]]:
+        """``name``'s value map, built from its run the first time."""
+        values = self._values.get(name)
+        if values is None:
+            values = self._values[name] = {}
+            run = self._names.get(name)
+            for node in run.nodes if run is not None else ():
+                if node.kind is _ATTRIBUTE:
+                    values.setdefault(node.value, set()).add(node)
+        return values
+
+    def _value_add(self, node: XMLNode) -> int:
+        """Enter an indexed attribute under its value, if its name has a
+        map.  Returns the records written (0 or 1), as does removal."""
+        values = self._values.get(node.name)
+        if values is None:
+            return 0
+        values.setdefault(node.value, set()).add(node)
+        return 1
+
+    def _value_remove(self, node: XMLNode, name: str,
+                      value: Optional[str]) -> int:
+        """Take an attribute out of ``name``'s map, where it is entered
+        under ``value``."""
+        values = self._values.get(name)
+        if values is None:
+            return 0
+        holders = values[value]
+        holders.remove(node)
+        if not holders:
+            del values[value]
         return 1
 
     # ------------------------------------------------------------------
@@ -569,14 +639,20 @@ class AxisAccelerator:
     # Axis queries
     # ------------------------------------------------------------------
 
-    def evaluate(self, axis: str, node: XMLNode,
-                 name: Optional[str] = None) -> List[XMLNode]:
+    def evaluate(self, axis: str, node: XMLNode, name: Optional[str] = None,
+                 attribute: Optional[Tuple[str, str]] = None
+                 ) -> List[XMLNode]:
         """All nodes on ``axis`` from ``node``, in document order.
 
         With ``name``, only the nodes called ``name`` (of any kind):
         the descendant, descendant-or-self, following and preceding
         axes then read that name's run of the order instead of the
-        whole window.
+        whole window.  With ``attribute``, a ``(name, value)`` pair,
+        only the elements carrying that attribute with that value: the
+        child, descendant and descendant-or-self axes then read the
+        owners of the value from the attribute name's map, unless the
+        value has more attribute nodes than the axis has rows (named
+        rows, with ``name``) to filter.
         """
         handler = _HANDLERS.get(axis)
         if handler is None:
@@ -588,12 +664,66 @@ class AxisAccelerator:
                 f"node {node.node_id} is not on the index "
                 f"(refresh needed?)"
             )
+        if attribute is not None and axis in _VALUE_AXES:
+            owners = self._owners(axis, node, name, attribute)
+            if owners is not None:
+                return owners
         if axis in _NAMED_AXES:
-            return getattr(self, handler)(node, name)
-        nodes = getattr(self, handler)(node)
-        if name is None:
+            nodes = getattr(self, handler)(node, name)
+        else:
+            nodes = getattr(self, handler)(node)
+            if name is not None:
+                nodes = [other for other in nodes if other.name == name]
+        if attribute is None:
             return nodes
-        return [other for other in nodes if other.name == name]
+        return with_attribute(nodes, *attribute)
+
+    def _owners(self, axis: str, node: XMLNode, name: Optional[str],
+                attribute: Tuple[str, str]) -> Optional[List[XMLNode]]:
+        """The elements on a value axis from ``node`` that carry
+        ``attribute``, read from its value map, in document order;
+        ``None`` when filtering the axis rows reads fewer nodes."""
+        attribute_name, value = attribute
+        holders = self._value_map(attribute_name).get(value, ())
+        if len(holders) > self._rows(axis, node, name):
+            return None
+        tag_of = self._tag
+        if axis == "child":
+            owners = [holder.parent for holder in holders
+                      if holder.parent.parent is node]
+        else:
+            low = tag_of[node] + (axis == "descendant")
+            high = tag_of[self._last.get(node, node)]
+            owners = [owner for owner in (holder.parent for holder in holders)
+                      if low <= tag_of[owner] <= high]
+        if name is not None:
+            owners = [owner for owner in owners if owner.name == name]
+        if len(owners) < 2:
+            return owners
+        # An element carries one attribute of a name, or several (a
+        # rename can make a duplicate); list it once.
+        return sorted(set(owners), key=tag_of.__getitem__)
+
+    def _rows(self, axis: str, node: XMLNode, name: Optional[str]) -> int:
+        """The rows a filter of a value axis from ``node`` would read:
+        the context's children on child, else the nodes of its window,
+        itself included, called ``name`` (all of them without one)."""
+        if axis == "child":
+            return len(node.children)
+        end = self._last.get(node, node)
+        if name is not None:
+            run = self._names.get(name)
+            if run is None:
+                return 0
+            tag_of = self._tag
+            return (bisect_right(run.tags, tag_of[end])
+                    - bisect_left(run.tags, tag_of[node]))
+        number, first = self._locate(node)
+        final, stop = self._locate(end)
+        rows = stop + 1 - first
+        for block in self._blocks[number:final]:
+            rows += len(block.tags)
+        return rows
 
     # -- windows -----------------------------------------------------------
 

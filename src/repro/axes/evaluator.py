@@ -18,7 +18,7 @@ every axis from its windows.
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import UnsupportedRelationshipError
 from repro.updates.document import LabeledDocument
@@ -26,7 +26,7 @@ from repro.xmlmodel.tree import XMLNode
 
 # The canonical axis list lives with the grammar; re-exported here
 # because this module is where axis *evaluation* is looked up.
-from repro.axes.xpath_ast import AXES
+from repro.axes.xpath_ast import AXES, with_attribute
 
 
 class AxisEvaluator:
@@ -40,7 +40,9 @@ class AxisEvaluator:
     ``accelerator`` (the document's own index,
     ``ldoc.accelerator()``) answers every axis instead of the O(n)
     label-table scan; without one, every axis takes the scan.  A
-    ``name`` passed to :meth:`evaluate` keeps only the nodes so called.
+    ``name`` passed to :meth:`evaluate` keeps only the nodes so called,
+    an ``attribute`` pair ``(name, value)`` only the elements carrying
+    that attribute value.
     """
 
     def __init__(self, ldoc: LabeledDocument, allow_fallback: bool = False,
@@ -54,20 +56,27 @@ class AxisEvaluator:
 
     # ------------------------------------------------------------------
 
-    def evaluate(self, axis: str, node: XMLNode,
-                 name: Optional[str] = None) -> List[XMLNode]:
+    def evaluate(self, axis: str, node: XMLNode, name: Optional[str] = None,
+                 attribute: Optional[Tuple[str, str]] = None
+                 ) -> List[XMLNode]:
         """All nodes on ``axis`` from ``node``, in document order.
 
         With ``name``, only the nodes called ``name``: the index then
-        reads that name's nodes instead of the whole axis.
+        reads that name's nodes instead of the whole axis.  With
+        ``attribute``, only the elements whose attribute
+        ``attribute[0]`` has the value ``attribute[1]``: on the child,
+        descendant and descendant-or-self axes the index then reads
+        that value's owners.
         """
         if self.accelerator is not None:
             self.accelerated_hits += 1
-            return self.accelerator.evaluate(axis, node, name)
-        return self.evaluate_scan(axis, node, name)
+            return self.accelerator.evaluate(axis, node, name, attribute)
+        return self.evaluate_scan(axis, node, name, attribute)
 
     def evaluate_scan(self, axis: str, node: XMLNode,
-                      name: Optional[str] = None) -> List[XMLNode]:
+                      name: Optional[str] = None,
+                      attribute: Optional[Tuple[str, str]] = None
+                      ) -> List[XMLNode]:
         """``axis`` from ``node`` via the label-table scan path only.
 
         EXPLAIN uses it to answer a step the index refuses (a batch with
@@ -79,9 +88,11 @@ class AxisEvaluator:
             raise UnsupportedRelationshipError(f"unknown axis {axis!r}")
         handler = getattr(self, "_axis_" + axis.replace("-", "_"))
         nodes = handler(node)
-        if name is None:
+        if name is not None:
+            nodes = [other for other in nodes if other.name == name]
+        if attribute is None:
             return nodes
-        return [other for other in nodes if other.name == name]
+        return with_attribute(nodes, *attribute)
 
     def document_order(self, nodes: List[XMLNode]) -> List[XMLNode]:
         """``nodes`` sorted by label comparison (Definition 1)."""

@@ -20,6 +20,7 @@ from repro.axes.evaluator import AxisEvaluator
 from repro.axes.xpath_ast import (
     Step,
     apply_node_tests,
+    leading_attribute,
     parse_path,
     split_union,
 )
@@ -98,8 +99,8 @@ class XPathEvaluator:
         Predicates are evaluated once per context node, over that
         node's own axis result — XPath 1.0 semantics: /a/b/c[1] is the
         first c of *each* b, not the first of the merged set.  A name
-        test reaches the index with the axis, so only nodes of that
-        name count as the step's axis rows.
+        test and a leading ``[@a='v']`` reach the index with the axis,
+        so only the nodes passing both count as the step's axis rows.
         """
         recorder = self.recorder
         evaluate = self.axes.evaluate
@@ -109,10 +110,11 @@ class XPathEvaluator:
             if strategy == "scan":
                 evaluate = self.axes.evaluate_scan
         name = step.name_test if step.name_test != "*" else None
+        attribute = leading_attribute(step)
         axis_rows = 0
         gathered: List[XMLNode] = []
         for node in contexts:
-            candidates = evaluate(axis, node, name)
+            candidates = evaluate(axis, node, name, attribute)
             axis_rows += len(candidates)
             gathered.extend(apply_node_tests(step, candidates))
         output = self._dedupe(gathered)

@@ -33,6 +33,9 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from repro.errors import XPathError
+from repro.xmlmodel.tree import NodeKind
+
+_ATTRIBUTE = NodeKind.ATTRIBUTE
 
 #: The axes the grammar (and the evaluator) understand.
 AXES = (
@@ -380,6 +383,34 @@ def apply_node_tests(step: Step, nodes: list) -> list:
     return nodes
 
 
+def leading_attribute(step: Step):
+    """``(name, value)`` of the step's first predicate if that is an
+    attribute-equality test ``[@name='value']``, else ``None``.
+
+    Evaluated before any other predicate, it is a filter on the axis
+    itself, so the evaluator hands it to the index with the axis.
+    """
+    if step.predicates:
+        first = step.predicates[0]
+        if isinstance(first, ComparisonPredicate) and first.attribute:
+            return first.name, first.value
+    return None
+
+
+def with_attribute(nodes: list, name: str, value: str) -> list:
+    """The elements of ``nodes`` that carry attribute ``name`` valued
+    ``value``; each reads only its attributes, which come first."""
+    kept = []
+    for node in nodes:
+        for child in node.children:
+            if child.kind is not _ATTRIBUTE:
+                break
+            if child.name == name and child.value == value:
+                kept.append(node)
+                break
+    return kept
+
+
 def apply_predicate(predicate: Predicate, nodes: list) -> list:
     """Filter candidate nodes by one typed predicate."""
     if isinstance(predicate, PositionPredicate):
@@ -388,14 +419,7 @@ def apply_predicate(predicate: Predicate, nodes: list) -> list:
     if isinstance(predicate, ComparisonPredicate):
         name, value = predicate.name, predicate.value
         if predicate.attribute:
-            return [
-                node for node in nodes
-                if node.is_element
-                and any(
-                    attr.name == name and attr.value == value
-                    for attr in node.attributes()
-                )
-            ]
+            return with_attribute(nodes, name, value)
         return [
             node for node in nodes
             if node.is_element

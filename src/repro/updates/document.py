@@ -12,7 +12,9 @@ and keeps the books the evaluation framework reads:
 * label storage totals — the Compact Encoding measurements.
 
 Content updates (text, attribute values, renames) never touch labels —
-the paper's structural/content distinction from section 3.1.
+the paper's structural/content distinction from section 3.1.  Renames
+and attribute-value updates still publish deltas, because the
+structural index lists nodes by name and attribute values by value.
 
 The document has no public mutators.  Its ``_do_*`` cores are the one
 implementation of each operation behind the three update surfaces:
@@ -61,10 +63,12 @@ class StructuralDelta:
     * ``"delete"`` — the subtree rooted at ``node`` was detached (it is
       intact, only cut off from the tree);
     * ``"rename"`` — ``node``, called ``old_name`` until now, took its
-      current name.
+      current name;
+    * ``"value"`` — the attribute ``node``, valued ``old_value`` until
+      now, took its current value.
 
-    A rollback publishes the inverse ``insert``, ``delete`` and
-    ``rename`` deltas of what it undoes.  ``structure_version`` is the
+    A rollback publishes the inverse ``insert``, ``delete``, ``rename``
+    and ``value`` deltas of what it undoes.  ``structure_version`` is the
     document's
     :attr:`~repro.xmlmodel.tree.Document.structure_version` at publish
     time — subscribers stamp themselves with it after consuming the
@@ -78,6 +82,7 @@ class StructuralDelta:
     kind: str
     node: XMLNode
     old_name: Optional[str] = None
+    old_value: Optional[str] = None
     structure_version: int = 0
 
 
@@ -221,6 +226,11 @@ class LabeledDocument:
         if self._delta_listeners:
             self._publish(StructuralDelta(kind="rename", node=node,
                                           old_name=old_name))
+
+    def _publish_value(self, node: XMLNode, old_value: str) -> None:
+        if self._delta_listeners:
+            self._publish(StructuralDelta(kind="value", node=node,
+                                          old_value=old_value))
 
     def accelerator(self) -> "Any":
         """The document's structural index, created on first use.
@@ -449,9 +459,14 @@ class LabeledDocument:
                                 value: str) -> UpdateResult:
         if not attribute.is_attribute:
             raise UpdateError("set_attribute_value targets attribute nodes")
+        old_value = attribute.value
         if self._undo_log is not None:
-            self._undo_log.append(("value", attribute, attribute.value))
+            self._undo_log.append(("value", attribute, old_value))
         attribute.value = value
+        # The index lists attributes by value: an index that misses this
+        # must see its stamp fall behind.
+        self.document.note_structural_change()
+        self._publish_value(attribute, old_value)
         self.log.record("content_updates")
         return UpdateResult(kind="content", node=attribute,
                             label=self.labels.get(attribute.node_id))
@@ -736,7 +751,8 @@ class LabeledDocument:
         (so ``structure_version`` only moves forward) and publish the
         inverse ``insert``/``delete`` deltas; the node objects put back
         are the ones removed, so references held across the rollback
-        stay valid; an undone rename publishes the inverse ``rename``.
+        stay valid; an undone rename or attribute-value update publishes
+        the inverse ``rename`` or ``value``.
         Undoing a whole-map replacement publishes nothing: the attach
         and detach entries around it already publish every move.
         """
@@ -774,7 +790,10 @@ class LabeledDocument:
                     self.document.note_structural_change()
                     self._publish_rename(node, renamed_from)
                 elif tag == "value":
-                    entry[1].value = entry[2]
+                    _tag, node, value = entry
+                    valued_from, node.value = node.value, value
+                    self.document.note_structural_change()
+                    self._publish_value(node, valued_from)
                 else:  # "labels": positions do not depend on labels
                     self.labels, self._label_index = entry[1], entry[2]
         finally:

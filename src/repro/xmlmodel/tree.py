@@ -36,12 +36,15 @@ class NodeKind(enum.Enum):
     @property
     def is_labeled(self) -> bool:
         """Whether labelling schemes assign labels to this node kind."""
-        return self in (NodeKind.ELEMENT, NodeKind.ATTRIBUTE)
+        return self is _ELEMENT or self is _ATTRIBUTE
 
 
 #: Read once: a member lookup on the enum class is a quarter of the cost
-#: of constructing a node.
+#: of constructing a node, and the per-node checks below compare with
+#: these by identity.
 _ELEMENT = NodeKind.ELEMENT
+_ATTRIBUTE = NodeKind.ATTRIBUTE
+_TEXT = NodeKind.TEXT
 
 
 class XMLNode:
@@ -88,15 +91,15 @@ class XMLNode:
 
     @property
     def is_element(self) -> bool:
-        return self.kind is NodeKind.ELEMENT
+        return self.kind is _ELEMENT
 
     @property
     def is_attribute(self) -> bool:
-        return self.kind is NodeKind.ATTRIBUTE
+        return self.kind is _ATTRIBUTE
 
     @property
     def is_text(self) -> bool:
-        return self.kind is NodeKind.TEXT
+        return self.kind is _TEXT
 
     @property
     def is_leaf(self) -> bool:
@@ -131,30 +134,43 @@ class XMLNode:
         return any(anc is self for anc in other.ancestors())
 
     def attributes(self) -> List["XMLNode"]:
-        """The attribute children, in document order."""
-        return [child for child in self.children if child.is_attribute]
+        """The attribute children, in document order.
+
+        Attributes precede all content children (the tree refuses any
+        other order), so the scan stops at the first content child.
+        """
+        attributes = []
+        for child in self.children:
+            if child.kind is not _ATTRIBUTE:
+                break
+            attributes.append(child)
+        return attributes
 
     def attribute(self, name: str) -> Optional["XMLNode"]:
         """Look up an attribute child by name, or ``None``."""
         for child in self.children:
-            if child.is_attribute and child.name == name:
+            if child.kind is not _ATTRIBUTE:
+                break
+            if child.name == name:
                 return child
         return None
 
     def element_children(self) -> List["XMLNode"]:
         """The element children, in document order."""
-        return [child for child in self.children if child.is_element]
+        return [child for child in self.children if child.kind is _ELEMENT]
 
     def labeled_children(self) -> List["XMLNode"]:
         """Children that receive labels (attributes first, then elements)."""
-        return [child for child in self.children if child.kind.is_labeled]
+        return [child for child in self.children
+                if child.kind is _ELEMENT or child.kind is _ATTRIBUTE]
 
     def text_value(self) -> str:
         """Concatenated text content of direct text children.
 
         This is the ``Value`` column of the paper's Figure 2 encoding table.
         """
-        return "".join(child.value or "" for child in self.children if child.is_text)
+        return "".join(child.value or "" for child in self.children
+                       if child.kind is _TEXT)
 
     def child_index(self, child: "XMLNode") -> int:
         """Position of ``child`` in this node's child list."""
@@ -192,10 +208,20 @@ class XMLNode:
             stack.extend(reversed(node.children))
 
     def postorder(self) -> Iterator["XMLNode"]:
-        """Postorder traversal of the subtree rooted here."""
-        for child in self.children:
-            yield from child.postorder()
-        yield self
+        """Postorder traversal of the subtree rooted here.
+
+        Over an explicit stack, so depth is not bounded by the recursion
+        limit: each entry is a node and the index of its next child.
+        """
+        stack = [(self, 0)]
+        while stack:
+            node, index = stack[-1]
+            if index < len(node.children):
+                stack[-1] = (node, index + 1)
+                stack.append((node.children[index], 0))
+            else:
+                stack.pop()
+                yield node
 
     def descendants(self) -> Iterator["XMLNode"]:
         """All descendants in document order (excludes self)."""
@@ -311,11 +337,12 @@ class Document:
         Bumped whenever a labelled node is attached to or detached from
         the tree (text/comment/PI churn never moves it), including by a
         rollback, which replays its inverse attaches and detaches
-        through the same calls, and by every rename the labelled
-        document performs or undoes (the structural index lists nodes
-        by name).  Derived indexes stamp themselves with
-        this value so a stale index can refuse to answer instead of
-        silently serving results for a shape the document no longer has.
+        through the same calls, and by every rename and attribute-value
+        update the labelled document performs or undoes (the structural
+        index lists nodes by name and attributes by value).  Derived
+        indexes stamp themselves with this value so a stale index can
+        refuse to answer instead of silently serving results for a shape
+        the document no longer has.
         """
         return self._structure_version
 
@@ -334,7 +361,7 @@ class Document:
         value: Optional[str] = None,
     ) -> XMLNode:
         """Create a detached node owned by this document."""
-        if kind in (NodeKind.ELEMENT, NodeKind.ATTRIBUTE) and not name:
+        if (kind is _ELEMENT or kind is _ATTRIBUTE) and not name:
             raise TreeStructureError(f"{kind.value} nodes require a name")
         return XMLNode(self, next(self._next_id), kind, name, value)
 
@@ -386,7 +413,7 @@ class Document:
         """
         if self.root is None:
             return
-        element, attribute = NodeKind.ELEMENT, NodeKind.ATTRIBUTE
+        element, attribute = _ELEMENT, _ATTRIBUTE
         stack = [self.root]
         pop, push = stack.pop, stack.append
         while stack:
@@ -440,17 +467,18 @@ class Document:
         pre_counter = itertools.count()
         post_counter = itertools.count()
         ranks: Dict[int, list] = {}
-
-        def visit(node: XMLNode) -> None:
+        # An explicit stack, so document depth is not bounded by the
+        # recursion limit: a one-element tuple closes its node.
+        stack: list = [self.root] if self.root is not None else []
+        while stack:
+            node = stack.pop()
+            if node.__class__ is tuple:
+                ranks[node[0].node_id][1] = next(post_counter)
+                continue
             if node.kind.is_labeled:
                 ranks[node.node_id] = [next(pre_counter), None]
-            for child in node.children:
-                visit(child)
-            if node.kind.is_labeled:
-                ranks[node.node_id][1] = next(post_counter)
-
-        if self.root is not None:
-            visit(self.root)
+                stack.append((node,))
+            stack.extend(reversed(node.children))
         return {node_id: (pre, post) for node_id, (pre, post) in ranks.items()}
 
     def validate(self) -> None:
@@ -496,19 +524,33 @@ class Document:
         def clone_node(node: XMLNode) -> XMLNode:
             duplicate = XMLNode(copy, node.node_id, node.kind, node.name, node.value)
             duplicate.elements = node.elements
-            for child in node.children:
-                child_copy = clone_node(child)
-                child_copy.parent = duplicate
-                duplicate.children.append(child_copy)
             return duplicate
 
         if self.root is not None:
             copy.root = clone_node(self.root)
+            # Pairs (original, copy) whose children are still to copy:
+            # an explicit stack, so depth is not bounded by recursion.
+            stack = [(self.root, copy.root)]
+            while stack:
+                node, duplicate = stack.pop()
+                for child in node.children:
+                    child_copy = clone_node(child)
+                    child_copy.parent = duplicate
+                    duplicate.children.append(child_copy)
+                    if child.children:
+                        stack.append((child, child_copy))
         return copy
 
 
 def walk(node: XMLNode, visitor: Callable[[XMLNode, int], None], depth: int = 0) -> None:
-    """Call ``visitor(node, depth)`` over the subtree in document order."""
-    visitor(node, depth)
-    for child in node.children:
-        walk(child, visitor, depth + 1)
+    """Call ``visitor(node, depth)`` over the subtree in document order.
+
+    Over an explicit stack, so depth is not bounded by the recursion
+    limit.
+    """
+    stack = [(node, depth)]
+    while stack:
+        node, depth = stack.pop()
+        visitor(node, depth)
+        depth += 1
+        stack.extend((child, depth) for child in reversed(node.children))

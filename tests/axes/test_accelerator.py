@@ -11,12 +11,19 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import all_scheme_names, fresh_random_document, labeled
+from reference_xpath import reference_xpath
+from repro.axes import accelerator as accelerator_module
 from repro.axes.evaluator import AxisEvaluator
+from repro.axes.xpath import xpath
 from repro.axes.xpath_ast import AXES
 from repro.errors import ReproError, StaleIndexError
+from repro.observability.explain import explain_query
 from repro.observability.metrics import get_registry
+from repro.schemes.registry import make_scheme
 from repro.store.repository import open_repository
+from repro.updates.document import LabeledDocument
 from repro.xmlmodel.parser import parse
+from repro.xmlmodel.xmark import xmark_document
 from update_programs import STRUCTURAL_KINDS, programs, run_program
 
 
@@ -237,13 +244,33 @@ class TestStalenessPerMutationKind:
         element = next(
             node for node in ldoc.document.labeled_nodes() if node.name == "d"
         )
+        ldoc.updates.set_text(element, "payload")
+        assert not accelerator.stale
+        assert_equivalent(ldoc, accelerator)
+
+    def test_attribute_value(self):
+        # The index maps attribute values to their nodes: a value
+        # change it missed stales it, and so does the undo of one.
+        ldoc, accelerator = self.detached()
         attribute = next(
             node for node in ldoc.document.labeled_nodes() if node.name == "i"
         )
-        ldoc.updates.set_text(element, "payload")
+        owner = attribute.parent
+        before = attribute.value
+        accelerator.evaluate("descendant", ldoc.document.root,
+                             attribute=("i", before))
         ldoc.updates.set_attribute_value(attribute, "9")
-        assert not accelerator.stale
-        assert_equivalent(ldoc, accelerator)
+        self.assert_stale(ldoc, accelerator)
+        assert accelerator.evaluate("descendant", ldoc.document.root,
+                                    attribute=("i", "9")) == [owner]
+        with pytest.raises(RuntimeError):
+            with ldoc.transaction():
+                ldoc.updates.set_attribute_value(attribute, "10")
+                accelerator.refresh()
+                raise RuntimeError("abort")
+        self.assert_stale(ldoc, accelerator)
+        assert accelerator.evaluate("descendant", ldoc.document.root,
+                                    attribute=("i", "9")) == [owner]
 
     def test_rename(self):
         # The index keeps each name's nodes: a rename it missed stales it.
@@ -387,3 +414,66 @@ class TestOneIndexPerDocument:
         assert not accelerator.stale
         assert accelerator._metric_builds.value == builds
         assert_equivalent(ldoc, accelerator)
+
+
+class TestValueLookups:
+    """``[@a='v']`` steps read the value maps: O(result), not O(n)."""
+
+    @pytest.fixture
+    def filtered(self, monkeypatch):
+        """Candidate lists the index filters by attribute value."""
+        seen = []
+        filter_nodes = accelerator_module.with_attribute
+
+        def counted(nodes, name, value):
+            seen.append(len(nodes))
+            return filter_nodes(nodes, name, value)
+
+        monkeypatch.setattr(accelerator_module, "with_attribute", counted)
+        return seen
+
+    @pytest.mark.parametrize("scale", [1, 4, 16])
+    def test_an_id_step_reads_one_row_at_every_scale(self, scale, filtered):
+        ldoc = LabeledDocument(xmark_document(scale=scale, seed=12),
+                               make_scheme("qed"))
+        auctions = ldoc.accelerator().named("open_auction")
+        target = auctions[len(auctions) // 2].attribute("id").value
+        path = f"//open_auction[@id='{target}']/bidder/increase"
+        plan = explain_query(ldoc, path, analyze=True)
+        first = plan.steps[0]
+        assert (first.strategy, first.axis_rows, first.actual_rows) == (
+            "accelerator-window", 1, 1)
+        assert filtered == []  # no candidate list was filtered
+        assert plan.result_count == len(reference_xpath(ldoc, path))
+
+    def test_a_common_value_filters_the_fewer_rows(self, filtered):
+        # Twenty elements carry c='x' but only three are called b: the
+        # step filters the three b's instead of reading twenty owners.
+        ldoc = labeled(parse(
+            "<a>" + "<d c='x'/>" * 18 + "<b c='x'/><b c='y'/><b c='x'/></a>"),
+            "qed")
+        bs = ldoc.document.root.element_children()[18:]
+        assert xpath(ldoc, "//b[@c='x']") == [bs[0], bs[2]]
+        assert filtered == [3]  # the three b's of the window
+        assert xpath(ldoc, "/a/*[@c='y']") == [bs[1]]
+        assert filtered == [3]  # one owner beats 21 children
+        # Without a name test a window's rows are all its nodes, and on
+        # child they are the context's children.
+        root = ldoc.document.root
+        index = ldoc.accelerator()
+        first = root.element_children()[0]
+        assert index.evaluate("descendant", root, None, ("c", "x")) == (
+            root.element_children()[:18] + [bs[0], bs[2]])
+        assert filtered == [3]  # 20 owners beat 43 window rows
+        assert index.evaluate("descendant-or-self", first, None,
+                              ("c", "x")) == [first]
+        assert index.evaluate("child", first, None, ("c", "x")) == []
+        assert filtered == [3, 2, 1]  # first and its attribute; its one child
+
+    def test_duplicate_attribute_names_list_their_owner_once(self):
+        ldoc = labeled(parse("<a><b x='1' y='1'/><b x='1'/></a>"), "qed")
+        first, second = ldoc.document.root.element_children()
+        xpath(ldoc, "//*[@x='1']")  # builds the map for x
+        ldoc.updates.rename(first.attribute("y"), "x")
+        assert xpath(ldoc, "//*[@x='1']") == [first, second]
+        assert xpath(ldoc, "/a/b[@x='1'][2]") == [second]

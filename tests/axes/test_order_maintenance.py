@@ -18,7 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from conftest import labeled
-from reference_accelerator import DenseAccelerator
+from reference_accelerator import (DenseAccelerator, assert_value_maps,
+                                   attribute_pairs)
 from repro.axes import accelerator as accelerator_module
 from repro.axes.accelerator import AxisAccelerator
 from repro.axes.xpath import xpath
@@ -62,11 +63,20 @@ def assert_matches_dense(ldoc, contexts=None):
     dense = DenseAccelerator(ldoc)
     assert same(index.nodes(), dense.nodes())
     assert_invariants(index)
+    pairs = attribute_pairs(dense.nodes(), limit=8)
     for node in contexts if contexts is not None else dense.nodes():
         for axis in AXES:
             for name in (None, node.name):
                 assert same(index.evaluate(axis, node, name),
                             dense.evaluate(axis, node, name)), (axis, name)
+        for axis in ("child", "descendant", "descendant-or-self",
+                     "following"):
+            for name in (None, node.name):
+                for pair in pairs:
+                    assert same(index.evaluate(axis, node, name, pair),
+                                dense.evaluate(axis, node, name, pair)), (
+                        axis, name, pair)
+    assert_value_maps(index, dense)
 
 
 def built(ldoc):

@@ -12,7 +12,7 @@ is that index, built from the document on construction, and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 
 class DenseAccelerator:
@@ -45,14 +45,31 @@ class DenseAccelerator:
     def document_order(self, nodes: List) -> List:
         return sorted(nodes, key=lambda node: self._pos[node.node_id])
 
-    def evaluate(self, axis: str, node, name: Optional[str] = None) -> List:
-        """``axis`` from ``node`` in document order, then ``name``'s nodes."""
+    def evaluate(self, axis: str, node, name: Optional[str] = None,
+                 attribute: Optional[Tuple[str, str]] = None) -> List:
+        """``axis`` from ``node`` in document order, then ``name``'s nodes,
+        then those with an attribute ``attribute[0]`` valued
+        ``attribute[1]``."""
         position = self._pos[node.node_id]
         assert self._nodes[position] is node
         result = getattr(self, "_axis_" + axis.replace("-", "_"))(position)
-        if name is None:
-            return result
-        return [other for other in result if other.name == name]
+        if name is not None:
+            result = [other for other in result if other.name == name]
+        if attribute is not None:
+            result = [other for other in result
+                      if any(child.is_attribute
+                             and (child.name, child.value) == attribute
+                             for child in other.children)]
+        return result
+
+    def value_map(self, name: str) -> Dict[str, List[int]]:
+        """Value -> node ids, in document order, of the attributes called
+        ``name``: what the index's value map for ``name`` must hold."""
+        values: Dict[str, List[int]] = {}
+        for node in self._nodes:
+            if node.is_attribute and node.name == name:
+                values.setdefault(node.value, []).append(node.node_id)
+        return values
 
     def _axis_self(self, position):
         return [self._nodes[position]]
@@ -131,3 +148,26 @@ class DenseAccelerator:
             result.append(self._nodes[j])
             j = self._end[j]
         return result
+
+
+def assert_value_maps(index, dense: DenseAccelerator) -> None:
+    """Every value map ``index`` keeps equals the one built from scratch."""
+    for name, values in index._values.items():
+        got = {value: sorted(node.node_id for node in holders)
+               for value, holders in values.items()}
+        expected = {value: sorted(node_ids)
+                    for value, node_ids in dense.value_map(name).items()}
+        assert got == expected, name
+
+
+def attribute_pairs(nodes,
+                    limit: Optional[int] = None) -> List[Tuple[str, str]]:
+    """The distinct ``(name, value)`` pairs of the attributes among
+    ``nodes``, in order (the first ``limit`` of them), and an ``id``
+    value no attribute has: the attribute tests to check an index with."""
+    pairs: List[Tuple[str, str]] = []
+    for node in nodes:
+        pair = (node.name, node.value)
+        if node.is_attribute and pair not in pairs:
+            pairs.append(pair)
+    return pairs[:limit] + [("id", "absent")]

@@ -7,8 +7,9 @@ a transaction that is rolled back, and through a batch applied inside a
 transaction that is then rolled back — each must equal its reference:
 the scan-path evaluator of ``tests/reference_xpath.py``, the
 whole-document rebuild of ``tests/reference_indexes.py``, and, axis by
-axis with and without a name test, the dense index of
-``tests/reference_accelerator.py`` built from scratch.  The
+axis with and without a name test and an attribute-value test, the
+dense index of ``tests/reference_accelerator.py`` built from scratch,
+whose value maps the index's must equal.  The
 ``ElementTree.findall`` subset (``/``, ``//``, ``[tag]``, ``[@a='v']``,
 ``[n]``) must also agree with the standard library on the serialised
 document.  No batch apply or rollback may rebuild the index: they
@@ -21,7 +22,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from conftest import all_scheme_names, labeled
-from reference_accelerator import DenseAccelerator
+from reference_accelerator import (DenseAccelerator, assert_value_maps,
+                                   attribute_pairs)
 from reference_indexes import reference_indexes
 from reference_xpath import reference_xpath
 from repro.axes.xpath import xpath
@@ -44,6 +46,17 @@ QUERIES = (
     "//*[@id] | //name", "//person[@id='p2']/city", "//item[desc]",
     "//people//name", "//person/following::name", "//item/preceding::person",
     "//*[@id]/descendant-or-self::name",
+)
+
+#: ``[@a='v']`` steps on the child, descendant and descendant-or-self
+#: axes, which read the index's value maps, and on ancestor, which
+#: filters; each is run for the document as it stands with the pairs of
+#: :func:`value_tests`.
+VALUE_QUERIES = (
+    "//*[@{a}='{v}']", "/*/*[@{a}='{v}']/*",
+    "//people/descendant::*[@{a}='{v}']", "//person[@{a}='{v}']/name",
+    "//items/descendant-or-self::*[@{a}='{v}'][1]",
+    "//name/ancestor::*[@{a}='{v}']",
 )
 
 #: ``find`` names (``id`` is an attribute) and ``find_value`` values.
@@ -73,9 +86,21 @@ def assert_same(got, expected, what):
     assert all(left is right for left, right in zip(got, expected)), what
 
 
+def value_tests(ldoc):
+    """The pairs the XPath-level value queries run: the first ``id``
+    value, the first value a program wrote (``v0`` to ``v99``) and an
+    ``id`` value none has."""
+    pairs = attribute_pairs(ldoc.document.labeled_nodes())
+    chosen = [next((pair for pair in pairs if test(pair)), None)
+              for test in (lambda pair: pair[0] == "id",
+                           lambda pair: pair[1].startswith("v"))]
+    return [pair for pair in chosen if pair is not None] + [pairs[-1]]
+
+
 def check_index(ldoc):
     """Every axis from every node, bare and with name tests, against the
-    dense index built from scratch: in order and by identity."""
+    dense index built from scratch: in order and by identity; and the
+    attribute-value tests from every element."""
     index = ldoc.accelerator()
     dense = DenseAccelerator(ldoc)
     nodes = dense.nodes()
@@ -86,6 +111,18 @@ def check_index(ldoc):
                 assert_same(index.evaluate(axis, node, name),
                             dense.evaluate(axis, node, name),
                             (axis, node.name, name))
+    pairs = attribute_pairs(nodes)
+    for node in nodes:
+        if not node.is_element:
+            continue
+        for axis in ("child", "descendant", "descendant-or-self",
+                     "following"):
+            for name in (None, "person"):
+                for pair in pairs:
+                    assert_same(index.evaluate(axis, node, name, pair),
+                                dense.evaluate(axis, node, name, pair),
+                                (axis, node.name, name, pair))
+    assert_value_maps(index, dense)
 
 
 def check_queries(stored):
@@ -108,6 +145,10 @@ def check_queries(stored):
         return
     for path in QUERIES:
         assert_same(xpath(ldoc, path), reference_xpath(ldoc, path), path)
+    for name, value in value_tests(ldoc):
+        for template in VALUE_QUERIES:
+            path = template.format(a=name, v=value)
+            assert_same(xpath(ldoc, path), reference_xpath(ldoc, path), path)
     for names in JOIN_PATHS:
         path = "//" + "//".join(names)
         assert_same(stored.descendant_path(names),
@@ -205,6 +246,48 @@ def test_every_query_axis_is_covered():
     axes = {step.axis for query in QUERIES for branch in split_union(query)
             for step in parse_path(branch)[1]}
     assert axes == set(AXES)
+    valued = {step.axis for query in VALUE_QUERIES
+              for step in parse_path(query.format(a="id", v="p1"))[1]
+              if step.predicates and step.predicates[0] == "@id='p1'"}
+    assert valued == {"child", "descendant", "descendant-or-self",
+                      "ancestor"}
+
+
+def test_attributes_renamed_onto_and_off_id():
+    # Value maps built for ``id`` and ``region`` follow attributes renamed
+    # between them, value changes on either side of a rename, an
+    # attribute inserted onto a name with a map, and rollbacks of all of
+    # these, on a persistent scheme and on one whose batches defer.
+    for scheme_name in ("qed", "dewey"):
+        stored = fresh(scheme_name)
+        ldoc = stored.ldoc
+        check_queries(stored)
+        built = builds()
+        root = ldoc.document.root
+        region = root.attribute("region")
+        person = stored.find("person")[1]
+        ldoc.updates.rename(region, "id")  # onto id
+        ldoc.updates.set_attribute_value(region, "p2")  # shares p2
+        check_queries(stored)
+        assert xpath(ldoc, "//*[@id='p2']") == [root, person]
+        ldoc.updates.rename(person.attribute("id"), "region")  # off id
+        ldoc.updates.insert_attribute(person, "id", "p2")
+        check_queries(stored)
+        with pytest.raises(RuntimeError):
+            with ldoc.transaction():
+                with ldoc.batch() as batch:
+                    batch.insert_before(person, "person")
+                    batch.rename(region, "key")
+                    batch.set_attribute_value(person.attribute("region"),
+                                              "p1")
+                check_queries(stored)
+                ldoc.updates.delete(person)
+                check_queries(stored)
+                raise RuntimeError("roll back")
+        check_queries(stored)
+        assert xpath(ldoc, "//*[@id='p2']") == [root, person]
+        assert xpath(ldoc, "/site/people/*[@region='p2']") == [person]
+        assert builds() == built
 
 
 def test_renames_move_nodes_between_name_lists():

@@ -1,9 +1,12 @@
 """Unit tests for the ordered tree model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TreeStructureError
 from repro.xmlmodel.tree import Document, NodeKind, walk
+from update_programs import DOCUMENT_XML, programs, run_program
 
 
 def small_document():
@@ -265,3 +268,149 @@ class TestDocumentOracles:
             ranks[node.node_id] for node in sample.labeled_nodes()
         ]
         assert in_order == FIGURE_1B_PRE_POST
+
+
+def plain_attributes(node):
+    return [child for child in node.children
+            if child.kind == NodeKind.ATTRIBUTE]
+
+
+def assert_helpers_match_plain_filters(document):
+    """Each per-node helper equals the plain filter over ``children``."""
+    kinds = {NodeKind.ELEMENT, NodeKind.ATTRIBUTE}
+    for node in document.all_nodes():
+        children = node.children
+        assert node.is_element == (node.kind == NodeKind.ELEMENT)
+        assert node.is_attribute == (node.kind == NodeKind.ATTRIBUTE)
+        assert node.is_text == (node.kind == NodeKind.TEXT)
+        assert node.kind.is_labeled == (node.kind in kinds)
+        attributes = plain_attributes(node)
+        assert node.attributes() == attributes
+        for name in {attribute.name for attribute in attributes} | {"none"}:
+            assert node.attribute(name) is next(
+                (attribute for attribute in attributes
+                 if attribute.name == name), None)
+        assert node.element_children() == [
+            child for child in children if child.kind == NodeKind.ELEMENT]
+        assert node.labeled_children() == [
+            child for child in children if child.kind in kinds]
+        assert node.text_value() == "".join(
+            child.value or "" for child in children
+            if child.kind == NodeKind.TEXT)
+
+
+class TestHelpersMatchPlainFilters:
+    """Kind checks compare by identity and attribute scans stop at the
+    first content child; on any document, and after any update program,
+    they answer as the plain filters over the children do."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(nodes=st.integers(min_value=1, max_value=120),
+           seed=st.integers(min_value=0, max_value=10**6))
+    def test_on_random_documents(self, nodes, seed):
+        from repro.xmlmodel.generator import random_document
+
+        assert_helpers_match_plain_filters(random_document(nodes, seed=seed))
+
+    def test_with_comments_and_processing_instructions(self):
+        from repro.xmlmodel.parser import parse
+
+        assert_helpers_match_plain_filters(parse(
+            "<a x='1' y='2'><!--c--><?p d?>t<b z='3'>u<!--v-->w</b>"
+            "<c/>tail</a>"))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(program=programs(max_size=10))
+    def test_after_random_update_programs(self, program):
+        from conftest import labeled
+        from repro.xmlmodel.parser import parse
+
+        ldoc = labeled(parse(DOCUMENT_XML), "qed")
+        run_program(ldoc, ldoc.updates, program)
+        assert_helpers_match_plain_filters(ldoc.document)
+
+
+def chain(depth):
+    """A document of ``depth`` nested elements under a root, each with an
+    attribute, and a text child after each one (the chain of
+    ``tests/store/test_deep_documents.py``, decorated)."""
+    from repro.xmlmodel.parser import parse
+
+    return parse("<a>" + "<b n='1'>" * depth + "</b>t" * depth + "</a>")
+
+
+def recursive_postorder(node):
+    for child in node.children:
+        yield from recursive_postorder(child)
+    yield node
+
+
+def recursive_walk(node, visitor, depth=0):
+    visitor(node, depth)
+    for child in node.children:
+        recursive_walk(child, visitor, depth + 1)
+
+
+class TestDeepDocuments:
+    """The whole-tree oracles walk explicit stacks: a chain ten times the
+    recursion limit deep is no harder than a shallow document, and the
+    output order is the recursive walk's."""
+
+    DEPTH = 5000
+
+    def test_postorder(self):
+        doc = chain(self.DEPTH)
+        # Postorder is the reverse of a preorder that visits children
+        # right to left.
+        mirrored, stack = [], [doc.root]
+        while stack:
+            node = stack.pop()
+            mirrored.append(node)
+            stack.extend(node.children)
+        assert list(doc.root.postorder()) == mirrored[::-1]
+        small = chain(40)
+        assert list(small.root.postorder()) == list(
+            recursive_postorder(small.root))
+
+    def test_preorder_postorder_ranks(self):
+        doc = chain(self.DEPTH)
+        ranks = doc.preorder_postorder_ranks()
+        labelled = list(doc.labeled_nodes())
+        assert len(ranks) == len(labelled) == 2 * self.DEPTH + 1
+        assert [ranks[node.node_id][0] for node in labelled] == list(
+            range(len(labelled)))
+        # The deepest element's attribute closes first, the root last.
+        assert ranks[doc.root.node_id] == (0, len(labelled) - 1)
+        small = chain(40)
+        post = {node.node_id: rank for rank, node in enumerate(
+            node for node in recursive_postorder(small.root)
+            if node.kind.is_labeled)}
+        assert small.preorder_postorder_ranks() == {
+            node.node_id: (pre, post[node.node_id])
+            for pre, node in enumerate(small.labeled_nodes())}
+
+    def test_clone(self):
+        doc = chain(self.DEPTH)
+        copy = doc.clone()
+        copy.validate()
+        pairs = list(zip(doc.all_nodes(), copy.all_nodes()))
+        assert len(pairs) == doc.size() == copy.size()
+        assert all(
+            (left.node_id, left.kind, left.name, left.value, left.elements)
+            == (right.node_id, right.kind, right.name, right.value,
+                right.elements) and left is not right
+            for left, right in pairs)
+
+    def test_walk(self):
+        doc = chain(self.DEPTH)
+        seen = []
+        walk(doc.root, lambda node, depth: seen.append((node, depth)))
+        assert [node for node, _depth in seen] == list(doc.root.preorder())
+        assert max(depth for _node, depth in seen) == self.DEPTH + 1
+        small = chain(40)
+        expected = []
+        recursive_walk(small.root,
+                       lambda node, depth: expected.append((node, depth)))
+        seen = []
+        walk(small.root, lambda node, depth: seen.append((node, depth)))
+        assert seen == expected
