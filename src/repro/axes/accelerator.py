@@ -35,7 +35,11 @@ an order-maintenance list does (Dietz & Sleator 1987; Bender et al.
   its attribute nodes (a value index beside the element index, as in
   Mahboubi and Darmont's survey), so an ``[@a='v']`` step on the child,
   descendant and descendant-or-self axes reads the owners of ``v``
-  instead of filtering every candidate.
+  instead of filtering every candidate;
+* once statistics have been read, it counts its attribute nodes, its
+  nodes per depth and its elements per fan-out, so the cardinality
+  statistics (:mod:`repro.observability.stats`) read counts the splices
+  keep instead of walking the document.
 
 An insert or a subtree delete therefore costs O(log n) amortised plus
 the size of the change, and :meth:`AxisAccelerator.document_order` sorts
@@ -61,7 +65,8 @@ from a dead order.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, NoReturn, Optional, Set, Tuple
+from collections import Counter
+from typing import Dict, Iterable, List, NoReturn, Optional, Set, Tuple
 
 from repro.axes.xpath_ast import AXES, with_attribute
 from repro.errors import StaleIndexError, UnsupportedRelationshipError
@@ -142,6 +147,36 @@ def _walk(root: XMLNode, labels) -> Tuple[List[XMLNode],
     return nodes, last, groups
 
 
+def _tally(nodes: Iterable[XMLNode]) -> Tuple[List[int], int,
+                                              Dict[XMLNode, int]]:
+    """Count a subtree's labelled nodes, given in document order.
+
+    Its root is the one node without a parent link (the document root,
+    or the root of a cut subtree).  Returns the nodes at each depth
+    below the root's (the root's first), the attribute nodes, and each
+    element's labelled children.
+    """
+    depth_of: Dict[Optional[XMLNode], int] = {None: -1}
+    fanout: Dict[Optional[XMLNode], int] = {None: 0}
+    depths: List[int] = []
+    attributes = 0
+    for node in nodes:
+        parent = node.parent
+        depth = depth_of[parent] + 1
+        if depth == len(depths):
+            depths.append(1)
+        else:
+            depths[depth] += 1
+        fanout[parent] += 1
+        if node.kind is _ATTRIBUTE:
+            attributes += 1
+        else:
+            depth_of[node] = depth
+            fanout[node] = 0
+    del fanout[None]
+    return depths, attributes, fanout
+
+
 class AxisAccelerator:
     """An order-maintained document-order index answering axis steps.
 
@@ -170,6 +205,13 @@ class AxisAccelerator:
         #: Attribute name -> value -> that name's attribute nodes so
         #: valued, for the names a step has asked about.
         self._values: Dict[str, Dict[str, Set[XMLNode]]] = {}
+        #: The statistics counts, once read (see :meth:`counts`): the
+        #: attribute nodes, the nodes at each depth (indexed by depth)
+        #: and the elements with each fan-out (labelled children).
+        #: ``_depths`` is None until the first read after a build.
+        self._attributes = 0
+        self._depths: Optional[List[int]] = None
+        self._fanouts: Dict[int, int] = {}
         self._stamp = -1
         self._dirty = True
         #: Records rewritten one by one by the splice in progress.
@@ -214,6 +256,7 @@ class AxisAccelerator:
             self._tag = tag_of
             self._last = last
             self._values = {}
+            self._depths = None
             self._dirty = False
             self._stamp = self.document.structure_version
             self._metric_builds.increment()
@@ -287,7 +330,7 @@ class AxisAccelerator:
                 if kind == "insert":
                     nodes = self._splice_insert(delta.node)
                 elif kind == "delete":
-                    nodes = self._splice_delete(delta.node)
+                    nodes = self._splice_delete(delta.node, delta.old_parent)
                 elif kind == "rename":
                     nodes = self._splice_rename(delta.node, delta.old_name)
                 else:
@@ -358,6 +401,8 @@ class AxisAccelerator:
             run.tags.insert(slot, tag)
         if node.kind is _ATTRIBUTE:
             touched += self._value_add(node)
+        if self._depths is not None:
+            self._count_insert(node, parent)
         if len(tags) > 2 * _BLOCK:
             # Split the block in halves: one new directory entry.
             half = len(tags) // 2
@@ -424,8 +469,8 @@ class AxisAccelerator:
         number, index = moved[0]
         return blocks[number].tags[index]
 
-    def _splice_delete(self, root: XMLNode) -> int:
-        """Cut one detached subtree's window out of the order."""
+    def _splice_delete(self, root: XMLNode, parent: XMLNode) -> int:
+        """Cut one subtree, detached from ``parent``, out of the order."""
         tag_of = self._tag
         if root not in tag_of:
             # The detached root was never indexed (e.g. deferred by a
@@ -492,6 +537,8 @@ class AxisAccelerator:
             last.pop(node, None)
             if node.kind is _ATTRIBUTE:
                 touched += self._value_remove(node, node.name, node.value)
+        if self._depths is not None:
+            self._count_cut(removed, parent)
         touched += len(removed) + self._rebalance(number)
         self._touched += touched
         self._metric_splices.increment()
@@ -584,6 +631,84 @@ class AxisAccelerator:
         if not holders:
             del values[value]
         return 1
+
+    # -- statistics counts ---------------------------------------------------
+
+    def counts(self) -> Optional[Tuple[Dict[str, int], int, List[int], int]]:
+        """The structural counts of the cardinality statistics.
+
+        ``(tag counts, attribute nodes, nodes at each depth, largest
+        fan-out)``: the tag counts are the per-name lists' lengths, in
+        the order of each list's first node (first appearance in
+        document order), and the depth counts a list indexed by depth.
+        The first read after a build counts the order once; the insert
+        and delete splices keep the counts from then on, so a read
+        costs O(names + depths + fan-out values).  Like
+        :meth:`document_order`, it never builds, raises or counts a
+        refusal: when the index is marked for rebuild, its stamp is
+        behind the document or a batch has unlabelled pending nodes,
+        it returns ``None`` and the caller walks the document.
+        """
+        if self.stale or self._batch_pending():
+            return None
+        if self._depths is None:
+            self._build_counts()
+        names = sorted(self._names.items(), key=lambda item: item[1].tags[0])
+        return ({name: len(run.nodes) for name, run in names},
+                self._attributes, list(self._depths),
+                max(self._fanouts, default=0))
+
+    def _build_counts(self) -> None:
+        """Count the attributes, depths and fan-outs along the order."""
+        depths, attributes, fanout = _tally(
+            node for block in self._blocks for node in block.nodes)
+        self._attributes = attributes
+        self._depths = depths
+        self._fanouts = Counter(fanout.values())
+
+    def _refan(self, old: Optional[int], new: Optional[int]) -> None:
+        """Move one element from fan-out ``old`` to ``new`` (``None``:
+        into or out of the counts)."""
+        fanouts = self._fanouts
+        if old is not None:
+            if fanouts[old] == 1:
+                del fanouts[old]
+            else:
+                fanouts[old] -= 1
+        if new is not None:
+            fanouts[new] = fanouts.get(new, 0) + 1
+
+    def _count_insert(self, node: XMLNode, parent: XMLNode) -> None:
+        """Count one node just placed under ``parent``.  Its labelled
+        children are placed after it (inserts arrive in preorder), so an
+        element enters with fan-out 0."""
+        depth = node.depth()
+        depths = self._depths
+        if depth == len(depths):
+            depths.append(1)
+        else:
+            depths[depth] += 1
+        fanout = sum(map(self._tag.__contains__, parent.children))
+        self._refan(fanout - 1, fanout)
+        if node.kind is _ATTRIBUTE:
+            self._attributes += 1
+        else:
+            self._refan(None, 0)
+
+    def _count_cut(self, removed: List[XMLNode], parent: XMLNode) -> None:
+        """Uncount a cut subtree's nodes (``removed``, in document order)
+        and its root's place in ``parent``'s fan-out."""
+        depths, attributes, fanout = _tally(removed)
+        own = self._depths
+        for depth, count in enumerate(depths, parent.depth() + 1):
+            own[depth] -= count
+        while own and not own[-1]:
+            own.pop()
+        self._attributes -= attributes
+        for count in fanout.values():
+            self._refan(count, None)
+        count = sum(map(self._tag.__contains__, parent.children))
+        self._refan(count + 1, count)
 
     # ------------------------------------------------------------------
     # Staleness gate
@@ -700,8 +825,9 @@ class AxisAccelerator:
             owners = [owner for owner in owners if owner.name == name]
         if len(owners) < 2:
             return owners
-        # An element carries one attribute of a name, or several (a
-        # rename can make a duplicate); list it once.
+        # An element carries one attribute of a name, or several (the
+        # update layer refuses a repeat, a tree built in code need not);
+        # list it once.
         return sorted(set(owners), key=tag_of.__getitem__)
 
     def _rows(self, axis: str, node: XMLNode, name: Optional[str]) -> int:

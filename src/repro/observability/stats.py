@@ -24,12 +24,16 @@ payload through every storage backend alongside the label stream.  A
 restored collector checks itself against the live document with
 :meth:`stale` (the structural counts are stamped by node count) and
 :meth:`refresh` recomputes the structure while keeping what was
-learned.
+learned.  While the document's structural index is current, its
+maintained counts answer a refresh
+(:meth:`~repro.axes.accelerator.AxisAccelerator.counts`); otherwise one
+walk over the labelled nodes does.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from operator import mul
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.xmlmodel.tree import NodeKind
 
@@ -80,27 +84,51 @@ class StatsCollector:
     def refresh(self, ldoc) -> None:
         """Recompute the structural counts; learned selectivities stay.
 
-        One preorder walk over the labelled nodes with an explicit
-        ``(node, depth)`` stack: pushing an element's labelled children
-        (in reverse, so they pop in document order) is also what counts
+        While the document's structural index is current, its counts
+        answer in O(names + depths + fan-out values).  In every other
+        state (no index yet, an index marked for rebuild or behind the
+        document, a batch with unlabelled pending nodes) :meth:`_walk`
+        counts the tree.  Neither builds the index.
+        """
+        index = ldoc._accelerator  # created by the first query, if any
+        counts = None if index is None else index.counts()
+        if counts is None:
+            counts = self._walk(ldoc)
+        tag_counts, attribute_count, depths, fanout_max = counts
+        node_count = sum(depths)
+        element_count = node_count - attribute_count
+        self.node_count = node_count
+        self.element_count = element_count
+        self.attribute_count = attribute_count
+        self.max_depth = max(0, len(depths) - 1)
+        self.depth_total = sum(map(mul, range(len(depths)), depths))
+        self.fanout_max = fanout_max
+        # Every labelled node but the root is one element's child.
+        self.fanout_mean = max(0, node_count - 1) / max(1, element_count)
+        self.tag_counts = tag_counts
+        self.depth_histogram = dict(enumerate(depths))
+
+    @staticmethod
+    def _walk(ldoc) -> Tuple[Dict[str, int], int, List[int], int]:
+        """The counts :meth:`refresh` reads, by one preorder walk.
+
+        ``(tag counts, attribute nodes, nodes at each depth, largest
+        fan-out)``, as the index's counts.  An explicit ``(node,
+        depth)`` stack: pushing an element's labelled children (in
+        reverse, so they pop in document order) is also what counts
         its fan-out.  Text, comment and PI nodes have no labelled
         descendants, so the walk never visits them.
         """
-        node_count = 0
         attribute_count = 0
-        max_depth = 0
-        depth_total = 0
         fanout_max = 0
-        fanout_total = 0
         tag_counts: Dict[str, int] = {}
-        depth_histogram: Dict[int, int] = {}
+        depths: List[int] = []
         root = ldoc.document.root
         stack = [(root, 0)] if root is not None else []
         pop, push = stack.pop, stack.append
         element, attribute = NodeKind.ELEMENT, NodeKind.ATTRIBUTE
         while stack:
             node, depth = pop()
-            node_count += 1
             if node.kind is attribute:
                 attribute_count += 1
             else:
@@ -111,25 +139,16 @@ class StatsCollector:
                     if kind is element or kind is attribute:
                         children += 1
                         push((child, below))
-                fanout_total += children
                 if children > fanout_max:
                     fanout_max = children
-            depth_total += depth
-            if depth > max_depth:
-                max_depth = depth
             name = node.name
             tag_counts[name] = tag_counts.get(name, 0) + 1
-            depth_histogram[depth] = depth_histogram.get(depth, 0) + 1
-        element_count = node_count - attribute_count
-        self.node_count = node_count
-        self.element_count = element_count
-        self.attribute_count = attribute_count
-        self.max_depth = max_depth
-        self.depth_total = depth_total
-        self.fanout_max = fanout_max
-        self.fanout_mean = fanout_total / max(1, element_count)
-        self.tag_counts = tag_counts
-        self.depth_histogram = depth_histogram
+            # Preorder reaches each depth first from the one above it.
+            if depth == len(depths):
+                depths.append(1)
+            else:
+                depths[depth] += 1
+        return tag_counts, attribute_count, depths, fanout_max
 
     def stale(self, ldoc) -> bool:
         """Whether the document has drifted from these counts."""

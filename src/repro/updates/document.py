@@ -60,8 +60,8 @@ class StructuralDelta:
       grafts and moves publish one insert per node, in preorder; an
       applied batch publishes one per node it labelled, in document
       order);
-    * ``"delete"`` — the subtree rooted at ``node`` was detached (it is
-      intact, only cut off from the tree);
+    * ``"delete"`` — the subtree rooted at ``node`` was detached from
+      ``old_parent`` (it is intact, only cut off from the tree);
     * ``"rename"`` — ``node``, called ``old_name`` until now, took its
       current name;
     * ``"value"`` — the attribute ``node``, valued ``old_value`` until
@@ -83,6 +83,7 @@ class StructuralDelta:
     node: XMLNode
     old_name: Optional[str] = None
     old_value: Optional[str] = None
+    old_parent: Optional[XMLNode] = None
     structure_version: int = 0
 
 
@@ -218,9 +219,10 @@ class LabeledDocument:
         if self._delta_listeners:
             self._publish(StructuralDelta(kind="insert", node=node))
 
-    def _publish_delete(self, node: XMLNode) -> None:
+    def _publish_delete(self, node: XMLNode, old_parent: XMLNode) -> None:
         if self._delta_listeners:
-            self._publish(StructuralDelta(kind="delete", node=node))
+            self._publish(StructuralDelta(kind="delete", node=node,
+                                          old_parent=old_parent))
 
     def _publish_rename(self, node: XMLNode, old_name: str) -> None:
         if self._delta_listeners:
@@ -342,6 +344,7 @@ class LabeledDocument:
 
     def _do_insert_attribute(self, labeller: Any, element: XMLNode,
                              name: str, value: str) -> UpdateResult:
+        _refuse_duplicate_attribute(element, name)
         attribute = self.document.new_attribute(name, value)
         element.insert_child(len(element.attributes()), attribute)
         return labeller._label_node(attribute)
@@ -384,7 +387,7 @@ class LabeledDocument:
                 self.document, self.labels, node.node_id
             )
             self._drop_labels(removed_ids)
-            self._publish_delete(node)
+            self._publish_delete(node, parent)
             result = UpdateResult(kind="delete", node=None,
                                   nodes_detached=len(removed_ids))
             if relabeled:
@@ -413,7 +416,7 @@ class LabeledDocument:
                 self.document, self.labels, node.node_id
             )
             self._drop_labels(moved_ids)
-            self._publish_delete(node)
+            self._publish_delete(node, old_parent)
             combined = UpdateResult(kind="move", node=node,
                                     nodes_detached=len(moved_ids))
             if relabeled:
@@ -474,6 +477,9 @@ class LabeledDocument:
     def _do_rename(self, node: XMLNode, name: str) -> UpdateResult:
         if not node.kind.is_labeled:
             raise UpdateError("rename targets element or attribute nodes")
+        if (node.is_attribute and node.parent is not None
+                and name != node.name):
+            _refuse_duplicate_attribute(node.parent, name)
         old_name = node.name
         if self._undo_log is not None:
             self._undo_log.append(("name", node, old_name))
@@ -800,9 +806,10 @@ class LabeledDocument:
             self.document._undo_log = log
 
     def _undo_attach(self, node: XMLNode) -> None:
-        node.parent.remove_child(node)
+        parent = node.parent
+        parent.remove_child(node)
         if node.kind.is_labeled:
-            self._publish_delete(node)
+            self._publish_delete(node, parent)
 
     def _undo_detach(self, node: XMLNode, parent: XMLNode,
                      index: int) -> None:
@@ -811,6 +818,15 @@ class LabeledDocument:
             for child in node.preorder():
                 if child.node_id in self.labels:
                     self._publish_insert(child)
+
+
+def _refuse_duplicate_attribute(element: XMLNode, name: str) -> None:
+    """Refuse a second attribute called ``name`` on ``element``: the
+    serialized document would repeat it, which no parser accepts."""
+    if element.attribute(name) is not None:
+        raise UpdateError(
+            f"element {element.name!r} already has an attribute {name!r}"
+        )
 
 
 def _accumulate(combined: UpdateResult, part: UpdateResult) -> None:

@@ -4,11 +4,21 @@
 ``labeled_nodes()`` that calls ``depth()`` and ``labeled_children()``
 on every node.  It is the oracle for the explicit-stack walk, which
 must produce the same fields, dict insertion order included.
+:func:`fields` lists every structural field for comparison, and
+:func:`counted` counts which path answered a refresh: the walk, or the
+structural index's counts (and their build).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
 from typing import Dict
+
+import pytest
+
+from repro.axes.accelerator import AxisAccelerator
+from repro.observability.stats import StatsCollector
 
 
 def reference_refresh(stats, ldoc) -> None:
@@ -47,3 +57,33 @@ def reference_refresh(stats, ldoc) -> None:
     stats.fanout_mean = fanout_total / max(1, element_count)
     stats.tag_counts = tag_counts
     stats.depth_histogram = depth_histogram
+
+
+def fields(stats):
+    """Every structural field, dicts as ordered item lists."""
+    return (
+        stats.node_count, stats.element_count, stats.attribute_count,
+        stats.max_depth, stats.depth_total, stats.fanout_max,
+        stats.fanout_mean, list(stats.tag_counts.items()),
+        list(stats.depth_histogram.items()),
+    )
+
+
+@contextmanager
+def counted():
+    """Count the statistics walks and the index's counts builds."""
+    calls = Counter()
+    walk, build = StatsCollector._walk, AxisAccelerator._build_counts
+
+    def counted_walk(ldoc):
+        calls["walk"] += 1
+        return walk(ldoc)
+
+    def counted_build(index):
+        calls["build"] += 1
+        build(index)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StatsCollector, "_walk", staticmethod(counted_walk))
+        patch.setattr(AxisAccelerator, "_build_counts", counted_build)
+        yield calls
