@@ -17,7 +17,9 @@ every later number.  :class:`AxisAccelerator` keeps the order the way
 an order-maintenance list does (Dietz & Sleator 1987; Bender et al.
 2002) — the paper's gap-versus-persistence trade-off, inside the index:
 
-* every labelled node carries an integer *order tag*; tags increase in
+* every element and attribute node carries an integer *order tag*
+  (labels play no part: a node a batch has not labelled yet is placed
+  like any other); tags increase in
   document order with gaps between them, so an insert takes a tag
   between its neighbours' and, when a gap has closed, relabels only the
   few nodes that follow it (:meth:`AxisAccelerator._spread`);
@@ -50,14 +52,14 @@ A document owns at most one index, created by
 :meth:`LabeledDocument.accelerator` and built at its first query.  It
 subscribes to the document's
 :class:`~repro.updates.document.StructuralDelta` stream: ``insert``,
-``delete``, ``rename`` and ``value`` deltas are spliced in, rollbacks
-and batch consolidations included — a rollback publishes the inverse
-deltas of what it undoes, and an applied batch one insert per node it
-labelled.  A relabelling publishes nothing, because it
-moves no node and the order does not depend on labels.  The document's
-``structure_version`` stamp closes the remaining hole: a structural
-mutation the index did not consume (a mid-batch deferred insert, a tree
-mutated behind the document's back) makes the next query raise
+``delete``, ``rename`` and ``value`` deltas are spliced in, each node
+when it is attached (a batch's deferred nodes included) and rollbacks
+included — a rollback publishes the inverse deltas of what it undoes.
+A relabelling publishes nothing, because it moves no node and the order
+does not depend on labels.  The document's ``structure_version`` stamp
+closes the remaining hole: a structural mutation the index did not
+consume (a tree mutated behind the document's back, an index
+unsubscribed from the stream) makes the next query raise
 :class:`~repro.errors.StaleIndexError` instead of silently answering
 from a dead order.
 """
@@ -75,6 +77,7 @@ from repro.observability.ops import instrument
 from repro.updates.document import LabeledDocument, StructuralDelta
 from repro.xmlmodel.tree import NodeKind, XMLNode
 
+_ELEMENT = NodeKind.ELEMENT
 _ATTRIBUTE = NodeKind.ATTRIBUTE
 
 #: Nodes per block after a build; a block splits past twice this.
@@ -111,11 +114,10 @@ class _Run:
         self.tags = tags
 
 
-def _walk(root: XMLNode, labels) -> Tuple[List[XMLNode],
-                                          Dict[XMLNode, XMLNode],
-                                          Dict[str, List[XMLNode]]]:
-    """Preorder of the labelled nodes under ``root``, with each inner
-    node's last descendant and each name's nodes in order.
+def _walk(root: XMLNode) -> Tuple[List[XMLNode], Dict[XMLNode, XMLNode],
+                                  Dict[str, List[XMLNode]]]:
+    """Preorder of the element and attribute nodes under ``root``, with
+    each inner node's last descendant and each name's nodes in order.
 
     Iterative, so document depth is not bounded by the recursion limit:
     a one-element tuple on the stack closes its node's subtree.
@@ -139,7 +141,7 @@ def _walk(root: XMLNode, labels) -> Tuple[List[XMLNode],
         else:
             group.append(node)
         children = [child for child in node.children
-                    if child.node_id in labels]
+                    if child.kind is _ELEMENT or child.kind is _ATTRIBUTE]
         if children:
             stack.append((node,))
             children.reverse()
@@ -149,12 +151,12 @@ def _walk(root: XMLNode, labels) -> Tuple[List[XMLNode],
 
 def _tally(nodes: Iterable[XMLNode]) -> Tuple[List[int], int,
                                               Dict[XMLNode, int]]:
-    """Count a subtree's labelled nodes, given in document order.
+    """Count a subtree's indexed nodes, given in document order.
 
     Its root is the one node without a parent link (the document root,
     or the root of a cut subtree).  Returns the nodes at each depth
     below the root's (the root's first), the attribute nodes, and each
-    element's labelled children.
+    element's indexed children.
     """
     depth_of: Dict[Optional[XMLNode], int] = {None: -1}
     fanout: Dict[Optional[XMLNode], int] = {None: 0}
@@ -207,7 +209,7 @@ class AxisAccelerator:
         self._values: Dict[str, Dict[str, Set[XMLNode]]] = {}
         #: The statistics counts, once read (see :meth:`counts`): the
         #: attribute nodes, the nodes at each depth (indexed by depth)
-        #: and the elements with each fan-out (labelled children).
+        #: and the elements with each fan-out (indexed children).
         #: ``_depths`` is None until the first read after a build.
         self._attributes = 0
         self._depths: Optional[List[int]] = None
@@ -231,14 +233,9 @@ class AxisAccelerator:
         """Rebuild the whole index from the document and resync the stamp."""
         with instrument("accelerator.build",
                         scheme=self._scheme_name) as event:
-            # Nodes a batch has deferred are structurally present but
-            # carry no label yet; they stay off the index (the
-            # pending-batch gate refuses queries until the batch
-            # applies anyway).
-            labels = self.ldoc.labels
             root = self.document.root
-            if root is not None and root.node_id in labels:
-                nodes, last, groups = _walk(root, labels)
+            if root is not None:
+                nodes, last, groups = _walk(root)
             else:
                 nodes, last, groups = [], {}, {}
             total = len(nodes)
@@ -271,7 +268,8 @@ class AxisAccelerator:
         return len(self._tag)
 
     def nodes(self) -> List[XMLNode]:
-        """Every labelled node in document order, brought up to date."""
+        """Every element and attribute node in document order, brought
+        up to date."""
         self.ensure_current()
         result: List[XMLNode] = []
         for block in self._blocks:
@@ -293,10 +291,6 @@ class AxisAccelerator:
         the reason, and EXPLAIN answers it with the label scan
         (``scan``).
         """
-        if self._batch_pending():
-            return ("scan",
-                    "document has a batch with unlabelled pending nodes; "
-                    "the index refuses (StaleIndexError) until it applies")
         if self._dirty:
             return (self.STRATEGY, "index (re)built by the first step to run")
         if self._stamp != self.document.structure_version:
@@ -340,13 +334,11 @@ class AxisAccelerator:
         self._stamp = delta.structure_version
 
     def _splice_insert(self, node: XMLNode) -> int:
-        """Give one freshly labelled node its place in the order.
+        """Give one freshly attached node its place in the order.
 
         Returns the nodes placed (0 or 1), as do the other splices.
         """
         tag_of = self._tag
-        if node in tag_of:
-            return 0  # placed already (a move can publish it before a batch does)
         parent = node.parent
         if parent is None or parent not in tag_of:
             self._dirty = True
@@ -472,13 +464,6 @@ class AxisAccelerator:
     def _splice_delete(self, root: XMLNode, parent: XMLNode) -> int:
         """Cut one subtree, detached from ``parent``, out of the order."""
         tag_of = self._tag
-        if root not in tag_of:
-            # The detached root was never indexed (e.g. deferred by a
-            # batch); if any of its subtree was, the order cannot be
-            # repaired without a rebuild.
-            if any(node in tag_of for node in root.preorder()):
-                self._dirty = True
-            return 0
         last = self._last
         end = last.get(root, root)
         blocks = self._blocks
@@ -567,9 +552,7 @@ class AxisAccelerator:
 
     def _splice_rename(self, node: XMLNode, old_name: Optional[str]) -> int:
         """Move a renamed node from its old name's run to its new one's."""
-        tag = self._tag.get(node)
-        if tag is None:
-            return 0  # not on the index (deferred by a batch)
+        tag = self._tag[node]
         run = self._names[old_name]
         slot = bisect_left(run.tags, tag)
         del run.nodes[slot]
@@ -591,8 +574,6 @@ class AxisAccelerator:
 
     def _splice_value(self, node: XMLNode, old_value: Optional[str]) -> int:
         """Move an attribute from its old value's entry to its new one's."""
-        if node not in self._tag:
-            return 0  # not on the index (deferred by a batch)
         self._touched += (self._value_remove(node, node.name, old_value)
                           + self._value_add(node))
         return 1
@@ -645,11 +626,11 @@ class AxisAccelerator:
         and delete splices keep the counts from then on, so a read
         costs O(names + depths + fan-out values).  Like
         :meth:`document_order`, it never builds, raises or counts a
-        refusal: when the index is marked for rebuild, its stamp is
-        behind the document or a batch has unlabelled pending nodes,
-        it returns ``None`` and the caller walks the document.
+        refusal: when the index is marked for rebuild or its stamp is
+        behind the document, it returns ``None`` and the caller walks
+        the document.
         """
-        if self.stale or self._batch_pending():
+        if self.stale:
             return None
         if self._depths is None:
             self._build_counts()
@@ -679,7 +660,7 @@ class AxisAccelerator:
             fanouts[new] = fanouts.get(new, 0) + 1
 
     def _count_insert(self, node: XMLNode, parent: XMLNode) -> None:
-        """Count one node just placed under ``parent``.  Its labelled
+        """Count one node just placed under ``parent``.  Its indexed
         children are placed after it (inserts arrive in preorder), so an
         element enters with fan-out 0."""
         depth = node.depth()
@@ -721,15 +702,10 @@ class AxisAccelerator:
                         scheme=self._scheme_name, message=message):
             raise StaleIndexError(message)
 
-    def _batch_pending(self) -> bool:
-        batch = self.ldoc._active_batch
-        return batch is not None and batch.pending > 0
-
     def ensure_current(self) -> None:
         """Build the index if it is marked for it, or refuse: raise
         :class:`StaleIndexError` if it cannot answer right now."""
-        if (not self._dirty and self.ldoc._active_batch is None
-                and self._stamp == self.document.structure_version):
+        if not self._dirty and self._stamp == self.document.structure_version:
             return  # current: the check every axis step makes
         strategy, reason = self.explain_state()
         if strategy != self.STRATEGY:
@@ -747,12 +723,12 @@ class AxisAccelerator:
         O(k log k) in ``len(nodes)``, whatever the document size.  The
         index only vouches for tags a query would be answered from:
         when it is marked for rebuild, its stamp is behind the
-        document's ``structure_version``, a batch has unlabelled pending
-        nodes, or a node is not on the index (by identity, as for axis
-        queries), this returns ``None`` and the caller orders the nodes
-        another way.  It never rebuilds, raises or counts a refusal.
+        document's ``structure_version``, or a node is not on the index
+        (by identity, as for axis queries), this returns ``None`` and
+        the caller orders the nodes another way.  It never rebuilds,
+        raises or counts a refusal.
         """
-        if self.stale or self._batch_pending():
+        if self.stale:
             return None
         tag_of = self._tag
         for node in nodes:

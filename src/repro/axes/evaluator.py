@@ -79,9 +79,9 @@ class AxisEvaluator:
                       ) -> List[XMLNode]:
         """``axis`` from ``node`` via the label-table scan path only.
 
-        EXPLAIN uses it to answer a step the index refuses (a batch with
-        unlabelled pending nodes) while reporting the ``scan``
-        strategy, where a plain query would surface
+        EXPLAIN uses it to answer a step the index refuses (its stamp
+        is behind the document's ``structure_version``) while reporting
+        the ``scan`` strategy, where a plain query would surface
         :class:`~repro.errors.StaleIndexError`.
         """
         if axis not in AXES:

@@ -8,21 +8,24 @@ analyzer — while this module owns *evaluation*: routing each parsed
 step through :class:`~repro.axes.evaluator.AxisEvaluator` to the
 document's :class:`~repro.axes.accelerator.AxisAccelerator`, and
 merging results in document order with duplicates eliminated — the
-XPath requirements Definition 1 exists to serve.
+XPath requirements Definition 1 exists to serve.  It is the one step
+loop: queries, EXPLAIN and the update language's target resolution
+(:func:`repro.ulang.compiler.resolve_targets`) all run it.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.axes.evaluator import AxisEvaluator
 from repro.axes.xpath_ast import (
+    LocationPath,
     Step,
     apply_node_tests,
     leading_attribute,
     parse_path,
-    split_union,
+    parse_xpath,
 )
 from repro.updates.document import LabeledDocument
 from repro.xmlmodel.tree import XMLNode
@@ -40,14 +43,16 @@ class XPathEvaluator:
 
     Every axis step is answered from the document's index
     (``ldoc.accelerator()``, built at the first query), and merged
-    results are put into document order by its positions.
+    results are put into document order by its positions.  The index
+    holds every element and attribute node as soon as it is attached, so
+    a batch's pending (unlabelled) nodes are answered like any other.
 
     ``recorder`` (a :class:`~repro.observability.explain.PlanRecorder`)
     turns on EXPLAIN instrumentation: every location step reports its
     strategy, context size, cardinality, and wall time.  The default
     ``None`` reads no clock.  In recorder mode a step the index refuses
-    (a batch with unlabelled pending nodes) is answered by the label
-    scan instead of raising, so EXPLAIN can always show the full plan.
+    (its stamp is behind the document) is answered by the label scan
+    instead of raising, so EXPLAIN can always show the full plan.
     """
 
     def __init__(self, ldoc: LabeledDocument, recorder=None):
@@ -64,23 +69,33 @@ class XPathEvaluator:
         Top-level ``|`` unions are supported: each branch is evaluated
         independently and the results merge in document order.
         """
-        branches = split_union(path)
-        if len(branches) > 1:
-            gathered: List[XMLNode] = []
-            for branch in branches:
-                gathered.extend(self.evaluate(branch, context))
-            return self._dedupe(gathered)
-        return self._evaluate_single(path, context)
+        return self.evaluate_paths(parse_xpath(path), context)
 
-    def _evaluate_single(self, path: str,
-                         context: Optional[XMLNode] = None) -> List[XMLNode]:
-        absolute, steps = parse_path(path)
+    def evaluate_paths(self, branches: Sequence[LocationPath],
+                       context: Optional[XMLNode] = None) -> List[XMLNode]:
+        """What the parsed union ``branches`` select, as :meth:`evaluate`.
+
+        The step loop itself, entered by :meth:`evaluate` after parsing
+        and by callers that hold parsed paths already.
+        """
         root = self.ldoc.document.root
         if root is None:
             return []
+        gathered: List[XMLNode] = []
+        for branch in branches:
+            gathered.extend(self._branch(branch, root, context))
+        if len(branches) == 1:
+            return gathered
+        return self._dedupe(gathered)
+
+    def _branch(self, branch: LocationPath, root: XMLNode,
+                context: Optional[XMLNode]) -> List[XMLNode]:
+        """One union branch; each step returns its nodes deduplicated
+        and in document order."""
+        steps = branch.steps
         if self.recorder is not None:
-            self.recorder.begin_branch(path)
-        if not absolute:
+            self.recorder.begin_branch(branch.absolute)
+        if not branch.absolute:
             current = [context or root]
         elif steps and steps[0].axis in _FROM_DOCUMENT_NODE:
             current = self._step(steps[0], [root],
@@ -90,7 +105,7 @@ class XPathEvaluator:
             current = [root]
         for step in steps:
             current = self._step(step, current, step.axis)
-        return self._dedupe(current)
+        return current
 
     def _step(self, step: Step, contexts: List[XMLNode],
               axis: str) -> List[XMLNode]:

@@ -70,12 +70,13 @@ class UnsupportedRelationshipError(LabelError):
 class StaleIndexError(ReproError):
     """A derived index no longer matches the document it was built over.
 
-    Raised by the axis accelerator when the document has a batch with
-    unlabelled pending nodes, or when the document's structure version
+    Raised by the axis accelerator when the document's structure version
     has advanced past the index's stamp without the index having
     consumed the corresponding structural deltas — answering would
-    silently serve results computed from dead positions.  Apply the
-    batch, or call ``refresh()`` on the index, to clear the condition.
+    silently serve results computed from dead positions; call
+    ``refresh()`` on the index to clear the condition.  The repository's
+    label lookups (``DocumentIndexes``) also raise it while a batch has
+    unlabelled pending nodes, until the batch applies or rolls back.
     """
 
 
@@ -140,8 +141,8 @@ class BatchError(UpdateError):
     """A bulk update batch was used incorrectly.
 
     Raised when operations are added to an already-applied batch, or when
-    a document is queried while a batch still has unlabelled nodes
-    pending.
+    a document's label order is verified while a batch still has
+    unlabelled nodes pending, or it is snapshotted while a batch is open.
     """
 
 

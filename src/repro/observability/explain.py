@@ -19,9 +19,9 @@ Two modes, mirroring SQL EXPLAIN:
   are recorded next to the estimates and fed back into the collector's
   learned selectivities, so the next estimate for the same
   ``(axis, name-test)`` pair is observation-based.  A step the index
-  refuses (a batch with unlabelled pending nodes) is answered by the
-  label scan instead of raising, so the plan always completes — with
-  the refusal reason in the ``scan`` row.
+  refuses (its stamp is behind the document) is answered by the label
+  scan instead of raising, so the plan always completes — with the
+  refusal reason in the ``scan`` row.
 
 :func:`explain_batch` is the update-side counterpart: the predicted
 relabel extent from the batch's ``plan_insert`` decisions (any deferral
@@ -172,10 +172,10 @@ class PlanRecorder:
         self._branch_absolute = False
         self._steps_in_branch = 0
 
-    def begin_branch(self, path: str) -> None:
+    def begin_branch(self, absolute: bool) -> None:
         """A union branch (or the sole branch) starts evaluating."""
         self.branch += 1
-        self._branch_absolute = path.strip().startswith("/")
+        self._branch_absolute = absolute
         self._steps_in_branch = 0
 
     def record_step(self, step: Step, *, strategy: str, reason: str,

@@ -235,9 +235,9 @@ class ScanFallbackProbe(HealthProbe):
     (``axes.accelerator.queries``) next to the refusals
     (``axes.accelerator.stale_errors``).  When the scan share of
     explained steps climbs past the threshold while an accelerator
-    exists (builds > 0), queries keep meeting refusals — open batches
-    with pending nodes, stale stamps — and every affected step pays the
-    full label-table pass.
+    exists (builds > 0), queries keep meeting refusals — stale stamps
+    from changes the index did not see — and every affected step pays
+    the full label-table pass.
     """
 
     name = "scan-fallback-rate"

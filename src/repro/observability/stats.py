@@ -21,13 +21,15 @@ actually run.
 Statistics persist: :meth:`to_payload` / :meth:`from_payload` round-trip
 through JSON, and :class:`~repro.store.snapshots.Snapshot` carries the
 payload through every storage backend alongside the label stream.  A
-restored collector checks itself against the live document with
-:meth:`stale` (the structural counts are stamped by node count) and
-:meth:`refresh` recomputes the structure while keeping what was
-learned.  While the document's structural index is current, its
-maintained counts answer a refresh
+refresh stamps the collector with the document's ``structure_version``,
+which every attach, detach, rename and attribute-value update advances;
+:meth:`stale` compares the stamp with the document and :meth:`refresh`
+recomputes the structure while keeping what was learned.  A collector
+restored from a payload carries no stamp until :meth:`stamp` or
+:meth:`refresh` gives it one.  While the document's structural index is
+current, its maintained counts answer a refresh
 (:meth:`~repro.axes.accelerator.AxisAccelerator.counts`); otherwise one
-walk over the labelled nodes does.
+walk over the element and attribute nodes does.
 """
 
 from __future__ import annotations
@@ -69,6 +71,9 @@ class StatsCollector:
         self.depth_histogram: Dict[int, int] = {}
         # "(axis)|(name test)" -> cumulative {"contexts", "rows", "samples"}
         self.selectivities: Dict[str, Dict[str, float]] = {}
+        #: The document's structure_version when the counts were taken
+        #: (None: never stamped, e.g. restored from a payload).
+        self._version: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Collection
@@ -87,8 +92,8 @@ class StatsCollector:
         While the document's structural index is current, its counts
         answer in O(names + depths + fan-out values).  In every other
         state (no index yet, an index marked for rebuild or behind the
-        document, a batch with unlabelled pending nodes) :meth:`_walk`
-        counts the tree.  Neither builds the index.
+        document) :meth:`_walk` counts the tree.  Neither builds the
+        index.  Either way the counts take in a batch's pending nodes.
         """
         index = ldoc._accelerator  # created by the first query, if any
         counts = None if index is None else index.counts()
@@ -107,6 +112,7 @@ class StatsCollector:
         self.fanout_mean = max(0, node_count - 1) / max(1, element_count)
         self.tag_counts = tag_counts
         self.depth_histogram = dict(enumerate(depths))
+        self.stamp(ldoc)
 
     @staticmethod
     def _walk(ldoc) -> Tuple[Dict[str, int], int, List[int], int]:
@@ -151,8 +157,16 @@ class StatsCollector:
         return tag_counts, attribute_count, depths, fanout_max
 
     def stale(self, ldoc) -> bool:
-        """Whether the document has drifted from these counts."""
-        return self.node_count != len(ldoc.labels)
+        """Whether the document has changed since the counts' stamp."""
+        return self._version != ldoc.document.structure_version
+
+    def stamp(self, ldoc) -> None:
+        """Mark the counts current for ``ldoc`` as it stands, unrecounted.
+
+        For a collector restored with its document: a snapshot refreshes
+        stale statistics before persisting them.
+        """
+        self._version = ldoc.document.structure_version
 
     # ------------------------------------------------------------------
     # Estimation

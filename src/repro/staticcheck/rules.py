@@ -519,7 +519,10 @@ class UnpublishedMutationRule:
     The axis accelerator (and any other delta subscriber) stays
     coherent only because every public mutation path on
     ``LabeledDocument``, ``UpdateSurface`` (``ldoc.updates``) and
-    ``UpdateBatch`` ends in a ``_publish_*`` call.
+    ``UpdateBatch`` ends in a ``_publish_*`` call.  A node is published
+    when it is attached, whether it is labelled then or a batch defers
+    its label; a relabelling (a batch's consolidated pass included)
+    moves no node and publishes nothing.
     A public method that writes label state — directly or through
     private helpers — without a publish reachable from it silently
     strands subscribers on stale indexes.

@@ -8,7 +8,9 @@ the document's one :class:`~repro.axes.accelerator.AxisAccelerator`:
 the name lookup returns its per-name list (the element index over a
 structural index), the value lookup filters its document order, so
 they follow every update the index follows, with no copy of their own
-to rebuild.
+to rebuild.  They pair each node with its label, which the structural
+joins decide from, so they alone refuse while a batch has pending
+(unlabelled) nodes; the index itself answers then.
 """
 
 from __future__ import annotations
@@ -30,8 +32,18 @@ class DocumentIndexes:
         self.ldoc = ldoc
 
     def refresh(self) -> AxisAccelerator:
-        """The document's index, brought up to date."""
+        """The document's index, brought up to date.
+
+        Raises :class:`~repro.errors.StaleIndexError` while a batch has
+        pending nodes: they are on the index but have no label to pair.
+        """
         index = self.ldoc.accelerator()
+        batch = self.ldoc._active_batch
+        if batch is not None and batch.pending:
+            index._refuse_stale(
+                "document has a batch with unlabelled pending nodes; "
+                "the label lookups refuse (StaleIndexError) until it "
+                "applies")
         index.ensure_current()
         return index
 

@@ -62,9 +62,10 @@ class StoredDocument:
     ``stats`` is the document's cardinality profile
     (:class:`~repro.observability.stats.StatsCollector`): collected at
     materialisation when none is supplied, refreshed automatically when
-    a restored payload no longer matches the live node count (learned
-    selectivities survive the refresh), and persisted through every
-    snapshot so EXPLAIN estimates follow the document across backends.
+    a restored payload no longer matches the live node count or the
+    document has changed since (learned selectivities survive the
+    refresh), and persisted through every snapshot so EXPLAIN estimates
+    follow the document across backends.
     """
 
     def __init__(self, name: str, ldoc: LabeledDocument, stats=None):
@@ -75,7 +76,10 @@ class StoredDocument:
         self.indexes = DocumentIndexes(ldoc)
         if stats is None:
             stats = StatsCollector.collect(ldoc)
-        elif stats.stale(ldoc):
+        elif stats.node_count == len(ldoc.labels):
+            # Restored with its document: snapshot() refreshed it.
+            stats.stamp(ldoc)
+        else:
             stats.refresh(ldoc)
         self.stats = stats
         self._registered_queries: List[str] = []

@@ -7,25 +7,21 @@ semantics).  All mutations go through a single batch, so deferred
 one-pass relabelling, transactions, WAL, op-log and tracing apply
 exactly as they do for hand-written batch code.
 
-Target resolution is a tree-pointer evaluation of the shared XPath AST
-(:mod:`repro.axes.xpath_ast`) rather than the label-driven
-:class:`~repro.axes.xpath.XPathEvaluator`: mid-batch, deferred nodes
-have no labels yet, so structural navigation is the only sound way to
-address the evolving document.  Name tests and predicates are the same
-:func:`~repro.axes.xpath_ast.apply_node_tests` the evaluator uses, so
-the two agree wherever both are defined.
+Target resolution runs the shared XPath AST
+(:mod:`repro.axes.xpath_ast`) through
+:class:`~repro.axes.xpath.XPathEvaluator`'s step loop on the document's
+structural index, the one query path.  The index holds a node from the
+moment it is attached, labelled or not, so a statement resolves against
+the tree as the statements before it left it, the batch's deferred
+nodes included.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
-from repro.axes.xpath_ast import (
-    REVERSE_AXES,
-    LocationPath,
-    apply_node_tests,
-    parse_xpath,
-)
+from repro.axes.xpath import XPathEvaluator
+from repro.axes.xpath_ast import LocationPath, parse_xpath
 from repro.errors import ULangTargetError
 from repro.observability.metrics import get_registry
 from repro.ulang.ast import (
@@ -43,133 +39,17 @@ from repro.xmlmodel.tree import XMLNode
 __all__ = ["resolve_targets", "run_program"]
 
 
-# ----------------------------------------------------------------------
-# Structural path resolution (label-free, mid-batch safe)
-# ----------------------------------------------------------------------
-
-
-def _axis_candidates(axis: str, node: XMLNode,
-                     order: Dict[int, int]) -> List[XMLNode]:
-    """One axis step via tree pointers, in document order."""
-    if axis == "self":
-        return [node]
-    if axis == "child":
-        return list(node.children)
-    if axis == "parent":
-        return [node.parent] if node.parent is not None else []
-    if axis == "ancestor":
-        return list(node.ancestors())[::-1]
-    if axis == "ancestor-or-self":
-        return list(node.ancestors())[::-1] + [node]
-    if axis == "descendant":
-        return list(node.descendants())
-    if axis == "descendant-or-self":
-        return [node] + list(node.descendants())
-    if axis == "following-sibling":
-        return list(node.following_siblings())
-    if axis == "preceding-sibling":
-        if node.parent is None:
-            return []
-        return node.parent.children[:node.parent.child_index(node)]
-    if axis == "attribute":
-        return node.attributes()
-    if axis in ("following", "preceding"):
-        position = order[node.node_id]
-        subtree = {child.node_id for child in node.preorder()}
-        ancestors = {anc.node_id for anc in node.ancestors()}
-        root = node
-        while root.parent is not None:
-            root = root.parent
-        if axis == "following":
-            return [
-                other for other in root.preorder()
-                if order[other.node_id] > position
-                and other.node_id not in subtree
-            ]
-        return [
-            other for other in root.preorder()
-            if order[other.node_id] < position
-            and other.node_id not in ancestors
-        ]
-    raise ULangTargetError(f"unsupported axis {axis!r} in update target")
-
-
 def resolve_targets(ldoc, paths: Union[str, Sequence[LocationPath]],
                     ) -> List[XMLNode]:
-    """All nodes the path expression selects, by tree navigation.
+    """All nodes the path expression selects, from the document's index.
 
     ``paths`` is either a raw XPath string or pre-parsed
     :class:`LocationPath` branches.  Results are in document order with
     duplicates removed; an empty list means the target is unsatisfied.
-
-    A step from one context node already lists its nodes in document
-    order, so the preorder numbering of the whole tree is built only
-    when something reads it: a ``following`` or ``preceding`` step, or
-    a merge of results from several context nodes or union branches.
     """
     if isinstance(paths, str):
         paths = parse_xpath(paths)
-    root = ldoc.document.root
-    if root is None:
-        return []
-    order: Dict[int, int] = {}
-
-    def numbered() -> Dict[int, int]:
-        if not order:
-            order.update((node.node_id, position)
-                         for position, node in enumerate(root.preorder()))
-        return order
-
-    gathered: List[XMLNode] = []
-    for branch in paths:
-        steps = list(branch.steps)
-        if branch.absolute:
-            current = [root]
-            if steps:
-                first = steps[0]
-                if first.axis == "child":
-                    current = apply_node_tests(first, [root])
-                    steps = steps[1:]
-                elif first.axis == "descendant":
-                    current = apply_node_tests(
-                        first, [root] + list(root.descendants())
-                    )
-                    steps = steps[1:]
-        else:
-            current = [root]
-        for step in steps:
-            if not current:
-                break
-            if step.axis in ("following", "preceding"):
-                numbered()
-            if len(current) == 1:
-                current = apply_node_tests(
-                    step, _axis_candidates(step.axis, current[0], order))
-                if step.predicates and step.axis in REVERSE_AXES:
-                    current.reverse()  # back from proximity order
-                continue
-            step_gathered: List[XMLNode] = []
-            seen = set()
-            for node in current:
-                candidates = _axis_candidates(step.axis, node, order)
-                for match in apply_node_tests(step, candidates):
-                    if match.node_id not in seen:
-                        seen.add(match.node_id)
-                        step_gathered.append(match)
-            positions = numbered()
-            current = sorted(step_gathered,
-                             key=lambda node: positions[node.node_id])
-        if len(paths) == 1:
-            return current
-        gathered.extend(current)
-    seen = set()
-    unique = []
-    for node in gathered:
-        if node.node_id not in seen:
-            seen.add(node.node_id)
-            unique.append(node)
-    positions = numbered()
-    return sorted(unique, key=lambda node: positions[node.node_id])
+    return XPathEvaluator(ldoc).evaluate_paths(paths)
 
 
 def _outermost(nodes: List[XMLNode]) -> List[XMLNode]:

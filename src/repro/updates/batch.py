@@ -42,7 +42,7 @@ Accounting contract (the batch/per-op parity rules):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, List, Set
 
 from repro.errors import BatchError
 from repro.observability.metrics import get_registry
@@ -94,7 +94,9 @@ class UpdateBatch:
     While the batch has deferred (pending) labels the document is
     structurally current but partially unlabelled;
     :meth:`~repro.updates.document.LabeledDocument.verify_order` refuses
-    to run until the batch applies.
+    to run until the batch applies.  Every node is published to the
+    document's delta stream when it is attached, labelled or not, so the
+    structural index holds the pending nodes and queries answer.
     """
 
     def __init__(self, ldoc: "LabeledDocument"):
@@ -103,8 +105,6 @@ class UpdateBatch:
         self._ldoc = ldoc
         self._undo = None
         self._pending: Set[int] = set()
-        #: Deferred nodes not yet published to the delta stream, by id.
-        self._unpublished: Dict[int, "XMLNode"] = {}
         self._results: List[UpdateResult] = []
         self._operations = 0
         self._deferrals = 0
@@ -207,14 +207,10 @@ class UpdateBatch:
         pending nodes.
         """
         self._prepare()
-        doomed = [
-            child.node_id for child in node.preorder()
-            if child.node_id in self._unpublished
-        ]
         result = self._ldoc._do_delete(node)
-        self._pending.difference_update(doomed)
-        for node_id in doomed:
-            del self._unpublished[node_id]
+        if self._pending:
+            self._pending.difference_update(
+                child.node_id for child in node.preorder())
         self._drop_labelled_pending()
         self._deletions += 1
         return self._record(result)
@@ -263,9 +259,8 @@ class UpdateBatch:
         produces every outstanding label — and, as a full relabelling,
         replaces fast-path labels assigned earlier in the batch so the
         final label set is exactly the scheme's canonical labelling of
-        the current tree.  Delta subscribers then receive one ``insert``
-        per node the pass labelled, in document order; the relabelling
-        itself publishes nothing, since it moves no node.
+        the current tree.  It publishes nothing: every node was published
+        when it was attached, and a relabelling moves no node.
 
         If the pass itself fails partway (a collision, an injected
         crash), the batch is *not* closed: :meth:`rollback` — or the
@@ -306,7 +301,6 @@ class UpdateBatch:
                     ).observe(relabeled_nodes)
                 passes = 1
                 self._pending.clear()
-            self._publish_labelled()
             for result in self._results:
                 if result.node is not None and result.kind != "delete":
                     result.label = ldoc.labels.get(result.node.node_id)
@@ -391,7 +385,6 @@ class UpdateBatch:
         self._applied = True
         self._undo = None
         self._pending.clear()
-        self._unpublished.clear()
         self._ldoc._active_batch = None
 
     def _prepare(self) -> None:
@@ -417,7 +410,8 @@ class UpdateBatch:
         """Label one new node on the fast path, or park it for the pass.
 
         The batch's side of the document cores' labeller contract (the
-        document's own ``_label_node`` labels immediately).
+        document's own ``_label_node`` labels immediately).  Either way
+        the node is published as attached.
         """
         from repro.durability.faults import maybe_fail
 
@@ -431,7 +425,7 @@ class UpdateBatch:
             outcome = ldoc.scheme.plan_insert(ldoc._insert_context_for(node))
         if outcome is None:
             self._pending.add(node.node_id)
-            self._unpublished[node.node_id] = node
+            ldoc._publish_insert(node)
             self._deferrals += 1
             self._metric_deferred.value += 1
             return UpdateResult(kind="insert", node=node, labels_assigned=1,
@@ -441,28 +435,12 @@ class UpdateBatch:
             self._overflow_events += 1
         ldoc._assign(node.node_id, outcome.label)
         ldoc._publish_insert(node)
-        self._unpublished.pop(node.node_id, None)
         self._fast_labels += 1
         self._metric_fast.value += 1
         return UpdateResult(
             kind="insert", node=node, label=outcome.label, labels_assigned=1,
             overflow_events=1 if outcome.overflowed else 0,
         )
-
-    def _publish_labelled(self) -> None:
-        """Publish the deferred nodes that carry labels now, in order.
-
-        They were attached while deferred, so the delta stream has not
-        seen them; parents come before children, as the index needs.
-        """
-        labels = self._ldoc.labels
-        nodes = [node for node_id, node in self._unpublished.items()
-                 if node_id in labels]
-        self._unpublished.clear()
-        if len(nodes) > 1:
-            nodes.sort(key=_tree_position)
-        for node in nodes:
-            self._ldoc._publish_insert(node)
 
     def _drop_labelled_pending(self) -> None:
         """Forget pending nodes a relabelling just gave labels to."""
@@ -472,16 +450,6 @@ class UpdateBatch:
             node_id for node_id in self._pending if node_id in self._ldoc.labels
         ]
         self._pending.difference_update(labelled)
-
-
-def _tree_position(node: "XMLNode") -> List[int]:
-    """``node``'s child indexes from the root down: a document-order key."""
-    path = []
-    while node.parent is not None:
-        path.append(node.parent.children.index(node))
-        node = node.parent
-    path.reverse()
-    return path
 
 
 def apply_batch(ldoc: "LabeledDocument",

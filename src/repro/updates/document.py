@@ -55,11 +55,10 @@ class StructuralDelta:
 
     ``kind`` is one of:
 
-    * ``"insert"`` — ``node`` was just labelled in place (its labelled
-      descendants, if any in the tree, are not labelled yet — subtree
-      grafts and moves publish one insert per node, in preorder; an
-      applied batch publishes one per node it labelled, in document
-      order);
+    * ``"insert"`` — ``node``, an element or attribute, was just
+      attached (and labelled, unless a batch deferred its label; its
+      descendants, if any in the tree, are not published yet — subtree
+      grafts and moves publish one insert per node, in preorder);
     * ``"delete"`` — the subtree rooted at ``node`` was detached from
       ``old_parent`` (it is intact, only cut off from the tree);
     * ``"rename"`` — ``node``, called ``old_name`` until now, took its
@@ -74,8 +73,8 @@ class StructuralDelta:
     time — subscribers stamp themselves with it after consuming the
     delta.
 
-    A relabelling publishes nothing, batch consolidations and their
-    rollback included: it moves no node, so no order-based index
+    A relabelling publishes nothing, a batch's consolidated pass and
+    its rollback included: it moves no node, so no order-based index
     depends on it.
     """
 
@@ -816,7 +815,7 @@ class LabeledDocument:
         parent.insert_child(index, node)
         if node.kind.is_labeled and self._delta_listeners:
             for child in node.preorder():
-                if child.node_id in self.labels:
+                if child.kind.is_labeled:
                     self._publish_insert(child)
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import all_scheme_names, fresh_random_document, labeled
+from reference_ulang import axis_candidates
 from reference_xpath import reference_xpath
 from repro.axes import accelerator as accelerator_module
 from repro.axes.evaluator import AxisEvaluator
@@ -42,6 +43,32 @@ def assert_equivalent(ldoc, accelerator, limit=None):
             expected = ids(scan.evaluate(axis, node))
             got = ids(fast.evaluate(axis, node))
             assert got == expected, (axis, node.name, expected, got)
+
+
+def assert_matches_tree(ldoc, accelerator):
+    """Every axis from every element and attribute node, against the
+    tree-pointer walk: it needs no label, so it answers mid-batch."""
+    root = ldoc.document.root
+    order = {node.node_id: position
+             for position, node in enumerate(root.preorder())}
+    for node in ldoc.document.labeled_nodes():
+        for axis in AXES:
+            expected = [other for other in axis_candidates(axis, node, order)
+                        if other.kind.is_labeled]
+            assert ids(accelerator.evaluate(axis, node)) == ids(expected), (
+                axis, node.name)
+
+
+def defer_three(ldoc):
+    """Open a batch holding a pending element, its child and its
+    attribute (a leftmost insert defers under Dewey and PrePost)."""
+    first = next(iter(ldoc.document.root.labeled_children()))
+    batch = ldoc.batch()
+    head = batch.insert_before(first, "head").node
+    batch.append_child(head, "inner")
+    batch.insert_attribute(head, "k", "v")
+    assert batch.pending == 3
+    return batch
 
 
 def small_ldoc(scheme_name="dewey"):
@@ -146,17 +173,28 @@ class TestIncrementalMaintenance:
         assert_equivalent(ldoc, accelerator)
         assert accelerator._metric_builds.value == builds
 
-    def test_mid_batch_query_refused(self):
-        ldoc = small_ldoc()
+    @pytest.mark.parametrize("scheme_name", ["dewey", "prepost"])
+    def test_mid_batch_query_answers(self, scheme_name):
+        # Each pending node was spliced as it was attached: the index
+        # answers every axis as the tree does, and the apply splices
+        # nothing more.
+        ldoc = small_ldoc(scheme_name)
         accelerator = built(ldoc)
-        root = ldoc.document.root
-        first = next(iter(root.labeled_children()))
-        batch = ldoc.batch()
-        batch.insert_before(first, "head")
-        assert batch.pending > 0
-        with pytest.raises(StaleIndexError, match="batch"):
-            accelerator.evaluate("descendant", root)
+        batch = defer_three(ldoc)
+        assert_matches_tree(ldoc, accelerator)
+        splices = accelerator._metric_splices.value
         batch.apply()
+        assert accelerator._metric_splices.value == splices
+        assert_equivalent(ldoc, accelerator)
+
+    @pytest.mark.parametrize("scheme_name", ["dewey", "prepost"])
+    def test_first_build_mid_batch_holds_pending_nodes(self, scheme_name):
+        ldoc = small_ldoc(scheme_name)
+        batch = defer_three(ldoc)
+        accelerator = ldoc.accelerator()  # built by the first step below
+        assert_matches_tree(ldoc, accelerator)
+        batch.apply()
+        assert not accelerator.stale
         assert_equivalent(ldoc, accelerator)
 
     def test_rollback_splices_without_rebuild(self):
@@ -318,14 +356,13 @@ class TestDocumentOrder:
         ldoc.updates.move(nodes[-1], ldoc.document.root, 0)
         self.assert_refused(accelerator, nodes)
 
-    def test_refuses_while_a_batch_is_pending(self):
+    def test_orders_while_a_batch_is_pending(self):
+        # Pending nodes are on the index, so it orders them too.
         ldoc = small_ldoc()
         accelerator = built(ldoc)
+        batch = defer_three(ldoc)
         nodes = list(ldoc.document.labeled_nodes())
-        batch = ldoc.batch()
-        batch.insert_before(nodes[1], "head")
-        assert batch.pending > 0
-        self.assert_refused(accelerator, nodes)
+        assert ids(accelerator.document_order(nodes[::-1])) == ids(nodes)
         batch.apply()
 
     def test_refuses_a_node_off_the_index(self):

@@ -57,21 +57,24 @@ class TestStrategyRouting:
         # The scan still answers correctly.
         assert plan.result_count == len(reference_xpath(ldoc, "//item"))
 
-    def test_pending_batch_steps_scan_with_reason(self):
-        # The index refuses while a batch has unlabelled pending nodes;
-        # plain and analyze plans both say so, and the scan answers.
+    def test_pending_batch_steps_use_the_index(self):
+        # A batch's pending nodes are on the index from the moment they
+        # are attached: plain and analyze plans both read it, and the
+        # pending book and title count.
         ldoc = library("prepost")  # containment: inserts defer
         batch = ldoc.batch()
-        batch.append_child(ldoc.document.root, "annex")
-        assert batch.pending
+        book = batch.append_child(ldoc.document.root, "book").node
+        batch.append_child(book, "title")
+        assert batch.pending == 2
         for analyze in (False, True):
             plan = explain_query(ldoc, "//book/title", analyze=analyze)
-            assert [s.strategy for s in plan.steps] == ["scan", "scan"]
-            assert "pending" in plan.steps[0].reason
-        assert plan.result_count == 3
+            assert [s.strategy for s in plan.steps] == [
+                "accelerator-window"] * 2
+        assert plan.result_count == 4
         batch.apply()
         plan = explain_query(ldoc, "//book/title", analyze=True)
         assert {s.strategy for s in plan.steps} == {"accelerator-window"}
+        assert plan.result_count == 4
 
     def test_attribute_and_self_steps_use_the_index(self):
         ldoc = library()
@@ -182,10 +185,12 @@ class TestPlanPayload:
         before_scan = registry.counter("explain.steps_scan").value
         before_acc = registry.counter("explain.steps_accelerated").value
         ldoc = library("prepost")
-        batch = ldoc.batch()
-        batch.append_child(ldoc.document.root, "annex")
-        explain_query(ldoc, "//book")  # pending nodes -> scan
-        batch.apply()
+        index = ldoc.accelerator()
+        index.refresh()
+        ldoc.unsubscribe_deltas(index)
+        ldoc.updates.append_child(ldoc.document.root, "annex")
+        explain_query(ldoc, "//book")  # stamp behind the document -> scan
+        index.refresh()
         explain_query(ldoc, "//book")
         assert registry.counter("explain.steps_scan").value > before_scan
         assert registry.counter("explain.steps_accelerated").value > \

@@ -1,5 +1,9 @@
 """StatsCollector: structural counts, estimates, learning, persistence."""
 
+import pytest
+from reference_stats import counted
+
+import repro.ulang
 from repro.observability.stats import (
     STATS_SCHEMA_VERSION,
     StatsCollector,
@@ -7,6 +11,7 @@ from repro.observability.stats import (
 )
 from repro.updates.document import LabeledDocument
 from repro.schemes.registry import make_scheme
+from repro.store.repository import StoredDocument, open_repository
 from repro.xmlmodel.parser import parse
 
 LIBRARY_XML = (
@@ -65,6 +70,47 @@ class TestCollection:
         assert stats.tag_counts["annex"] == 1
         # Learned selectivities survive a structural refresh.
         assert "child|book" in stats.selectivities
+
+
+class TestStamp:
+    """Counts are stamped with the document's structure_version."""
+
+    @pytest.mark.parametrize("engine", ["sqlite", "pagefile"])
+    def test_a_rename_keeps_the_node_count_but_refreshes(self, tmp_path,
+                                                         engine):
+        url = f"{engine}:///{tmp_path}/store.{engine}"
+        with open_repository(url) as repository:
+            stored = repository.add("d", "<a><item/><item/></a>",
+                                    scheme="qed")
+            repro.ulang.run_program(stored.ldoc, "rename //item as thing")
+            report = stored.check_update("delete //thing")
+            assert [finding.rule for finding in report.findings] == []
+            assert stored.stats.tag_counts == {"a": 1, "thing": 2}
+            repository.persist("d")
+        with open_repository(url) as repository:
+            payload = repository.snapshot("d").stats
+            assert payload["tag_counts"] == {"a": 1, "thing": 2}
+
+    @pytest.mark.parametrize("engine", ["sqlite", "pagefile"])
+    def test_a_cold_get_walks_nothing(self, tmp_path, engine):
+        url = f"{engine}:///{tmp_path}/store.{engine}"
+        with open_repository(url) as repository:
+            repository.add("d", LIBRARY_XML, scheme="qed")
+        with open_repository(url) as repository:
+            with counted() as calls:
+                stored = repository.get("d")
+                assert not stored.stats.stale(stored.ldoc)
+            assert calls == {}
+            assert stored.stats.node_count == 9
+
+    def test_a_restored_payload_that_disagrees_is_refreshed(self):
+        ldoc = library()
+        payload = StatsCollector.collect(ldoc).to_payload()
+        ldoc.updates.append_child(ldoc.document.root, "annex")
+        stored = StoredDocument("d", ldoc,
+                                stats=StatsCollector.from_payload(payload))
+        assert stored.stats.tag_counts["annex"] == 1
+        assert not stored.stats.stale(ldoc)
 
 
 class TestEstimation:

@@ -1,12 +1,12 @@
 """Statistics from the structural index, and the states it refuses.
 
 While a document's index is current, ``StatsCollector.refresh`` reads
-the index's maintained counts; a writing workload then walks the
-document at no ``check_update`` and no checkpoint (a deterministic
-growth gate: zero walks at every document size).  While the index
-cannot vouch for the document (no index yet, a batch with unlabelled
-pending nodes, an index behind the document), the walk answers, and a
-statistics read builds nothing and counts no refusal.
+the index's maintained counts, a batch's pending nodes included; a
+writing workload then walks the document at no ``check_update`` and no
+checkpoint (a deterministic growth gate: zero walks at every document
+size).  While the index cannot vouch for the document (no index yet, an
+index behind the document), the walk answers, and a statistics read
+builds nothing and counts no refusal.
 """
 
 import pytest
@@ -37,9 +37,13 @@ def counter(name):
 
 
 def pending_batch(ldoc):
+    """A batch holding pending nodes, opened after the index is built."""
+    ldoc.accelerator().refresh()
     batch = ldoc.batch()  # PrePost defers every batch insert
-    batch.append_child(ldoc.document.root, "annex")
-    assert batch.pending
+    annex = batch.append_child(ldoc.document.root, "annex").node
+    batch.insert_attribute(annex, "id", "x")
+    batch.append_child(annex, "shelf")
+    assert batch.pending == 3
     return batch
 
 
@@ -58,7 +62,7 @@ def no_index(ldoc):
     assert ldoc._accelerator is None
 
 
-@pytest.mark.parametrize("state", [pending_batch, detached_index, no_index])
+@pytest.mark.parametrize("state", [detached_index, no_index])
 def test_refused_states_walk_and_build_nothing(state):
     ldoc = LabeledDocument(parse(LIBRARY_XML), make_scheme("prepost"))
     state(ldoc)
@@ -78,6 +82,29 @@ def test_refused_states_walk_and_build_nothing(state):
                 for plan in expected])
     assert counter("axes.accelerator.builds") == builds
     assert counter("axes.accelerator.stale_errors") == refusals
+
+
+def test_a_pending_batch_counts_from_the_index():
+    # The index holds the pending nodes from their attach on: its counts
+    # answer, equal to the original loop's, and EXPLAIN reads the index.
+    ldoc = LabeledDocument(parse(LIBRARY_XML), make_scheme("prepost"))
+    batch = pending_batch(ldoc)
+    builds = counter("axes.accelerator.builds")
+    refusals = counter("axes.accelerator.stale_errors")
+    oracle = StatsCollector()
+    reference_refresh(oracle, ldoc)
+    with counted() as calls:
+        stats = StatsCollector.collect(ldoc)
+        plans = [explain_query(ldoc, path) for path in EXPLAINED]
+    assert calls == {"build": 1}
+    assert fields(stats) == fields(oracle)
+    assert stats.to_payload() == oracle.to_payload()
+    assert stats.tag_counts["annex"] == 1
+    assert {step.strategy for plan in plans for step in plan.steps} == {
+        "accelerator-window"}
+    assert counter("axes.accelerator.builds") == builds
+    assert counter("axes.accelerator.stale_errors") == refusals
+    batch.apply()
 
 
 def test_a_rebuilt_index_counts_afresh():

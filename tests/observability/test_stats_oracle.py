@@ -103,12 +103,10 @@ def current(scheme, xml=DOCUMENT_XML):
 
 def assert_index_agrees(ldoc):
     """Statistics read now equal the original loop's; the index answers
-    them unless a batch has unlabelled pending nodes."""
-    batch = ldoc._active_batch
-    walks = 1 if batch is not None and batch.pending else 0
+    them, a batch's pending nodes included."""
     with counted() as calls:
         assert_agrees(ldoc)
-    assert calls["walk"] == walks
+    assert calls["walk"] == 0
 
 
 @ORACLE_SETTINGS

@@ -12,8 +12,12 @@ dense index of ``tests/reference_accelerator.py`` built from scratch,
 whose value maps the index's must equal.  The
 ``ElementTree.findall`` subset (``/``, ``//``, ``[tag]``, ``[@a='v']``,
 ``[n]``) must also agree with the standard library on the serialised
-document.  No batch apply or rollback may rebuild the index: they
-splice.
+document.  While a batch holds pending (unlabelled) nodes, every query
+through ``xpath()`` and ulang's ``resolve_targets`` must equal the
+tree-pointer resolver of ``tests/reference_ulang.py``, EXPLAIN must
+read the index, statistics must equal ``tests/reference_stats.py``'s,
+and the label-pairing lookups must refuse with ``StaleIndexError``.
+No batch apply or rollback may rebuild the index: they splice.
 """
 
 import xml.etree.ElementTree as ET
@@ -25,12 +29,17 @@ from conftest import all_scheme_names, labeled
 from reference_accelerator import (DenseAccelerator, assert_value_maps,
                                    attribute_pairs)
 from reference_indexes import reference_indexes
+from reference_stats import fields, reference_refresh
+from reference_ulang import reference_resolve_targets
 from reference_xpath import reference_xpath
 from repro.axes.xpath import xpath
 from repro.axes.xpath_ast import AXES
 from repro.errors import StaleIndexError
+from repro.observability.explain import explain_query
 from repro.observability.metrics import get_registry
+from repro.observability.stats import StatsCollector
 from repro.store.repository import StoredDocument
+from repro.ulang import resolve_targets
 from repro.xmlmodel.parser import parse
 from repro.xmlmodel.serializer import serialize
 from update_programs import DOCUMENT_XML, programs, run_program, run_step
@@ -155,6 +164,28 @@ def check_queries(stored):
                     reference_xpath(ldoc, path), path)
 
 
+def check_pending(stored):
+    """Queries while a batch has pending nodes: the index answers them
+    as the tree does, EXPLAIN reads it and statistics count the pending
+    nodes; the lookups that pair nodes with labels refuse."""
+    ldoc = stored.ldoc
+    for path in QUERIES:
+        expected = reference_resolve_targets(ldoc, path)
+        assert_same(xpath(ldoc, path), expected, path)
+        assert_same(resolve_targets(ldoc, path), expected, path)
+    plan = explain_query(ldoc, QUERIES[0], analyze=True)
+    assert {step.strategy for step in plan.steps} == {"accelerator-window"}
+    live, oracle = StatsCollector(), StatsCollector()
+    live.refresh(ldoc)
+    reference_refresh(oracle, ldoc)
+    assert fields(live) == fields(oracle)
+    for lookup, argument in ((stored.find, "person"),
+                             (stored.find_value, "Ann"),
+                             (stored.descendant_path, ("site", "item"))):
+        with pytest.raises(StaleIndexError):
+            lookup(argument)
+
+
 def check_findall(ldoc):
     """The mini-XPath against ``ElementTree.findall``, node for node."""
     root = ldoc.document.root
@@ -189,8 +220,8 @@ def run_and_check(scheme_name, program):
     for serial, step in enumerate(program):
         run_step(ldoc, ldoc.updates, step, serial)
         check_queries(stored)
-    # Through a batch: the index answers while no node is pending and
-    # refuses while one is.
+    # Through a batch: the index answers whether or not nodes are
+    # pending; the label lookups answer again once it applies.
     stored = fresh(scheme_name)
     ldoc = stored.ldoc
     check_queries(stored)
@@ -199,11 +230,10 @@ def run_and_check(scheme_name, program):
         for serial, step in enumerate(program):
             run_step(ldoc, batch, step, serial)
             if batch.pending:
-                with pytest.raises(StaleIndexError):
-                    xpath(ldoc, "//*")
+                check_pending(stored)
             else:
                 check_queries(stored)
-    assert builds() == built  # the apply spliced
+    assert builds() == built  # every node was spliced as it was attached
     check_queries(stored)
     # Through a transaction that rolls back.
     before = [node.node_id for node in ldoc.document.labeled_nodes()]
