@@ -59,9 +59,12 @@ A relabelling publishes nothing, because it moves no node and the order
 does not depend on labels.  The document's ``structure_version`` stamp
 closes the remaining hole: a structural mutation the index did not
 consume (a tree mutated behind the document's back, an index
-unsubscribed from the stream) makes the next query raise
-:class:`~repro.errors.StaleIndexError` instead of silently answering
-from a dead order.
+unsubscribed from the stream) makes the next query, plain or EXPLAINed,
+raise :class:`~repro.errors.StaleIndexError` instead of silently
+answering from a dead order.  Every published delta follows at most one
+version bump, so a delta further ahead of the stamp than that reveals a
+missed change: the index splices nothing and stays behind until
+:meth:`AxisAccelerator.refresh`.
 """
 
 from __future__ import annotations
@@ -261,7 +264,7 @@ class AxisAccelerator:
 
     @property
     def stale(self) -> bool:
-        """Whether a query right now would need a rebuild (or raise)."""
+        """Whether a query right now would build the index (or raise)."""
         return self._dirty or self._stamp != self.document.structure_version
 
     def size(self) -> int:
@@ -285,20 +288,20 @@ class AxisAccelerator:
     def explain_state(self) -> Tuple[str, str]:
         """``(strategy, reason)`` for a step issued right now.
 
-        The step is answered from the windows (:attr:`STRATEGY`, also
-        when it first builds or rebuilds the index), or the index
-        refuses it: a plain query raises :class:`StaleIndexError` with
-        the reason, and EXPLAIN answers it with the label scan
-        (``scan``).
+        The strategy is always :attr:`STRATEGY`: the windows answer,
+        also when the step first builds the index.  An index whose
+        stamp is behind the document refuses instead, the one refusal
+        every query and EXPLAIN plan goes through: it is counted and
+        raised as :class:`StaleIndexError`.
         """
         if self._dirty:
-            return (self.STRATEGY, "index (re)built by the first step to run")
+            return (self.STRATEGY, "index built by the first step to run")
         if self._stamp != self.document.structure_version:
-            return ("scan",
-                    f"index stamp {self._stamp} is behind document "
-                    f"structure version {self.document.structure_version}: "
-                    f"it missed structural changes and refuses "
-                    f"(StaleIndexError) until refresh()")
+            self._refuse_stale(
+                f"index stamp {self._stamp} is behind document "
+                f"structure version {self.document.structure_version}: "
+                f"it missed structural changes and refuses until "
+                f"refresh()")
         return (self.STRATEGY, "window index current")
 
     # ------------------------------------------------------------------
@@ -315,34 +318,38 @@ class AxisAccelerator:
         entries it added or removed and the block directory entries a
         split, cut or merge rewrote.  A shift inside one list is not
         counted.
+
+        A delta more than one ``structure_version`` ahead of the stamp
+        follows a change that was never published: the index splices
+        and stamps nothing, and refuses until :meth:`refresh`.  Every
+        delta follows a bump, so an index never built (stamp -1) skips
+        them all the same way.
         """
-        if not self._dirty:
-            with instrument("accelerator.splice", scheme=self._scheme_name,
-                            kind=delta.kind) as event:
-                self._touched = 0
-                kind = delta.kind
-                if kind == "insert":
-                    nodes = self._splice_insert(delta.node)
-                elif kind == "delete":
-                    nodes = self._splice_delete(delta.node, delta.old_parent)
-                elif kind == "rename":
-                    nodes = self._splice_rename(delta.node, delta.old_name)
-                else:
-                    nodes = self._splice_value(delta.node, delta.old_value)
-                if event:
-                    event.set(nodes=nodes, touched=self._touched)
+        if delta.structure_version > self._stamp + 1:
+            return
+        with instrument("accelerator.splice", scheme=self._scheme_name,
+                        kind=delta.kind) as event:
+            self._touched = 0
+            kind = delta.kind
+            if kind == "insert":
+                nodes = self._splice_insert(delta.node)
+            elif kind == "delete":
+                nodes = self._splice_delete(delta.node, delta.old_parent)
+            elif kind == "rename":
+                nodes = self._splice_rename(delta.node, delta.old_name)
+            else:
+                nodes = self._splice_value(delta.node, delta.old_value)
+            if event:
+                event.set(nodes=nodes, touched=self._touched)
         self._stamp = delta.structure_version
 
     def _splice_insert(self, node: XMLNode) -> int:
         """Give one freshly attached node its place in the order.
 
-        Returns the nodes placed (0 or 1), as do the other splices.
+        Returns the nodes placed, 1, as do the other splices.
         """
         tag_of = self._tag
         parent = node.parent
-        if parent is None or parent not in tag_of:
-            self._dirty = True
-            return 0
         last = self._last
         # The node before it: the last descendant of its nearest indexed
         # preceding sibling, or the parent itself.
@@ -626,7 +633,7 @@ class AxisAccelerator:
         and delete splices keep the counts from then on, so a read
         costs O(names + depths + fan-out values).  Like
         :meth:`document_order`, it never builds, raises or counts a
-        refusal: when the index is marked for rebuild or its stamp is
+        refusal: when the index was never built or its stamp is
         behind the document, it returns ``None`` and the caller walks
         the document.
         """
@@ -703,13 +710,11 @@ class AxisAccelerator:
             raise StaleIndexError(message)
 
     def ensure_current(self) -> None:
-        """Build the index if it is marked for it, or refuse: raise
-        :class:`StaleIndexError` if it cannot answer right now."""
+        """Build the index if it was never built, or refuse through
+        :meth:`explain_state` if it cannot answer right now."""
         if not self._dirty and self._stamp == self.document.structure_version:
             return  # current: the check every axis step makes
-        strategy, reason = self.explain_state()
-        if strategy != self.STRATEGY:
-            self._refuse_stale(reason)
+        self.explain_state()
         if self._dirty:
             self.refresh()
 
@@ -722,7 +727,7 @@ class AxisAccelerator:
 
         O(k log k) in ``len(nodes)``, whatever the document size.  The
         index only vouches for tags a query would be answered from:
-        when it is marked for rebuild, its stamp is behind the
+        when it was never built, its stamp is behind the
         document's ``structure_version``, or a node is not on the index
         (by identity, as for axis queries), this returns ``None`` and
         the caller orders the nodes another way.  It never rebuilds,

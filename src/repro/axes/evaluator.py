@@ -9,10 +9,10 @@ label-decided axis is one pass over the label table, no tree navigation.
 
 That pass is the label-decidability probe (the benchmarks report how
 often labels sufficed) and the oracle the document's index is tested
-against.  Queries do not scan: :class:`~repro.axes.xpath.XPathEvaluator`
-hands its evaluator the document's
-:class:`~repro.axes.accelerator.AxisAccelerator`, which then answers
-every axis from its windows.
+against.  Queries and EXPLAIN plans never scan:
+:class:`~repro.axes.xpath.XPathEvaluator` hands its evaluator the
+document's :class:`~repro.axes.accelerator.AxisAccelerator`, which then
+answers every axis from its windows or refuses.
 """
 
 from __future__ import annotations
@@ -71,19 +71,6 @@ class AxisEvaluator:
         if self.accelerator is not None:
             self.accelerated_hits += 1
             return self.accelerator.evaluate(axis, node, name, attribute)
-        return self.evaluate_scan(axis, node, name, attribute)
-
-    def evaluate_scan(self, axis: str, node: XMLNode,
-                      name: Optional[str] = None,
-                      attribute: Optional[Tuple[str, str]] = None
-                      ) -> List[XMLNode]:
-        """``axis`` from ``node`` via the label-table scan path only.
-
-        EXPLAIN uses it to answer a step the index refuses (its stamp
-        is behind the document's ``structure_version``) while reporting
-        the ``scan`` strategy, where a plain query would surface
-        :class:`~repro.errors.StaleIndexError`.
-        """
         if axis not in AXES:
             raise UnsupportedRelationshipError(f"unknown axis {axis!r}")
         handler = getattr(self, "_axis_" + axis.replace("-", "_"))

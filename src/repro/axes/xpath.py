@@ -10,7 +10,9 @@ document's :class:`~repro.axes.accelerator.AxisAccelerator`, and
 merging results in document order with duplicates eliminated — the
 XPath requirements Definition 1 exists to serve.  It is the one step
 loop: queries, EXPLAIN and the update language's target resolution
-(:func:`repro.ulang.compiler.resolve_targets`) all run it.
+(:func:`repro.ulang.compiler.resolve_targets`) all run it, and all meet
+the same :class:`~repro.errors.StaleIndexError` from an index behind
+its document.
 """
 
 from __future__ import annotations
@@ -50,16 +52,13 @@ class XPathEvaluator:
     ``recorder`` (a :class:`~repro.observability.explain.PlanRecorder`)
     turns on EXPLAIN instrumentation: every location step reports its
     strategy, context size, cardinality, and wall time.  The default
-    ``None`` reads no clock.  In recorder mode a step the index refuses
-    (its stamp is behind the document) is answered by the label scan
-    instead of raising, so EXPLAIN can always show the full plan.
+    ``None`` reads no clock.  Either way the steps run the same path.
     """
 
     def __init__(self, ldoc: LabeledDocument, recorder=None):
         self.ldoc = ldoc
         self.index = ldoc.accelerator()
-        self.axes = AxisEvaluator(ldoc, allow_fallback=True,
-                                  accelerator=self.index)
+        self.axes = AxisEvaluator(ldoc, accelerator=self.index)
         self.recorder = recorder
 
     def evaluate(self, path: str,
@@ -122,8 +121,6 @@ class XPathEvaluator:
         if recorder is not None:
             started = time.perf_counter()
             strategy, reason = self.index.explain_state()
-            if strategy == "scan":
-                evaluate = self.axes.evaluate_scan
         name = step.name_test if step.name_test != "*" else None
         attribute = leading_attribute(step)
         axis_rows = 0
@@ -146,9 +143,7 @@ class XPathEvaluator:
         """``nodes`` without duplicates, in document order.
 
         The index orders them by its positions, O(k log k) in the
-        result.  When it cannot vouch for its positions (a refused
-        EXPLAIN step, see ``AxisAccelerator.document_order``), label
-        comparisons do.
+        result: every step's nodes come from the current index.
         """
         seen = set()
         unique: List[XMLNode] = []
@@ -158,10 +153,7 @@ class XPathEvaluator:
                 unique.append(node)
         if len(unique) < 2:
             return unique
-        ordered = self.index.document_order(unique)
-        if ordered is None:
-            ordered = self.axes.document_order(unique)
-        return ordered
+        return self.index.document_order(unique)
 
 
 def xpath(ldoc: LabeledDocument, path: str,

@@ -8,7 +8,7 @@ benchmarks can assert byte-level agreement with the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.xmlmodel.builder import tree_from_shape
 from repro.xmlmodel.parser import parse
@@ -140,9 +140,3 @@ def figure_tree() -> Document:
 def figure3_tree() -> Document:
     """The Figure 3 tree (fan-outs 2, 1, 3 under the root)."""
     return tree_from_shape(FIGURE_3_SHAPE)
-
-
-def sample_pre_post_by_name() -> Dict[str, Tuple[int, int]]:
-    """Map node name -> (pre, post) for the sample document (test helper)."""
-    names = [row[4] for row in FIGURE_2_ROWS]
-    return {name: (pre, post) for (pre, post, _, _, name, _) in FIGURE_2_ROWS}

@@ -1,27 +1,25 @@
 """Query and update EXPLAIN plans: which strategy ran, and why.
 
 Every XPath step is answered from the document's one index
-(:class:`~repro.axes.accelerator.AxisAccelerator`) unless the index
-refuses it.  :func:`explain_query` produces a :class:`QueryPlan` with
-one :class:`PlanStep` per location step carrying the strategy
-(``accelerator-window``, or ``scan`` for a step the index refuses),
-the stated reason, estimated vs. actual cardinality, context size, and
-per-step wall time.
+(:class:`~repro.axes.accelerator.AxisAccelerator`).
+:func:`explain_query` produces a :class:`QueryPlan` with one
+:class:`PlanStep` per location step carrying the strategy (always
+``accelerator-window``), the stated reason, estimated vs. actual
+cardinality, context size, and per-step wall time.  An index behind
+its document refuses a plan as it refuses :func:`~repro.axes.xpath.xpath`:
+with the same counted :class:`~repro.errors.StaleIndexError`.
 
 Two modes, mirroring SQL EXPLAIN:
 
 * **plain** — the query is *not* executed.  Step cardinalities chain
   through the :class:`~repro.observability.stats.StatsCollector`
-  estimates; strategies reflect the index state at call time.
+  estimates; the reason reflects the index state at call time.
 * **analyze** — the query runs through the evaluator's own step loop
   with the ``recorder`` hook of
   :class:`~repro.axes.xpath.XPathEvaluator` set.  Actual cardinalities
   are recorded next to the estimates and fed back into the collector's
   learned selectivities, so the next estimate for the same
-  ``(axis, name-test)`` pair is observation-based.  A step the index
-  refuses (its stamp is behind the document) is answered by the label
-  scan instead of raising, so the plan always completes — with the
-  refusal reason in the ``scan`` row.
+  ``(axis, name-test)`` pair is observation-based.
 
 :func:`explain_batch` is the update-side counterpart: the predicted
 relabel extent from the batch's ``plan_insert`` decisions (any deferral
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.axes.xpath import XPathEvaluator
-from repro.axes.xpath_ast import Step, parse_path, split_union
+from repro.axes.xpath_ast import Step, parse_xpath
 
 from .metrics import get_registry
 from .stats import StatsCollector
@@ -55,8 +53,8 @@ __all__ = [
 #: Version stamp of the JSON plan payload.
 EXPLAIN_SCHEMA_VERSION = 1
 
-#: Every strategy a plan step can report.
-STRATEGIES = ("accelerator-window", "scan")
+#: Every strategy a plan step can report: the index answers every step.
+STRATEGIES = ("accelerator-window",)
 
 
 @dataclass
@@ -205,16 +203,6 @@ class PlanRecorder:
         self._steps_in_branch += 1
 
 
-def _count_strategies(steps: List[PlanStep]) -> None:
-    registry = get_registry()
-    scan = sum(1 for step in steps if step.strategy == "scan")
-    if scan:
-        registry.counter("explain.steps_scan").increment(scan)
-    accelerated = len(steps) - scan
-    if accelerated:
-        registry.counter("explain.steps_accelerated").increment(accelerated)
-
-
 def explain_query(ldoc, path: str,
                   stats: Optional[StatsCollector] = None,
                   analyze: bool = False, context=None) -> QueryPlan:
@@ -248,22 +236,21 @@ def explain_query(ldoc, path: str,
     else:
         plan.steps, plan.estimated_result, plan.branches = _static_plan(
             ldoc, path, stats)
-    _count_strategies(plan.steps)
     return plan
 
 
 def _static_plan(ldoc, path: str, stats: StatsCollector):
     """Chain cardinality estimates through the steps without executing."""
+    branches = parse_xpath(path)
     strategy, reason = ldoc.accelerator().explain_state()
-    branches = split_union(path)
     steps_out: List[PlanStep] = []
     estimated_result = 0.0
     for branch_index, branch in enumerate(branches):
-        absolute, steps = parse_path(branch)
+        steps = branch.steps
         context_estimate = 1.0
         branch_estimate = 1.0 if not steps else 0.0
         for position, step in enumerate(steps):
-            first_of_absolute = absolute and position == 0
+            first_of_absolute = branch.absolute and position == 0
             if first_of_absolute and step.axis == "child":
                 # The virtual document node has exactly one child.
                 root = ldoc.document.root

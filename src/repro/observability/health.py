@@ -17,10 +17,8 @@ experiments actually exhibit:
   crash);
 * ``rollback-rate`` — transactions/batches aborting instead of
   committing;
-* ``stale-index-rate`` — accelerator queries refused because the index
-  lost its delta feed;
-* ``scan-fallback-rate`` — query steps scanning although an index
-  could have served them;
+* ``stale-index-rate`` — accelerator queries and EXPLAIN plans refused
+  because the index lost its delta feed;
 * ``backend-lock-contention`` — concurrent opens refused by a storage
   backend's single-writer lock;
 * ``op-error-rate`` — the op-log's error fraction, with the most
@@ -49,7 +47,6 @@ __all__ = [
     "HealthReport",
     "JournalTailProbe",
     "RollbackRateProbe",
-    "ScanFallbackProbe",
     "StaleIndexProbe",
     "BackendLockProbe",
     "OpErrorRateProbe",
@@ -196,7 +193,11 @@ class RollbackRateProbe(HealthProbe):
 
 
 class StaleIndexProbe(HealthProbe):
-    """Accelerator queries refused because the index went stale."""
+    """Accelerator queries refused because the index went stale.
+
+    Every refusal counts, a query's, an EXPLAIN plan's or a structural
+    lookup's: they all go through the index's one staleness check.
+    """
 
     name = "stale-index-rate"
 
@@ -224,62 +225,6 @@ class StaleIndexProbe(HealthProbe):
             f"{stale:.0f} stale-index refusals over {attempts:.0f} "
             f"query attempts ({rate:.0%})",
             stale_errors=stale, queries=queries, rate=rate)
-
-
-class ScanFallbackProbe(HealthProbe):
-    """Queries silently losing their index to the O(n) scan path.
-
-    EXPLAIN counts every planned step by strategy
-    (``explain.steps_accelerated`` vs. ``explain.steps_scan``), and the
-    accelerator counts the window queries it actually served
-    (``axes.accelerator.queries``) next to the refusals
-    (``axes.accelerator.stale_errors``).  When the scan share of
-    explained steps climbs past the threshold while an accelerator
-    exists (builds > 0), queries keep meeting refusals — stale stamps
-    from changes the index did not see — and every affected step pays
-    the full label-table pass.
-    """
-
-    name = "scan-fallback-rate"
-
-    def __init__(self, min_steps: int = 8, warn_rate: float = 0.5,
-                 critical_rate: float = 0.95):
-        self.min_steps = min_steps
-        self.warn_rate = warn_rate
-        self.critical_rate = critical_rate
-
-    def evaluate(self, context: HealthContext) -> ProbeResult:
-        scan = context.value("explain.steps_scan")
-        accelerated = context.value("explain.steps_accelerated")
-        builds = context.value("axes.accelerator.builds")
-        stale = context.value("axes.accelerator.stale_errors")
-        steps = scan + accelerated
-        if steps < self.min_steps:
-            return self.result(
-                "ok", f"too few explained steps to judge ({steps:.0f})",
-                scan_steps=scan, accelerated_steps=accelerated)
-        rate = scan / steps
-        if builds == 0:
-            # No index was ever built; scanning is the intended path,
-            # not a silent loss.
-            return self.result(
-                "ok",
-                f"scan-only workload (no accelerator built), "
-                f"{scan:.0f}/{steps:.0f} steps scanned",
-                scan_steps=scan, accelerated_steps=accelerated, rate=rate)
-        if rate >= self.critical_rate:
-            status = "critical"
-        elif rate >= self.warn_rate:
-            status = "warn"
-        else:
-            status = "ok"
-        return self.result(
-            status,
-            f"{scan:.0f} of {steps:.0f} explained steps ({rate:.0%}) fell "
-            f"back to the scan path despite a built accelerator "
-            f"({stale:.0f} stale refusals recorded)",
-            scan_steps=scan, accelerated_steps=accelerated, rate=rate,
-            builds=builds, stale_errors=stale)
 
 
 class BackendLockProbe(HealthProbe):
@@ -348,7 +293,6 @@ def default_probes() -> List[HealthProbe]:
         JournalTailProbe(),
         RollbackRateProbe(),
         StaleIndexProbe(),
-        ScanFallbackProbe(),
         BackendLockProbe(),
         OpErrorRateProbe(),
     ]

@@ -362,9 +362,6 @@ class _Effects:
     #: which predicate kinds this statement can flip
     window_kinds: Set[str] = field(default_factory=set)
 
-    def structural_chains(self) -> List[Chain]:
-        return self.removed + self.added
-
     def all_chains(self) -> List[Chain]:
         return self.removed + self.added + self.revalued
 

@@ -20,12 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.encoding.codec import codec_for
 from repro.errors import UpdateError
 from repro.schemes.registry import make_scheme
 from repro.updates.document import LabeledDocument
 from repro.xmlmodel.parser import parse
-from repro.xmlmodel.serializer import serialize
 from repro.xmlmodel.tree import XMLNode
 
 
@@ -104,10 +102,11 @@ class VersionedDocument:
         a rendered label keeps it, and every occluded later node is
         counted in ``Revision.collisions``.
         """
-        codec = codec_for(self.ldoc.scheme)
-        stream, _bits = codec.encode_labels(
-            self.ldoc.labels_in_document_order()
-        )
+        # Imported here: repro.store imports repro.updates.
+        from repro.store.snapshots import snapshot_document
+
+        number = len(self.revisions)
+        snapshot = snapshot_document(self.ldoc, f"r{number}")
         owners: Dict[str, Tuple[str, int]] = {}
         collisions = 0
         for node in self.ldoc.document.labeled_nodes():
@@ -117,15 +116,13 @@ class VersionedDocument:
                 continue
             owners[rendered] = (node.name, node.node_id)
         revision = Revision(
-            number=len(self.revisions),
+            number=number,
             message=message,
-            xml=serialize(self.ldoc.document),
-            label_stream=stream,
+            xml=snapshot.xml,
+            label_stream=snapshot.label_stream,
             label_owners=owners,
-            scheme_name=self.ldoc.scheme.metadata.name,
-            scheme_config=dict(
-                getattr(self.ldoc.scheme, "configuration", {})
-            ),
+            scheme_name=snapshot.scheme_name,
+            scheme_config=snapshot.scheme_config,
             collisions=collisions,
         )
         self.revisions.append(revision)
@@ -142,19 +139,22 @@ class VersionedDocument:
         return self.revisions[-1]
 
     def checkout(self, number: int) -> LabeledDocument:
-        """Materialise a past revision as a fresh labelled document."""
+        """Materialise a past revision as a fresh labelled document.
+
+        Restored as a snapshot is: a label stream that does not fit the
+        revision's text raises
+        :class:`~repro.errors.SnapshotMismatchError`.
+        """
+        from repro.store.snapshots import Snapshot, restore_snapshot
+
         revision = self.revision(number)
-        document = parse(revision.xml)
-        scheme = make_scheme(
-            revision.scheme_name or self.ldoc.scheme.metadata.name,
-            **dict(revision.scheme_config),
-        )
-        labels = codec_for(scheme).decode_labels(revision.label_stream)
-        nodes = list(document.labeled_nodes())
-        return LabeledDocument.from_labels(
-            document, scheme,
-            {node.node_id: label for node, label in zip(nodes, labels)},
-        )
+        return restore_snapshot(Snapshot(
+            name=f"r{revision.number}",
+            scheme_name=revision.scheme_name,
+            xml=revision.xml,
+            label_stream=revision.label_stream,
+            scheme_config=revision.scheme_config,
+        ))
 
     # ------------------------------------------------------------------
     # Annotations (label-keyed, the section 5.2 use case)

@@ -12,7 +12,6 @@ papers customarily use.
 from __future__ import annotations
 
 import random
-import string
 from dataclasses import dataclass
 
 from repro.xmlmodel.tree import Document, XMLNode
@@ -127,13 +126,3 @@ def random_document(target_nodes: int, seed: int = 0,
 def random_tag(rng: random.Random) -> str:
     """A random element name from the shared pool (for workloads)."""
     return rng.choice(_TAG_POOL)
-
-
-def random_text(rng: random.Random, words: int = 3) -> str:
-    """A random phrase from the shared pool (for content updates)."""
-    return " ".join(rng.choice(_WORD_POOL) for _ in range(words))
-
-
-def random_name(rng: random.Random, length: int = 6) -> str:
-    """A random lowercase identifier (collision-unlikely names)."""
-    return "".join(rng.choice(string.ascii_lowercase) for _ in range(length))

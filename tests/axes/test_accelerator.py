@@ -321,6 +321,32 @@ class TestStalenessPerMutationKind:
         assert accelerator.named("renamed") == [element]
 
 
+@pytest.mark.parametrize("scheme_name", ["qed", "dewey", "prepost"])
+def test_a_missed_change_keeps_the_index_behind(scheme_name):
+    # A node attached straight on the tree publishes nothing, so the next
+    # published delta is two versions ahead of the index's stamp: the
+    # index splices nothing and refuses queries and EXPLAIN plans alike
+    # until refresh(), instead of answering without the missed node.
+    ldoc = LabeledDocument(parse("<a><b/><c/></a>"), make_scheme(scheme_name))
+    assert [node.name for node in xpath(ldoc, "//*")] == ["a", "b", "c"]
+    root = ldoc.document.root
+    missed = root.append_child(ldoc.document.new_element("x"))
+    ldoc.updates.append_child(root, "y")
+    refusals = get_registry().counter("axes.accelerator.stale_errors")
+    for read in (lambda: xpath(ldoc, "//*"),
+                 lambda: explain_query(ldoc, "//*"),
+                 lambda: explain_query(ldoc, "//*", analyze=True)):
+        before = refusals.value
+        with pytest.raises(StaleIndexError):
+            read()
+        assert refusals.value == before + 1
+    ldoc.updates.delete(missed)
+    assert missed.parent is None
+    ldoc.accelerator().refresh()
+    assert ids(xpath(ldoc, "//*")) == ids(
+        node for node in root.preorder() if node.is_element)
+
+
 class TestDocumentOrder:
     """Result ordering by position, only from current windows."""
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from reference_xpath import reference_xpath
+from repro.errors import StaleIndexError
 from repro.observability.explain import (
     EXPLAIN_SCHEMA_VERSION,
     STRATEGIES,
@@ -12,6 +13,7 @@ from repro.observability.explain import (
     explain_batch,
     explain_query,
 )
+from repro.observability.metrics import get_registry
 from repro.observability.stats import StatsCollector
 from repro.schemes.registry import make_scheme
 from repro.updates.document import LabeledDocument
@@ -43,18 +45,23 @@ class TestStrategyRouting:
             strategies = {step.strategy for step in plan.steps}
             assert strategies == {"accelerator-window"}, (path, strategies)
 
-    def test_detached_stale_index_falls_back_to_scan(self):
-        # Cut the index off the delta stream, then mutate the document;
-        # an analyze run answers via scan and states why.
+    def test_detached_stale_index_refuses_plans(self):
+        # Cut the index off the delta stream, then mutate the document:
+        # plain and analyze plans meet xpath()'s refusal, each counted
+        # once, and answer again after a refresh.
         ldoc = xmark()
         assert len(explain_query(ldoc, "//item", analyze=True).steps) == 1
-        ldoc.unsubscribe_deltas(ldoc.accelerator())
+        index = ldoc.accelerator()
+        ldoc.unsubscribe_deltas(index)
         ldoc.updates.append_child(ldoc.document.root, "annex")
+        refusals = get_registry().counter("axes.accelerator.stale_errors")
+        for analyze in (False, True):
+            before = refusals.value
+            with pytest.raises(StaleIndexError, match="behind document"):
+                explain_query(ldoc, "//item", analyze=analyze)
+            assert refusals.value == before + 1
+        index.refresh()
         plan = explain_query(ldoc, "//item", analyze=True)
-        step = plan.steps[0]
-        assert step.strategy == "scan"
-        assert "StaleIndexError" in step.reason
-        # The scan still answers correctly.
         assert plan.result_count == len(reference_xpath(ldoc, "//item"))
 
     def test_pending_batch_steps_use_the_index(self):
@@ -178,23 +185,16 @@ class TestPlanPayload:
         assert "=> estimated" in text
         assert "actual 3" in text
 
-    def test_strategy_counters_tick(self):
-        from repro.observability.metrics import get_registry
-
+    def test_plan_counters_tick(self):
         registry = get_registry()
-        before_scan = registry.counter("explain.steps_scan").value
-        before_acc = registry.counter("explain.steps_accelerated").value
-        ldoc = library("prepost")
-        index = ldoc.accelerator()
-        index.refresh()
-        ldoc.unsubscribe_deltas(index)
-        ldoc.updates.append_child(ldoc.document.root, "annex")
-        explain_query(ldoc, "//book")  # stamp behind the document -> scan
-        index.refresh()
+        plans = registry.counter("explain.plans")
+        analyzed = registry.counter("explain.analyzed_plans")
+        before = (plans.value, analyzed.value)
+        ldoc = library()
         explain_query(ldoc, "//book")
-        assert registry.counter("explain.steps_scan").value > before_scan
-        assert registry.counter("explain.steps_accelerated").value > \
-            before_acc
+        explain_query(ldoc, "//book", analyze=True)
+        assert (plans.value, analyzed.value) == (before[0] + 2,
+                                                 before[1] + 1)
 
 
 class TestUpdateExplain:

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import repro.axes.accelerator as accelerator_module
 from repro.durability.faults import InjectedFault, get_injector
+from repro.errors import StaleIndexError
+from repro.observability.explain import explain_query
 from repro.observability.health import (
     BackendLockProbe,
     HealthContext,
@@ -208,72 +211,24 @@ class TestFaultDrill:
         assert report.exit_code == 1
 
 
-class TestScanFallbackProbe:
-    def probe(self, **kwargs):
-        from repro.observability.health import ScanFallbackProbe
-
-        return ScanFallbackProbe(**kwargs)
-
-    def test_too_few_steps_is_ok(self):
-        result = self.probe(min_steps=8).evaluate(
-            context(**{"explain.steps_scan": 3}))
-        assert result.status == "ok"
-        assert "too few" in result.evidence
-
-    def test_scan_only_workload_without_index_is_ok(self):
-        result = self.probe().evaluate(
-            context(**{"explain.steps_scan": 50,
-                       "explain.steps_accelerated": 0,
-                       "axes.accelerator.builds": 0}))
-        assert result.status == "ok"
-        assert "scan-only" in result.evidence
-
-    def test_warn_and_critical_rates_with_built_index(self):
-        warn = self.probe().evaluate(
-            context(**{"explain.steps_scan": 6,
-                       "explain.steps_accelerated": 4,
-                       "axes.accelerator.builds": 1,
-                       "axes.accelerator.stale_errors": 2}))
-        critical = self.probe().evaluate(
-            context(**{"explain.steps_scan": 99,
-                       "explain.steps_accelerated": 1,
-                       "axes.accelerator.builds": 1}))
-        assert warn.status == "warn"
-        assert "stale refusals" in warn.evidence
-        assert critical.status == "critical"
-
-    def test_low_scan_share_is_ok(self):
-        result = self.probe().evaluate(
-            context(**{"explain.steps_scan": 1,
-                       "explain.steps_accelerated": 19,
-                       "axes.accelerator.builds": 1}))
-        assert result.status == "ok"
-
-    def test_registered_in_default_probes(self):
-        assert any(probe.name == "scan-fallback-rate"
-                   for probe in default_probes())
-
-    def test_fires_from_real_explain_counters(self, monkeypatch):
-        # Route the global explain counters into a private registry so
-        # the probe sees what explain_query actually records.
-        import repro.observability.explain as explain_module
-        from repro.observability.explain import explain_query
-
-        registry = MetricsRegistry()
-        monkeypatch.setattr(explain_module, "get_registry",
-                            lambda: registry)
-        ldoc = LabeledDocument(parse(SAMPLE), make_scheme("qed"))
-        explain_query(ldoc, "//book", analyze=True)
-        ldoc.unsubscribe_deltas(ldoc.accelerator())
-        ldoc.updates.append_child(ldoc.document.root, "annex")
-        for _ in range(9):
-            explain_query(ldoc, "//book", analyze=True)
-        snapshot = registry.snapshot()
-        snapshot.setdefault("axes.accelerator.builds", 1)
-        probe = self.probe()
-        result = probe.evaluate(HealthContext(metrics=snapshot))
-        assert result.status in ("warn", "critical")
-        assert "fell back to the scan path" in result.evidence
+def test_explain_refusals_trip_the_stale_index_probe(monkeypatch):
+    # Route the index's counters into a private registry, so the
+    # probe sees what EXPLAIN against a detached index records.
+    registry = MetricsRegistry()
+    monkeypatch.setattr(accelerator_module, "get_registry",
+                        lambda: registry)
+    ldoc = LabeledDocument(parse(SAMPLE), make_scheme("qed"))
+    explain_query(ldoc, "//book", analyze=True)
+    ldoc.unsubscribe_deltas(ldoc.accelerator())
+    ldoc.updates.append_child(ldoc.document.root, "annex")
+    for analyze in (False, True) * 4:
+        with pytest.raises(StaleIndexError):
+            explain_query(ldoc, "//book", analyze=analyze)
+    snapshot = registry.snapshot()
+    assert snapshot["axes.accelerator.stale_errors"] == 8
+    result = StaleIndexProbe().evaluate(HealthContext(metrics=snapshot))
+    assert result.status == "critical"
+    assert "8 stale-index refusals" in result.evidence
 
 
 def documented_probes():

@@ -6,7 +6,8 @@ writing workload then walks the document at no ``check_update`` and no
 checkpoint (a deterministic growth gate: zero walks at every document
 size).  While the index cannot vouch for the document (no index yet, an
 index behind the document), the walk answers, and a statistics read
-builds nothing and counts no refusal.
+builds nothing and counts no refusal; an EXPLAIN plan is refused by an
+index behind the document as a query is.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from reference_stats import counted, fields, reference_refresh
 
 import repro.ulang
 from repro.axes.xpath import xpath
+from repro.errors import StaleIndexError
 from repro.observability.explain import explain_query
 from repro.observability.metrics import get_registry
 from repro.observability.stats import StatsCollector
@@ -72,16 +74,31 @@ def test_refused_states_walk_and_build_nothing(state):
     reference_refresh(oracle, ldoc)
     with counted() as calls:
         stats = StatsCollector.collect(ldoc)
-        plans = [explain_query(ldoc, path) for path in EXPLAINED]
-    assert calls == {"walk": 1 + len(EXPLAINED)}
+    assert calls == {"walk": 1}
     assert fields(stats) == fields(oracle)
     assert stats.to_payload() == oracle.to_payload()
-    expected = [explain_query(ldoc, path, stats=oracle) for path in EXPLAINED]
-    assert ([[step.estimated_rows for step in plan.steps] for plan in plans]
-            == [[step.estimated_rows for step in plan.steps]
-                for plan in expected])
-    assert counter("axes.accelerator.builds") == builds
     assert counter("axes.accelerator.stale_errors") == refusals
+    if state is detached_index:
+        # EXPLAIN runs the query path, which refuses the index: once
+        # per plan, as a query is refused.
+        for path in EXPLAINED:
+            with pytest.raises(StaleIndexError):
+                explain_query(ldoc, path, stats=stats)
+        assert (counter("axes.accelerator.stale_errors")
+                == refusals + len(EXPLAINED))
+    else:
+        # A plain plan of a document without an index builds none.
+        with counted() as calls:
+            plans = [explain_query(ldoc, path) for path in EXPLAINED]
+        assert calls == {"walk": len(EXPLAINED)}
+        expected = [explain_query(ldoc, path, stats=oracle)
+                    for path in EXPLAINED]
+        assert ([[step.estimated_rows for step in plan.steps]
+                 for plan in plans]
+                == [[step.estimated_rows for step in plan.steps]
+                    for plan in expected])
+        assert counter("axes.accelerator.stale_errors") == refusals
+    assert counter("axes.accelerator.builds") == builds
 
 
 def test_a_pending_batch_counts_from_the_index():

@@ -1,8 +1,10 @@
 """Versioned documents: commits, checkouts, annotations, diffs."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import UpdateError
+from repro.errors import SnapshotMismatchError, UpdateError
 from repro.updates.versioning import VersionedDocument
 
 DOCUMENT = "<doc><a/><b><c>text</c></b><d/></doc>"
@@ -99,6 +101,17 @@ class TestCheckout:
         assert past.labels_in_document_order() == (
             ldoc.labels_in_document_order()
         )
+
+    def test_checkout_refuses_a_stream_that_does_not_fit(self, versioned):
+        # Checkout restores a snapshot: six labels for a five-node text
+        # are refused, not zipped onto the nodes.
+        versioned.ldoc.updates.append_child(
+            versioned.ldoc.document.root, "e")
+        later = versioned.commit("add e")
+        versioned.revisions[0] = dataclasses.replace(
+            versioned.revisions[0], label_stream=later.label_stream)
+        with pytest.raises(SnapshotMismatchError):
+            versioned.checkout(0)
 
     def test_checkout_is_independent(self, versioned):
         past = versioned.checkout(0)
