@@ -10,9 +10,9 @@ expose.  This module makes every update path atomic:
 
 * :class:`UndoRecord` is a savepoint in the document's undo log.  While
   any record is open, every label and label-index write, tree attach and
-  detach, content update and whole-map relabelling appends its inverse
-  to the log, so opening a record costs O(1) and rolling it back costs
-  what changed since, not the size of the document.
+  detach and content update appends its inverse to the log, so opening
+  a record costs O(1) and rolling it back costs what changed since, not
+  the size of the document.
 * :class:`Transaction` is the ``with`` layer over an undo record: clean
   exit commits, an exception rolls the document back completely.  Given
   a :class:`~repro.durability.journal.Journal` it also write-ahead-logs

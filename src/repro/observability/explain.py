@@ -22,9 +22,12 @@ Two modes, mirroring SQL EXPLAIN:
   ``(axis, name-test)`` pair is observation-based.
 
 :func:`explain_batch` is the update-side counterpart: the predicted
-relabel extent from the batch's ``plan_insert`` decisions (any deferral
-can trigger one consolidated full relabelling) against the actual
-nodes relabelled once :class:`~repro.updates.batch.BatchResult` is in.
+relabel extent from the batch's ``plan_insert`` decisions (a deferred
+label still pending triggers one consolidated pass, which covers the
+subtrees below the parents the batch changed, or the whole document
+for schemes whose labels encode global positions) against the actual
+nodes relabelled once :class:`~repro.updates.batch.BatchResult` is
+in.
 """
 
 from __future__ import annotations

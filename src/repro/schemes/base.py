@@ -22,7 +22,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Collection, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.instrumentation import Instrumentation
 from repro.core.properties import (
@@ -147,6 +147,20 @@ class LabelingScheme(abc.ABC):
         division or recursion their published algorithm performs through
         ``self.instruments``.
         """
+
+    def relabel_below(self, document: Document, labels: Dict[int, Any],
+                      parents: Collection[XMLNode]) -> Dict[int, Any]:
+        """Labels for the labelled nodes below the topmost changed parents.
+
+        The batch engine's consolidated pass: ``parents`` are the nodes
+        whose labelled children a batch changed, ``labels`` the current
+        map (not mutated).  Each subtree below a topmost labelled member
+        is labelled as :meth:`label_tree` would label it from that
+        parent's current label; nodes outside those subtrees are absent
+        from the result.  This default relabels the whole document, for
+        schemes whose labels encode global positions.
+        """
+        return self.label_tree(document)
 
     # ------------------------------------------------------------------
     # Label-only relationship tests (Definition 1 + section 2.2)
@@ -324,7 +338,38 @@ class PrefixSchemeBase(LabelingScheme):
             return labels
         root = document.root
         labels[root.node_id] = self.root_label()
-        stack = [root]
+        return self._label_below([root], labels)
+
+    def relabel_below(self, document: Document, labels: Dict[int, Any],
+                      parents: Collection[XMLNode]) -> Dict[int, Any]:
+        """:meth:`label_tree`'s loop, started at each topmost parent.
+
+        A member of ``parents`` without a label is detached (deleted
+        later in the batch) or pending.  A pending node's current parent
+        is always a member too: the batch records the parent of every
+        node it labels or defers, and a move defers or labels the moved
+        nodes again under their new parent.  Walking up from a pending
+        member therefore reaches a labelled member, so the topmost
+        member on every path is labelled, and starting only from
+        labelled topmost members still covers every pending node.
+        """
+        members = {parent.node_id for parent in parents}
+        tops = [parent for parent in parents
+                if parent.node_id in labels and _topmost(parent, members)]
+        fresh = {top.node_id: labels[top.node_id] for top in tops}
+        self._label_below(tops[:], fresh)
+        for top in tops:
+            del fresh[top.node_id]
+        return fresh
+
+    def _label_below(self, stack: List[XMLNode],
+                     labels: Dict[int, Any]) -> Dict[int, Any]:
+        """Label the labelled descendants of the nodes on ``stack``.
+
+        Each node on the stack already has its label in ``labels``; its
+        children take ``initial_child_components`` after that label.
+        Consumes ``stack`` and returns ``labels``, filled in.
+        """
         while stack:
             node = stack.pop()
             children = node.labeled_children()
@@ -419,3 +464,13 @@ class PrefixSchemeBase(LabelingScheme):
         return self.component_separator.join(
             self.format_component(component) for component in label
         )
+
+
+def _topmost(node: XMLNode, members: Set[int]) -> bool:
+    """Whether no proper ancestor of ``node`` is among ``members``."""
+    ancestor = node.parent
+    while ancestor is not None:
+        if ancestor.node_id in members:
+            return False
+        ancestor = ancestor.parent
+    return True

@@ -8,11 +8,12 @@ second way, from the source alone:
 
 * **division** — any ``/``, ``//``, ``%`` or ``divmod`` reachable from
   the scheme's labelling entry points (``label_tree``,
-  ``insert_sibling``, ``plan_insert``, ``on_delete``), whether it is
-  wrapped in ``instruments.divide`` or not.  Parity tests (``x % 2``)
-  and string formatting are excluded, mirroring the published counting
-  rules; a ``# repro: noqa[REP001]`` suppression keeps an op out of the
-  verdict but still lists it in the evidence.
+  ``relabel_below``, ``insert_sibling``, ``plan_insert``,
+  ``on_delete``), whether it is wrapped in ``instruments.divide`` or
+  not.  Parity tests (``x % 2``) and string formatting are excluded,
+  mirroring the published counting rules; a ``# repro: noqa[REP001]``
+  suppression keeps an op out of the verdict but still lists it in the
+  evidence.
 * **recursion** — any call-graph cycle reachable from ``label_tree``.
   The recursion entry point is deliberately narrower than division's:
   Figure 7 (and our dynamic probe) grade the *bulk labelling algorithm*,
@@ -35,8 +36,8 @@ from repro.staticcheck.callgraph import CallGraph, Node, Reachability
 from repro.staticcheck.project import ClassInfo, FunctionInfo, Project
 
 #: Entry points whose reachable code decides the Division verdict.
-DIVISION_ENTRY_POINTS = ("label_tree", "insert_sibling", "plan_insert",
-                         "on_delete")
+DIVISION_ENTRY_POINTS = ("label_tree", "relabel_below", "insert_sibling",
+                         "plan_insert", "on_delete")
 
 #: Entry points whose reachable code decides the Recursion verdict.
 RECURSION_ENTRY_POINTS = ("label_tree",)

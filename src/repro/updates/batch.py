@@ -21,8 +21,16 @@ the current shape), but labelling is split:
   path would have paid.
 
 On :meth:`~UpdateBatch.apply` all deferred labels are produced by one
-consolidated :meth:`~repro.schemes.base.LabelingScheme.label_tree` pass
-— a single relabel event regardless of how many operations deferred.
+consolidated :meth:`~repro.schemes.base.LabelingScheme.relabel_below`
+pass — a single relabel event regardless of how many operations
+deferred.  The batch records every parent whose labelled children it
+changed (the parent of each node it labels or defers, of each delete,
+and the old parent of each move), and the pass relabels only the
+subtrees below the topmost of them, as ``label_tree`` would label them
+from each parent's current label: prefix schemes pay the relabel extent
+of the change, not the size of the document, while schemes whose labels
+encode global positions (pre/post, region, prime...) relabel the whole
+document as before.
 
 Accounting contract (the batch/per-op parity rules):
 
@@ -42,7 +50,7 @@ Accounting contract (the batch/per-op parity rules):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Set
+from typing import TYPE_CHECKING, Dict, List, Set
 
 from repro.errors import BatchError
 from repro.observability.metrics import get_registry
@@ -105,6 +113,9 @@ class UpdateBatch:
         self._ldoc = ldoc
         self._undo = None
         self._pending: Set[int] = set()
+        #: Every node whose labelled children the batch changed, by id:
+        #: the subtrees below them are what the pass relabels.
+        self._parents: Dict[int, "XMLNode"] = {}
         self._results: List[UpdateResult] = []
         self._operations = 0
         self._deferrals = 0
@@ -141,21 +152,33 @@ class UpdateBatch:
         """The planner-facing view of the batch's labelling decisions.
 
         ``predicted_relabel_extent`` is the upper bound an EXPLAIN of
-        this batch reports: if any operation deferred (``plan_insert``
-        returned ``None``), :meth:`apply` runs one consolidated
-        ``label_tree`` pass that may rewrite every label in the
-        document; with no deferral the extent is zero.
+        this batch reports: if a node is still pending (``plan_insert``
+        returned ``None`` for it and no later operation removed or
+        labelled it), :meth:`apply` runs one consolidated pass, and the
+        extent counts the already-labelled nodes that pass
+        covers, found from the same changed parents (the subtrees below
+        them for prefix schemes, the whole document for schemes whose
+        pass is whole-document).  The pass rewrites only the labels that
+        differ, so the actual count is at most this; with nothing
+        pending no pass runs and the extent is zero.
         """
-        deferred = self._deferrals
+        passes = 1 if self._pending else 0
+        extent = 0
+        if passes:
+            ldoc = self._ldoc
+            labels = ldoc.labels
+            extent = sum(
+                1 for node_id in ldoc.scheme.relabel_below(
+                    ldoc.document, labels, self._parents.values())
+                if node_id in labels
+            )
         return {
             "operations": self._operations,
             "fast_path_labels": self._fast_labels,
-            "deferred_labels": deferred,
+            "deferred_labels": self._deferrals,
             "pending_nodes": len(self._pending),
-            "predicted_relabel_passes": 1 if deferred else 0,
-            "predicted_relabel_extent": (
-                len(self._ldoc.labels) if deferred else 0
-            ),
+            "predicted_relabel_passes": passes,
+            "predicted_relabel_extent": extent,
         }
 
     # ------------------------------------------------------------------
@@ -207,7 +230,9 @@ class UpdateBatch:
         pending nodes.
         """
         self._prepare()
+        parent = node.parent
         result = self._ldoc._do_delete(node)
+        self._parents[parent.node_id] = parent
         if self._pending:
             self._pending.difference_update(
                 child.node_id for child in node.preorder())
@@ -223,7 +248,10 @@ class UpdateBatch:
         position defers too.
         """
         self._prepare()
+        old_parent = node.parent
         result = self._ldoc._do_move(self, node, new_parent, index)
+        # The new parent arrives through _label_node.
+        self._parents[old_parent.node_id] = old_parent
         self._drop_labelled_pending()
         return self._record(result)
 
@@ -255,12 +283,20 @@ class UpdateBatch:
 
         If every operation took the fast path this is free: no pass
         runs, no label changes.  Otherwise one
-        :meth:`~repro.schemes.base.LabelingScheme.label_tree` traversal
-        produces every outstanding label — and, as a full relabelling,
-        replaces fast-path labels assigned earlier in the batch so the
-        final label set is exactly the scheme's canonical labelling of
-        the current tree.  It publishes nothing: every node was published
-        when it was attached, and a relabelling moves no node.
+        :meth:`~repro.schemes.base.LabelingScheme.relabel_below` pass
+        relabels the subtrees below the topmost parents the batch
+        changed, as ``label_tree`` would label them from each parent's
+        current label, fast-path labels assigned earlier in the batch
+        included; only the labels that differ are written, label by
+        label, and ``relabeled_nodes`` counts those that existed before.
+        If the document's labels were the scheme's canonical labelling
+        (``label_tree``'s) before the batch, as after ingest, after
+        restoring such a document or after a batch that ran its pass
+        from one, they are exactly ``scheme.label_tree(document)`` after
+        it.  Labels that per-operation updates left non-canonical
+        (DeweyID gaps) outside those subtrees are kept, not renumbered.
+        The pass publishes nothing: every node was published when it was
+        attached, and a relabelling moves no node.
 
         If the pass itself fails partway (a collision, an injected
         crash), the batch is *not* closed: :meth:`rollback` — or the
@@ -282,16 +318,21 @@ class UpdateBatch:
                 with instrument("document.relabel", scheme=scheme_name,
                                 consolidated=True,
                                 overflow=False) as relabel:
-                    old_labels = ldoc.labels
-                    new_labels = ldoc.scheme.label_tree(ldoc.document)
-                    relabeled_nodes = sum(
-                        1 for node_id, label in new_labels.items()
-                        if node_id in old_labels
-                        and old_labels[node_id] != label
-                    )
-                    ldoc._replace_labels(new_labels)
+                    labels = ldoc.labels
+                    fresh = ldoc.scheme.relabel_below(
+                        ldoc.document, labels, self._parents.values())
+                    changed = {node_id: label
+                               for node_id, label in fresh.items()
+                               if labels.get(node_id) != label}
+                    for node_id, label in changed.items():
+                        old = labels.get(node_id)
+                        if old is not None:
+                            relabeled_nodes += 1
+                            ldoc._unindex(node_id, old)
+                        ldoc._set_label(node_id, label)
                     maybe_fail("batch.relabel")
-                    ldoc._rebuild_label_index()
+                    for node_id, label in changed.items():
+                        ldoc._index(node_id, label)
                     ldoc.log.record("relabel_events")
                     ldoc.log.record("relabeled_nodes", relabeled_nodes)
                     relabel.set(nodes=relabeled_nodes)
@@ -385,6 +426,7 @@ class UpdateBatch:
         self._applied = True
         self._undo = None
         self._pending.clear()
+        self._parents.clear()
         self._ldoc._active_batch = None
 
     def _prepare(self) -> None:
@@ -418,10 +460,12 @@ class UpdateBatch:
         maybe_fail("batch.operation")
         ldoc = self._ldoc
         ldoc.log.record("insertions")
+        parent = node.parent
+        self._parents[parent.node_id] = parent
         outcome = None
         # A pending (unlabelled) parent rules out the fast path: the
         # scheme cannot extend a label that does not exist yet.
-        if node.parent is not None and node.parent.node_id in ldoc.labels:
+        if parent.node_id in ldoc.labels:
             outcome = ldoc.scheme.plan_insert(ldoc._insert_context_for(node))
         if outcome is None:
             self._pending.add(node.node_id)

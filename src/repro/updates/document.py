@@ -652,8 +652,7 @@ class LabeledDocument:
         return self.on_collision == "raise"
 
     def _rebuild_label_index(self) -> None:
-        # A fresh dict, filled without undo entries: every rebuild inside
-        # a scope follows _replace_labels, whose entry keeps the old index.
+        # The constructors' index build: no undo scope is open yet.
         self._label_index = {}
         for node_id, label in self.labels.items():
             key = self._hashable(label)
@@ -704,16 +703,6 @@ class LabeledDocument:
                 self._undo_log.append(("label", node_id, label))
             self._unindex(node_id, label)
 
-    def _replace_labels(self, labels: Dict[int, Any]) -> None:
-        """Install a whole new label map; the caller rebuilds the index.
-
-        One undo entry keeps the old map and index objects, so a
-        rollback restores both without logging the rebuild key by key.
-        """
-        if self._undo_log is not None:
-            self._undo_log.append(("labels", self.labels, self._label_index))
-        self.labels = labels
-
     # ------------------------------------------------------------------
     # Undo scopes (UndoRecord savepoints) and rollback
     # ------------------------------------------------------------------
@@ -758,8 +747,6 @@ class LabeledDocument:
         are the ones removed, so references held across the rollback
         stay valid; an undone rename or attribute-value update publishes
         the inverse ``rename`` or ``value``.
-        Undoing a whole-map replacement publishes nothing: the attach
-        and detach entries around it already publish every move.
         """
         log = self._undo_log
         self.document._undo_log = None  # the replay must not log itself
@@ -794,13 +781,11 @@ class LabeledDocument:
                     renamed_from, node.name = node.name, name
                     self.document.note_structural_change()
                     self._publish_rename(node, renamed_from)
-                elif tag == "value":
+                else:  # "value"
                     _tag, node, value = entry
                     valued_from, node.value = node.value, value
                     self.document.note_structural_change()
                     self._publish_value(node, valued_from)
-                else:  # "labels": positions do not depend on labels
-                    self.labels, self._label_index = entry[1], entry[2]
         finally:
             self.document._undo_log = log
 
