@@ -74,13 +74,10 @@ def main(argv=None):
           f"({SIBLINGS} siblings bulk; {PRESSURE} skewed inserts)")
     print(f"{'scheme':17s} {'alphabet':11s} {'allocation':11s} "
           f"{'bulk b/label':>12s} {'relabels':>9s} {'overflows':>10s}")
-    rows = []
     for name, stats in results.items():
         print(f"{name:17s} {stats['alphabet']:11s} {stats['allocation']:11s} "
               f"{stats['bulk_bits_per_label']:12.1f} "
               f"{stats['relabel_events']:9d} {stats['overflow_events']:10d}")
-        rows.append({"scheme": name, **stats})
-    return rows
 
 
 if __name__ == "__main__":

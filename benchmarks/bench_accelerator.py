@@ -242,7 +242,6 @@ def main(argv=None):
                 assert row["speedup"] >= 5.0, row
             if row["workload"] == "maintenance":
                 assert row["advantage"] > 1.0, row
-    return rows
 
 
 UPDATE_BUDGET = 60

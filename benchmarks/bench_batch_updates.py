@@ -214,8 +214,6 @@ def main(argv=None):
     )
     print(f"\nbatch consolidated relabelling on {wins} workload runs; "
           f"all claims hold")
-    return ([{"workload": "skewed", **record} for record in skewed]
-            + [{"workload": "xmark", **record} for record in xmark])
 
 
 if __name__ == "__main__":

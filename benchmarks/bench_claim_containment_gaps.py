@@ -56,15 +56,9 @@ def main(argv=None):
     bench_args(__doc__, argv)  # sweep is already CI-sized
     results = regenerate()
     print("Skewed insertions absorbed before the first relabel")
-    rows = []
     for configuration, count in results.items():
-        never = count > PRESSURE
-        note = " (never relabelled)" if never else ""
+        note = " (never relabelled)" if count > PRESSURE else ""
         print(f"  {configuration:24s} {count:4d}{note}")
-        rows.append({"configuration": configuration,
-                     "inserts_absorbed": count,
-                     "never_relabelled": never})
-    return rows
 
 
 if __name__ == "__main__":

@@ -53,11 +53,8 @@ def main(argv=None):
     bench_args(__doc__, argv)  # corner cases are constant-sized
     results = regenerate()
     print("Duplicate labels produced (collisions)")
-    rows = []
     for scenario, count in results.items():
         print(f"  {scenario:28s} {count}")
-        rows.append({"scenario": scenario, "collisions": count})
-    return rows
 
 
 if __name__ == "__main__":

@@ -62,15 +62,12 @@ def main(argv=None):
           "tight storage fields")
     print(f"{'scheme':18s} {'relabels':>9s} {'nodes moved':>12s} "
           f"{'overflows':>10s}  escapes?")
-    rows = []
     for name, stats in table.items():
         escapes = stats["relabel_events"] == 0
         print(f"{name:18s} {stats['relabel_events']:9d} "
               f"{stats['relabeled_nodes']:12d} "
               f"{stats['overflow_events']:10d}  "
               f"{'yes' if escapes else 'no'}")
-        rows.append({"scheme": name, "escapes": escapes, **stats})
-    return rows
 
 
 if __name__ == "__main__":

@@ -64,15 +64,11 @@ def main(argv=None):
     table = regenerate()
     print(f"Encoded label streams ({DOCUMENT_NODES}-node document)")
     print(f"{'scheme':17s} {'labels':>6s} {'bytes':>8s} {'bits/label':>11s}")
-    rows = []
     for name, stats in sorted(
         table.items(), key=lambda item: item[1]["bits_per_label"]
     ):
         print(f"{name:17s} {stats['labels']:6d} {stats['stream_bytes']:8d} "
               f"{stats['bits_per_label']:11.1f}")
-        rows.append({"scheme": name, **stats,
-                     "bits_per_label": round(stats["bits_per_label"], 2)})
-    return rows
 
 
 if __name__ == "__main__":

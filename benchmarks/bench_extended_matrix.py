@@ -57,15 +57,6 @@ def main(argv=None):
     bench_args(__doc__, argv)  # probe suite is constant-sized
     matrix = regenerate()
     print(matrix.render())
-    return [
-        {
-            "scheme": row.name,
-            "extension": row.extension,
-            "grades": {prop.name: grade.value
-                       for prop, grade in row.grades.items()},
-        }
-        for row in matrix.rows
-    ]
 
 
 if __name__ == "__main__":

@@ -48,8 +48,6 @@ def main(argv=None):
     matches = (initial == FIGURE_5_INITIAL_LSDX_LABELS
                and inserted == FIGURE_5_INSERTED)
     print("matches paper:", matches)
-    return [{"figure": "5", "inserted": dict(inserted),
-             "matches_paper": matches}]
 
 
 if __name__ == "__main__":

@@ -37,13 +37,6 @@ def main(argv=None):
     print()
     print("Section 5.2 analysis — most generic scheme:",
           most_generic_scheme(matrix))
-    return [{
-        "figure": "7",
-        "schemes": len(matrix.rows),
-        "diff_cells": len(matrix.diff_against_paper()),
-        "most_generic": most_generic_scheme(matrix),
-        "matches_paper": matrix.matches_paper(),
-    }]
 
 
 if __name__ == "__main__":

@@ -67,7 +67,6 @@ def main(argv=None):
     args = bench_args(__doc__, argv)
     contexts = 10 if args.quick else 30
     print(f"Axis evaluation over a {DOCUMENT_NODES}-node document")
-    rows = []
     for scheme_name in ("qed", "dewey", "prepost", "vector"):
         ldoc = build(scheme_name)
         evaluator = AxisEvaluator(ldoc, allow_fallback=True)
@@ -78,9 +77,6 @@ def main(argv=None):
         elapsed = (time.perf_counter() - start) * 1000
         print(f"  {scheme_name:10s} {2 * contexts} axis evaluations: "
               f"{elapsed:7.1f} ms (fallbacks: {evaluator.fallbacks})")
-        rows.append({"scheme": scheme_name, "evaluations": 2 * contexts,
-                     "elapsed_ms": round(elapsed, 3),
-                     "fallbacks": evaluator.fallbacks})
 
     # Flight-recorder overhead: the same workload bare vs. with the
     # sampling profiler already running at the default rate (the
@@ -125,13 +121,6 @@ def main(argv=None):
     print(f"  profiler overhead at {DEFAULT_HERTZ:g} Hz (qed workload): "
           f"bare {baseline_ms:.1f} ms, profiled {profiled_ms:.1f} ms "
           f"({overhead_pct:+.1f}%)")
-    rows.append({"scheme": "profiler-overhead",
-                 "evaluations": 2 * contexts * 20,
-                 "elapsed_ms": round(profiled_ms, 3),
-                 "fallbacks": evaluator.fallbacks,
-                 "baseline_ms": round(baseline_ms, 3),
-                 "overhead_pct": round(overhead_pct, 1)})
-    return rows
 
 
 if __name__ == "__main__":

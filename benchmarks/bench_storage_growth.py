@@ -195,7 +195,6 @@ def main(argv=None):
     nodes = QUICK_DOCUMENT_NODES if args.quick else DOCUMENT_NODES
     updates = QUICK_UPDATES if args.quick else UPDATES
     table = regenerate(nodes, updates)
-    rows = []
     for workload_name, results in table.items():
         print(f"\nStorage after {workload_name} "
               f"({updates if workload_name != 'bulk' else 0} updates)")
@@ -204,22 +203,16 @@ def main(argv=None):
             summary: StorageSummary = results[name]
             print(f"  {name:18s} {summary.bits_per_label:10.1f} "
                   f"{summary.max_label_bits:10d}")
-            rows.append({"workload": workload_name, "scheme": name,
-                         "bits_per_label": round(summary.bits_per_label, 1),
-                         "max_label_bits": summary.max_label_bits})
 
     scale = QUICK_XMARK_SCALE if args.quick else XMARK_SCALE
-    engine_rows = backend_rows(scale)
     print(f"\nStorage backends (XMark scale {scale}, point query "
           f"'{POINT_QUERY_NAME}')")
     print(f"  {'backend':10s} {'ingest s':>9s} {'cold load s':>12s} "
           f"{'point query s':>14s} {'matches':>8s} {'bytes':>10s}")
-    for row in engine_rows:
+    for row in backend_rows(scale):
         print(f"  {row['backend']:10s} {row['ingest_s']:9.4f} "
               f"{row['cold_load_s']:12.4f} {row['point_query_s']:14.4f} "
               f"{row['point_query_matches']:8d} {row['storage_bytes']:10d}")
-    rows.extend(engine_rows)
-    return rows
 
 
 if __name__ == "__main__":

@@ -76,7 +76,6 @@ def main(argv=None):
     import time
 
     bench_args(__doc__, argv)  # join inputs are already CI-sized
-    rows = []
     for scheme_name in ("prepost", "qed", "vector"):
         ldoc, ancestors, descendants = build(scheme_name)
         start = time.perf_counter()
@@ -88,11 +87,6 @@ def main(argv=None):
         print(f"{scheme_name:10s} |A|={len(ancestors):3d} "
               f"|D|={len(descendants):3d} out={len(merged):4d}  "
               f"stack={merge_ms:6.1f} ms  nested={nested_ms:6.1f} ms")
-        rows.append({"scheme": scheme_name, "ancestors": len(ancestors),
-                     "descendants": len(descendants), "pairs": len(merged),
-                     "stack_ms": round(merge_ms, 3),
-                     "nested_ms": round(nested_ms, 3)})
-    return rows
 
 
 if __name__ == "__main__":

@@ -70,18 +70,12 @@ def main(argv=None):
     inserts = QUICK_INSERTS if args.quick else INSERTS
     print(f"Relabelled nodes after {inserts} random + {inserts} skewed "
           f"insertions ({DOCUMENT_NODES}-node document)")
-    rows = []
     for name in FIGURE7_ORDER:
         ldoc = build(name)
         random_insertions(ldoc, inserts, seed=6)
         skewed_insertions(ldoc, inserts)
-        persistent = ldoc.log.relabeled_nodes == 0
-        marker = "persistent" if persistent else ""
+        marker = "persistent" if ldoc.log.relabeled_nodes == 0 else ""
         print(f"  {name:18s} {ldoc.log.relabeled_nodes:8d}  {marker}")
-        rows.append({"scheme": name,
-                     "relabeled_nodes": ldoc.log.relabeled_nodes,
-                     "persistent": persistent})
-    return rows
 
 
 if __name__ == "__main__":

@@ -83,17 +83,11 @@ def main(argv=None):
           f"({site_nodes} labelled nodes); "
           f"{bids} bids into one hot auction\n")
     print(f"{'scheme':10s} {'relabelled':>10s} {'max label bits':>15s}")
-    rows = []
     for scheme_name in SCHEMES:
         ldoc = build(scheme_name, scale=scale)
         result = bidding_stream(ldoc, bids, seed=5, hot_auction=0)
         print(f"{scheme_name:10s} {result.relabeled_nodes:10d} "
               f"{result.max_label_bits:15d}")
-        rows.append({"scheme": scheme_name, "site_nodes": site_nodes,
-                     "bids": bids,
-                     "relabeled_nodes": result.relabeled_nodes,
-                     "max_label_bits": result.max_label_bits})
-    return rows
 
 
 if __name__ == "__main__":

@@ -15,11 +15,11 @@ point                     fires inside
                           node is labelled (mid-batch crash)
 ``batch.apply``           :meth:`UpdateBatch.apply`, before the consolidated
                           relabelling pass starts
-``batch.relabel``         :meth:`UpdateBatch.apply`, after the new label map
-                          is installed but before the label index is rebuilt
-                          (the nastiest half-applied state)
-``document.relabel``      :meth:`LabeledDocument._apply_relabeling`, between
-                          individual label reassignments (mid-relabel crash)
+``batch.relabel``         :meth:`UpdateBatch.apply`, after the consolidated
+                          pass is computed, before any label is written
+``document.relabel``      :meth:`LabeledDocument._apply_relabeling` (every
+                          relabel, a batch's pass too), between individual
+                          label writes (mid-relabel crash)
 ``journal.append``        :meth:`Journal.append`, before the record reaches
                           the file (operation lost entirely)
 ``journal.torn``          :meth:`Journal.append`, after *half* the record's

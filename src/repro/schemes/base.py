@@ -148,17 +148,26 @@ class LabelingScheme(abc.ABC):
         ``self.instruments``.
         """
 
+    def relabel_scope(self, labels: Dict[int, Any],
+                      parents: Collection[XMLNode]) -> Optional[List[XMLNode]]:
+        """The nodes below which :meth:`relabel_below` relabels after
+        changes under ``parents``, or ``None`` for the whole document (this
+        default, for labels that encode global positions).  EXPLAIN
+        counts a pass from it without running the pass."""
+        return None
+
     def relabel_below(self, document: Document, labels: Dict[int, Any],
                       parents: Collection[XMLNode]) -> Dict[int, Any]:
         """Labels for the labelled nodes below the topmost changed parents.
 
-        The batch engine's consolidated pass: ``parents`` are the nodes
-        whose labelled children a batch changed, ``labels`` the current
-        map (not mutated).  Each subtree below a topmost labelled member
-        is labelled as :meth:`label_tree` would label it from that
-        parent's current label; nodes outside those subtrees are absent
-        from the result.  This default relabels the whole document, for
-        schemes whose labels encode global positions.
+        The only place a relabel is computed, for a batch's consolidated
+        pass and every per-operation escape hatch
+        (:meth:`relabel_insert`).  ``parents`` are the nodes whose
+        labelled children changed, ``labels`` the current map (not
+        mutated).  Each subtree below a node of :meth:`relabel_scope` is
+        labelled as :meth:`label_tree` would label it from that node's
+        current label; nodes outside those subtrees are absent from the
+        result.  This default relabels the whole document.
         """
         return self.label_tree(document)
 
@@ -251,15 +260,17 @@ class LabelingScheme(abc.ABC):
     # Shared helpers
     # ------------------------------------------------------------------
 
-    def full_relabel(self, context: SiblingInsertContext,
-                     overflowed: bool = False) -> InsertOutcome:
-        """Recompute every label; report the differences.
+    def relabel_insert(self, context: SiblingInsertContext,
+                       overflowed: bool) -> InsertOutcome:
+        """Label an insertion by relabelling below the new node's parent.
 
         The escape hatch of the non-persistent schemes: preorder/postorder
         insertion, gap exhaustion in region schemes, fixed-field overflow
-        in DLN/CDBS — all end here, and the updates layer counts the cost.
+        in DLN/CDBS, Cohen's missing codes — all end here, and the updates
+        layer counts the cost.
         """
-        fresh = self.label_tree(context.document)
+        fresh = self.relabel_below(context.document, context.labels,
+                                   [context.parent])
         relabeled = {
             node_id: label
             for node_id, label in fresh.items()
@@ -340,22 +351,27 @@ class PrefixSchemeBase(LabelingScheme):
         labels[root.node_id] = self.root_label()
         return self._label_below([root], labels)
 
-    def relabel_below(self, document: Document, labels: Dict[int, Any],
-                      parents: Collection[XMLNode]) -> Dict[int, Any]:
-        """:meth:`label_tree`'s loop, started at each topmost parent.
+    def relabel_scope(self, labels: Dict[int, Any],
+                      parents: Collection[XMLNode]) -> Optional[List[XMLNode]]:
+        """The topmost labelled members of ``parents``.
 
-        A member of ``parents`` without a label is detached (deleted
-        later in the batch) or pending.  A pending node's current parent
-        is always a member too: the batch records the parent of every
-        node it labels or defers, and a move defers or labels the moved
-        nodes again under their new parent.  Walking up from a pending
-        member therefore reaches a labelled member, so the topmost
-        member on every path is labelled, and starting only from
-        labelled topmost members still covers every pending node.
+        A member without a label is detached (deleted later in the
+        batch) or pending.  A pending node's current parent is always a
+        member too: the batch records the parent of every node it labels
+        or defers, and a move defers or labels the moved nodes again
+        under their new parent.  Walking up from a pending member
+        therefore reaches a labelled member, so the topmost member on
+        every path is labelled, and starting only from labelled topmost
+        members still covers every pending node.
         """
         members = {parent.node_id for parent in parents}
-        tops = [parent for parent in parents
+        return [parent for parent in parents
                 if parent.node_id in labels and _topmost(parent, members)]
+
+    def relabel_below(self, document: Document, labels: Dict[int, Any],
+                      parents: Collection[XMLNode]) -> Dict[int, Any]:
+        """:meth:`label_tree`'s loop, started at each node of the scope."""
+        tops = self.relabel_scope(labels, parents)
         fresh = {top.node_id: labels[top.node_id] for top in tops}
         self._label_below(tops[:], fresh)
         for top in tops:
@@ -415,32 +431,23 @@ class PrefixSchemeBase(LabelingScheme):
         return len(label)
 
     def insert_sibling(self, context: SiblingInsertContext) -> InsertOutcome:
-        parent_label = context.parent_label
-        left = context.left_label
-        right = context.right_label
-        try:
-            if left is None and right is None:
-                component = self.component_for_only_child()
-            elif left is None:
-                component = self.component_before(right[-1])
-            elif right is None:
-                component = self.component_after(left[-1])
-            else:
-                component = self.component_between(left[-1], right[-1])
-            self.check_component(component)
-        except OverflowEvent:
-            return self.full_relabel(context, overflowed=True)
-        return InsertOutcome(label=parent_label + (component,))
+        return (self._place_component(context)
+                or self.relabel_insert(context, overflowed=True))
 
     def plan_insert(self, context: SiblingInsertContext
                     ) -> Optional[InsertOutcome]:
         """Component algebra directly; ``None`` on overflow, no relabel.
 
         Unlike the base default, an exhausted component never computes a
-        throwaway full relabel — the overflow surfaces as ``None`` and
-        the bulk engine consolidates.
+        throwaway relabel — the overflow surfaces as ``None`` and the
+        bulk engine consolidates.
         """
-        parent_label = context.parent_label
+        return self._place_component(context)
+
+    def _place_component(self, context: SiblingInsertContext
+                         ) -> Optional[InsertOutcome]:
+        """The new node's label from its labelled neighbours' components,
+        or ``None`` when no component fits (an :class:`OverflowEvent`)."""
         left = context.left_label
         right = context.right_label
         try:
@@ -455,7 +462,7 @@ class PrefixSchemeBase(LabelingScheme):
             self.check_component(component)
         except OverflowEvent:
             return None
-        return InsertOutcome(label=parent_label + (component,))
+        return InsertOutcome(label=context.parent_label + (component,))
 
     def label_size_bits(self, label: Any) -> int:
         return sum(self.component_size_bits(component) for component in label)

@@ -115,7 +115,7 @@ class PrePostScheme(LabelingScheme):
         for a dynamic labelling scheme because insertions modify the
         positional values of all nodes after the inserted node".
         """
-        return self.full_relabel(context)
+        return self.relabel_insert(context, overflowed=False)
 
     def plan_insert(self, context: SiblingInsertContext) -> None:
         """Always ``None``: global ranks shift on every insertion.

@@ -101,7 +101,7 @@ class QRSScheme(LabelingScheme):
         if not (low < begin < end < high):
             # Double precision exhausted: "the same limitations" as
             # integers with sparse allocation.
-            return self.full_relabel(context)
+            return self.relabel_insert(context, overflowed=False)
         return InsertOutcome(label=QRSLabel(begin, end))
 
     def label_size_bits(self, label: QRSLabel) -> int:

@@ -123,7 +123,7 @@ class RegionScheme(LabelingScheme):
         high = right.begin if right is not None else parent.end
         if high - low < 3:
             # Gap exhausted: the postponed relabelling arrives.
-            return self.full_relabel(context)
+            return self.relabel_insert(context, overflowed=False)
         label = RegionLabel(low + 1, low + 2, parent.level + 1)
         return InsertOutcome(label=label)
 

@@ -192,7 +192,7 @@ class SectorScheme(LabelingScheme):
             try:
                 child_width = self._width_at(depth + 1)
             except OverflowEvent:
-                return self.full_relabel(context, overflowed=True)
+                return self.relabel_insert(context, overflowed=True)
             candidate_start = parent.start + child_width
         fits_left = candidate_start > parent.start
         fits_right = candidate_start + child_width <= parent.start + parent.span
@@ -201,7 +201,7 @@ class SectorScheme(LabelingScheme):
         )
         if fits_left and fits_right and gap_free:
             return InsertOutcome(label=SectorLabel(candidate_start, child_width))
-        return self.full_relabel(context)
+        return self.relabel_insert(context, overflowed=False)
 
     def _depth_of_span(self, span: int) -> int:
         for depth, width in enumerate(self._widths):

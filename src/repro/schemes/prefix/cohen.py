@@ -80,9 +80,10 @@ class CohenScheme(PrefixSchemeBase):
 
     def insert_sibling(self, context: SiblingInsertContext) -> InsertOutcome:
         outcome = super().insert_sibling(context)
-        # PrefixSchemeBase converts the OverflowEvent into a full relabel;
-        # Cohen relabels are a structural property rather than a storage
-        # overflow, so clear the flag for honest overflow accounting.
+        # PrefixSchemeBase converts the OverflowEvent into a relabel below
+        # the parent; Cohen relabels are a structural property rather than
+        # a storage overflow, so clear the flag for honest overflow
+        # accounting.
         if outcome.relabeled:
             outcome.overflowed = False
         return outcome

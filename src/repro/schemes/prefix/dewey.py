@@ -144,22 +144,23 @@ class DeweyScheme(PrefixSchemeBase):
                 running = old_label[-1]
                 continue
             running += 1
-            self._relabel_subtree(
-                sibling, old_label, parent_label + (running,), context, relabeled
-            )
+            self._relabel_subtree(sibling, parent_label + (running,),
+                                  context, relabeled)
         return InsertOutcome(label=new_label, relabeled=relabeled)
 
-    def _relabel_subtree(self, node: XMLNode, old_prefix: Tuple[int, ...],
-                         new_prefix: Tuple[int, ...],
+    def _relabel_subtree(self, node: XMLNode, new_label: Tuple[int, ...],
                          context: SiblingInsertContext,
                          relabeled: Dict[int, Any]) -> None:
-        relabeled[node.node_id] = new_prefix
-        for child in node.labeled_children():
-            # Descendants without labels yet (batch-deferred insertions)
-            # are invisible: the consolidated pass will label them.
-            old_child = context.labels.get(child.node_id)
-            if old_child is None:
-                continue
-            self._relabel_subtree(
-                child, old_child, new_prefix + (old_child[-1],), context, relabeled
-            )
+        """Give ``node`` ``new_label`` and its labelled descendants the new
+        prefix, over an explicit stack (depth is not bounded)."""
+        stack = [(node, new_label)]
+        while stack:
+            node, label = stack.pop()
+            relabeled[node.node_id] = label
+            # Reversed, so they pop in document order.  Descendants
+            # without labels yet (batch-deferred insertions) are
+            # invisible: the consolidated pass will label them.
+            for child in node.labeled_children()[::-1]:
+                old_child = context.labels.get(child.node_id)
+                if old_child is not None:
+                    stack.append((child, label + (old_child[-1],)))

@@ -12,8 +12,8 @@ Section 4 of the paper distinguishes three storage situations:
 
 Every scheme owns a storage model; the model answers size queries for the
 compactness experiments and raises :class:`~repro.errors.OverflowEvent`
-when an update would exceed its capacity, which the updates layer converts
-into a (counted) full relabel.
+when an update would exceed its capacity, which the scheme converts into a
+(counted) relabel.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ second way, from the source alone:
 * **recursion** — any call-graph cycle reachable from ``label_tree``.
   The recursion entry point is deliberately narrower than division's:
   Figure 7 (and our dynamic probe) grade the *bulk labelling algorithm*,
-  which is why Dewey's recursive subtree relabelling after an insertion
-  does not make Dewey a "recursive" scheme.
+  which is why LSDX's recursive subtree relabelling after a deletion
+  does not make LSDX a "recursive" scheme.
 
 The scheme-name-to-class map is read from ``repro/schemes/registry.py``'s
 ``_SCHEME_CLASSES`` dict literal — statically, so the verifier works on

@@ -155,23 +155,25 @@ class UpdateBatch:
         this batch reports: if a node is still pending (``plan_insert``
         returned ``None`` for it and no later operation removed or
         labelled it), :meth:`apply` runs one consolidated pass, and the
-        extent counts the already-labelled nodes that pass
-        covers, found from the same changed parents (the subtrees below
-        them for prefix schemes, the whole document for schemes whose
-        pass is whole-document).  The pass rewrites only the labels that
+        extent counts the already-labelled nodes that pass covers,
+        without running it: the scheme's
+        :meth:`~repro.schemes.base.LabelingScheme.relabel_scope` of the
+        same changed parents gives the subtrees below which it relabels,
+        or the whole document.  The pass rewrites only the labels that
         differ, so the actual count is at most this; with nothing
         pending no pass runs and the extent is zero.
         """
         passes = 1 if self._pending else 0
         extent = 0
         if passes:
-            ldoc = self._ldoc
-            labels = ldoc.labels
-            extent = sum(
-                1 for node_id in ldoc.scheme.relabel_below(
-                    ldoc.document, labels, self._parents.values())
-                if node_id in labels
-            )
+            labels = self._ldoc.labels
+            tops = self._ldoc.scheme.relabel_scope(labels,
+                                                   self._parents.values())
+            if tops is None:
+                extent = len(labels)
+            else:
+                extent = sum(1 for top in tops for node in top.preorder()
+                             if node.node_id in labels) - len(tops)
         return {
             "operations": self._operations,
             "fast_path_labels": self._fast_labels,
@@ -315,31 +317,14 @@ class UpdateBatch:
             passes = 0
             relabeled_nodes = 0
             if self._pending:
-                with instrument("document.relabel", scheme=scheme_name,
-                                consolidated=True,
-                                overflow=False) as relabel:
-                    labels = ldoc.labels
-                    fresh = ldoc.scheme.relabel_below(
-                        ldoc.document, labels, self._parents.values())
-                    changed = {node_id: label
-                               for node_id, label in fresh.items()
-                               if labels.get(node_id) != label}
-                    for node_id, label in changed.items():
-                        old = labels.get(node_id)
-                        if old is not None:
-                            relabeled_nodes += 1
-                            ldoc._unindex(node_id, old)
-                        ldoc._set_label(node_id, label)
-                    maybe_fail("batch.relabel")
-                    for node_id, label in changed.items():
-                        ldoc._index(node_id, label)
-                    ldoc.log.record("relabel_events")
-                    ldoc.log.record("relabeled_nodes", relabeled_nodes)
-                    relabel.set(nodes=relabeled_nodes)
-                if relabel:
-                    get_registry().histogram(
-                        f"scheme.{scheme_name}.relabel_extent"
-                    ).observe(relabeled_nodes)
+                labels = ldoc.labels
+                fresh = ldoc.scheme.relabel_below(
+                    ldoc.document, labels, self._parents.values())
+                maybe_fail("batch.relabel")
+                relabeled_nodes = ldoc._apply_relabeling(
+                    {node_id: label for node_id, label in fresh.items()
+                     if labels.get(node_id) != label},
+                    consolidated=True, overflow=False)
                 passes = 1
                 self._pending.clear()
             for result in self._results:

@@ -356,18 +356,20 @@ class LabeledDocument:
             parent.insert_child(index, root_copy)
             combined = labeller._label_node(root_copy)
             combined.kind = "insert-subtree"
-            self._insert_children_of(labeller, fragment, root_copy, combined)
+            # The rest in preorder, each node attached and then labelled,
+            # over an explicit stack (so depth is not bounded by the
+            # recursion limit): (source node, the copy to append it to).
+            stack = [(child, root_copy) for child in reversed(fragment.children)]
+            while stack:
+                source, target = stack.pop()
+                copied = self._copy_shallow(source)
+                target.append_child(copied)
+                if copied.kind.is_labeled:
+                    _accumulate(combined, labeller._label_node(copied))
+                stack.extend((child, copied)
+                             for child in reversed(source.children))
             event.set(nodes=combined.labels_assigned)
         return combined
-
-    def _insert_children_of(self, labeller: Any, source: XMLNode,
-                            target: XMLNode, combined: UpdateResult) -> None:
-        for child in source.children:
-            child_copy = self._copy_shallow(child)
-            target.append_child(child_copy)
-            if child_copy.kind.is_labeled:
-                _accumulate(combined, labeller._label_node(child_copy))
-            self._insert_children_of(labeller, child, child_copy, combined)
 
     def _copy_shallow(self, node: XMLNode) -> XMLNode:
         return self.document.new_node(node.kind, node.name, node.value)
@@ -390,8 +392,8 @@ class LabeledDocument:
             result = UpdateResult(kind="delete", node=None,
                                   nodes_detached=len(removed_ids))
             if relabeled:
-                self._apply_relabeling(relabeled)
-                result.relabeled_nodes = len(relabeled)
+                result.relabeled_nodes = self._apply_relabeling(
+                    relabeled, overflow=False)
                 result.relabel_events = 1
             event.set(nodes=result.nodes_detached,
                       relabeled_nodes=result.relabeled_nodes)
@@ -419,8 +421,8 @@ class LabeledDocument:
             combined = UpdateResult(kind="move", node=node,
                                     nodes_detached=len(moved_ids))
             if relabeled:
-                self._apply_relabeling(relabeled)
-                combined.relabeled_nodes += len(relabeled)
+                combined.relabeled_nodes += self._apply_relabeling(
+                    relabeled, overflow=False)
                 combined.relabel_events += 1
             new_parent.insert_child(index, node)
             for child in node.preorder():
@@ -428,8 +430,8 @@ class LabeledDocument:
                     continue
                 if child.node_id in self.labels:
                     # A relabelling run by an earlier node of this
-                    # subtree labelled it already (a full relabel
-                    # covers the whole tree); it is placed, not new.
+                    # subtree labelled it already, and counted it as
+                    # assigned; it is placed, not new.
                     self._publish_insert(child)
                 else:
                     _accumulate(combined, labeller._label_node(child))
@@ -506,7 +508,7 @@ class LabeledDocument:
                 "cannot verify order while a batch has unapplied operations"
             )
         in_order = self.labels_in_document_order()
-        if len(set(self._hashable(label) for label in in_order)) != len(in_order):
+        if len(set(in_order)) != len(in_order):
             raise LabelCollisionError("duplicate labels in document")
         ordered = sorted(
             in_order, key=functools.cmp_to_key(self.scheme.compare)
@@ -554,15 +556,19 @@ class LabeledDocument:
                 self.log.record("overflow_events")
                 result.overflow_events = 1
             if outcome.relabeled:
-                self._apply_relabeling(outcome.relabeled,
-                                       overflowed=outcome.overflowed)
-                result.relabeled_nodes = len(outcome.relabeled)
+                result.relabeled_nodes = self._apply_relabeling(
+                    outcome.relabeled, overflow=outcome.overflowed)
+                # Nodes the relabel labelled first (the rest of a moved
+                # subtree) are assigned, not relabelled.
+                result.labels_assigned += (len(outcome.relabeled)
+                                           - result.relabeled_nodes)
                 result.relabel_events = 1
             self._assign(node.node_id, outcome.label)
             self._publish_insert(node)
             result.label = outcome.label
             if event:
-                event.set(nodes=1 + result.relabeled_nodes,
+                event.set(nodes=result.labels_assigned
+                          + result.relabeled_nodes,
                           relabeled_nodes=result.relabeled_nodes,
                           overflow=bool(result.overflow_events))
                 if outcome.label is not None:
@@ -600,48 +606,53 @@ class LabeledDocument:
             new_id=node.node_id,
         )
 
-    def _apply_relabeling(self, relabeled: Dict[int, Any],
-                          overflowed: bool = False) -> None:
+    def _apply_relabeling(self, relabeled: Dict[int, Any], **attrs: Any) -> int:
+        """Install one relabel, per operation or a batch's pass: every
+        label, then every index entry.  Returns how many of the nodes
+        had a label; the others (pending, or later in a moved subtree)
+        are assigned their first one.  ``attrs`` go on the event."""
         from repro.durability.faults import maybe_fail
 
         scheme_name = self.scheme.metadata.name
+        count = 0
         with instrument("document.relabel", scheme=scheme_name,
-                        nodes=len(relabeled), overflow=overflowed) as event:
-            self.log.record("relabel_events")
-            self.log.record("relabeled_nodes", len(relabeled))
+                        **attrs) as event:
             for node_id, label in relabeled.items():
                 maybe_fail("document.relabel")
                 old = self.labels.get(node_id)
                 if old is not None:
+                    count += 1
                     self._unindex(node_id, old)
                 self._set_label(node_id, label)
             for node_id, label in relabeled.items():
                 self._index(node_id, label)
+            self.log.record("relabel_events")
+            self.log.record("relabeled_nodes", count)
+            event.set(nodes=count)
         if event:
             get_registry().histogram(
                 f"scheme.{scheme_name}.relabel_extent"
-            ).observe(len(relabeled))
+            ).observe(count)
+        return count
 
     def _assign(self, node_id: int, label: Any) -> None:
-        key = self._hashable(label)
-        if self._collides(key, node_id):
+        if self._collides(label, node_id):
             self._set_label(node_id, label)  # keep state observable
             raise LabelCollisionError(
                 f"{self.scheme.metadata.name} assigned duplicate label "
                 f"{self.scheme.format_label(label)!r} to nodes "
-                f"{self._label_index[key]} and {node_id}"
+                f"{self._label_index[label]} and {node_id}"
             )
         self._set_label(node_id, label)
-        self._set_index(key, node_id)
+        self._set_index(label, node_id)
 
     def _index(self, node_id: int, label: Any) -> None:
-        key = self._hashable(label)
-        if self._collides(key, node_id):
+        if self._collides(label, node_id):
             raise LabelCollisionError(
                 f"{self.scheme.metadata.name} relabelled node {node_id} "
                 f"onto an existing label"
             )
-        self._set_index(key, node_id)
+        self._set_index(label, node_id)
 
     def _collides(self, key: Any, node_id: int) -> bool:
         """Count a collision if ``key`` indexes another node; True if fatal."""
@@ -655,17 +666,7 @@ class LabeledDocument:
         # The constructors' index build: no undo scope is open yet.
         self._label_index = {}
         for node_id, label in self.labels.items():
-            key = self._hashable(label)
-            if self._collides(key, node_id):
-                raise LabelCollisionError(
-                    f"{self.scheme.metadata.name} relabelled node {node_id} "
-                    f"onto an existing label"
-                )
-            self._label_index[key] = node_id
-
-    @staticmethod
-    def _hashable(label: Any) -> Any:
-        return label
+            self._index(node_id, label)
 
     # ------------------------------------------------------------------
     # Label writes (each logs its inverse while an undo scope is open)
@@ -687,11 +688,10 @@ class LabeledDocument:
 
     def _unindex(self, node_id: int, label: Any) -> None:
         """Drop ``label``'s index entry if it still names ``node_id``."""
-        key = self._hashable(label)
-        if self._label_index.get(key) == node_id:
+        if self._label_index.get(label) == node_id:
             if self._undo_log is not None:
-                self._undo_log.append(("index", key, node_id))
-            del self._label_index[key]
+                self._undo_log.append(("index", label, node_id))
+            del self._label_index[label]
 
     def _drop_labels(self, node_ids: List[int]) -> None:
         """Unlabel detached nodes: their labels and index entries go."""

@@ -1,15 +1,17 @@
-"""The batch's consolidated pass relabels only below the parents it changed.
+"""Every relabel covers only the subtrees below the parents it changed.
 
 ``UpdateBatch.apply`` asks the scheme's ``relabel_below`` for the
-subtrees under the topmost parents the batch changed.  The oracle is the
-whole-document pass it replaced, ``scheme.label_tree(document)``: from a
-freshly labelled document every batch that runs a pass must end on
-exactly those labels, with the same ``relabeled_nodes``.  From a
-document that per-operation updates left with gaps, the pass must keep
-every label outside the changed subtrees and relabel inside them by
-``label_tree``'s rule from each parent's current label; here the oracle
-is a parent set recorded from the calls the test issues and a
-relabelling written out in the test.
+subtrees under the topmost parents the batch changed, and a
+per-operation insert that a prefix scheme cannot place (Cohen's missing
+codes, a DLN overflow) asks it for the subtree below the new node's
+parent.  The oracle is the whole-document pass it replaced,
+``scheme.label_tree(document)``: from a freshly labelled document every
+batch that runs a pass must end on exactly those labels, with the same
+``relabeled_nodes``.  From a document that per-operation updates left
+with gaps, the pass must keep every label outside the changed subtrees
+and relabel inside them by ``label_tree``'s rule from each parent's
+current label; here the oracle is a parent set recorded from the calls
+the test issues and a relabelling written out in the test.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import random
 import pytest
 
 from conftest import all_scheme_names, labeled
+from repro.core.probes import TIGHT_STORAGE
 from repro.durability.faults import InjectedFault, get_injector
 from repro.observability.explain import explain_batch
 from repro.schemes.registry import make_scheme
@@ -336,10 +339,71 @@ def grafted(scale):
     return ldoc, graft
 
 
-def test_the_pass_labels_as_many_nodes_at_every_scale(monkeypatch):
+def first_item(scheme_name, scale, **config):
+    """XMark labelled by ``scheme_name``, and its first ``item``, whose
+    subtree is the same at every scale."""
+    ldoc = LabeledDocument(xmark_document(scale=scale, seed=12),
+                           make_scheme(scheme_name, **config))
+    return ldoc, next(node for node in ldoc.document.labeled_nodes()
+                      if node.name == "item")
+
+
+def dewey_batch_under_a_graft(scale):
+    ldoc, graft = grafted(scale)
+
+    def update():
+        with ldoc.batch() as batch:
+            batch.insert_before(graft.element_children()[0], "n")
+        assert ldoc.last_batch_result.relabel_passes == 1
+
+    return ldoc, graft, update
+
+
+def cohen_insert_before_a_first_child(scale):
+    ldoc, item = first_item("cohen", scale)
+
+    def update():
+        result = ldoc.updates.insert_before(item.element_children()[0], "n")
+        assert (result.relabel_events, result.relabeled_nodes) == (1, 6)
+
+    return ldoc, item, update
+
+
+def dln_overflow(scale):
+    ldoc, item = first_item("dln", scale, **TIGHT_STORAGE["dln"])
+    node = item.element_children()[0]
+    for _ in range(3):  # each one a sub-level deeper, up to the limit
+        node = ldoc.updates.insert_after(node, "n").node
+
+    def update():
+        result = ldoc.updates.insert_after(node, "n")
+        assert (result.overflow_events, result.relabel_events) == (1, 1)
+
+    return ldoc, item, update
+
+
+#: An update that relabels below one parent, set up at a given scale,
+#: and the size of the map ``relabel_below`` returns for it: that
+#: parent's labelled descendants, the new node included (under the
+#: graft: the new node, first, second and leaf).
+RELABELS = {
+    "dewey-batch": (dewey_batch_under_a_graft, 4),
+    "cohen-per-operation": (cohen_insert_before_a_first_child, 8),
+    "dln-overflow-per-operation": (dln_overflow, 11),
+}
+
+
+def assert_subtree_sized(monkeypatch, name):
+    """Run ``RELABELS[name]`` at every scale: one ``relabel_below`` map
+    of the same size each time, and ``label_tree`` never.
+
+    The labels end as ``label_tree`` gives them: relabelled below the
+    parent by its rule, untouched outside.
+    """
+    setup, size = RELABELS[name]
     sizes = {}
     for scale in SCALES:
-        ldoc, graft = grafted(scale)
+        ldoc, parent, update = setup(scale)
         scheme = ldoc.scheme
         relabel_below, label_tree = scheme.relabel_below, scheme.label_tree
         returned, whole = [], []
@@ -355,14 +419,25 @@ def test_the_pass_labels_as_many_nodes_at_every_scale(monkeypatch):
 
         monkeypatch.setattr(scheme, "relabel_below", counted_pass)
         monkeypatch.setattr(scheme, "label_tree", counted_label_tree)
-        with ldoc.batch() as batch:
-            batch.insert_before(graft.element_children()[0], "n")
-        assert ldoc.last_batch_result.relabel_passes == 1
+        before = dict(ldoc.labels)
+        update()
         assert whole == []
         sizes[scale] = returned
+        assert ldoc.labels == expected_labels(
+            ldoc, before, {parent.node_id: parent})
         assert ldoc.labels == label_tree(ldoc.document)
-    # The new node, first, second and leaf: the graft's subtree alone.
-    assert sizes == {scale: [4] for scale in SCALES}
+        assert_index_matches(ldoc)
+    assert sizes == {scale: [size] for scale in SCALES}
+
+
+def test_the_pass_labels_as_many_nodes_at_every_scale(monkeypatch):
+    assert_subtree_sized(monkeypatch, "dewey-batch")
+
+
+@pytest.mark.parametrize("name", ["cohen-per-operation",
+                                  "dln-overflow-per-operation"])
+def test_a_per_operation_relabel_is_subtree_sized(monkeypatch, name):
+    assert_subtree_sized(monkeypatch, name)
 
 
 def test_explain_predicts_a_flat_extent():
@@ -390,3 +465,44 @@ def test_explain_predicts_no_pass_once_the_pending_node_is_deleted():
     assert plan.deferred_labels == 1
     assert plan.predicted_relabel_passes == plan.actual_relabel_passes == 0
     assert plan.predicted_relabel_extent == 0
+
+
+def test_explain_counts_a_whole_document_pass_without_running_it(
+        monkeypatch):
+    ldoc = LabeledDocument(xmark_document(scale=1, seed=12),
+                           make_scheme("prepost"))
+    whole = []
+    label_tree = ldoc.scheme.label_tree
+    monkeypatch.setattr(ldoc.scheme, "label_tree",
+                        lambda document: whole.append(document)
+                        or label_tree(document))
+    with ldoc.batch() as batch:
+        batch.append_child(ldoc.document.root, "n")
+        plan = explain_batch(batch)
+        assert whole == []
+    assert plan.predicted_relabel_extent == len(ldoc.labels) - 1
+    assert len(whole) == 1  # the pass itself
+
+
+@pytest.mark.parametrize("scheme_name", all_scheme_names())
+def test_explain_extent_counts_the_labelled_nodes_the_pass_covers(
+        scheme_name):
+    """The extent is what it was when EXPLAIN ran the pass to count it:
+    the already-labelled nodes among the keys ``relabel_below`` returns
+    for the parents the batch changed."""
+    passes = 0
+    for seed in SEEDS[:20]:
+        ldoc = labeled(parse(DOCUMENT_XML), scheme_name)
+        recorder = ParentRecorder(ldoc.batch())
+        run_program(ldoc, recorder, random_steps(seed))
+        batch, labels = recorder.batch, ldoc.labels
+        covered = 0
+        if batch.pending:
+            passes += 1
+            covered = sum(1 for node_id in ldoc.scheme.relabel_below(
+                ldoc.document, labels, list(recorder.parents.values()))
+                if node_id in labels)
+        assert explain_batch(batch).predicted_relabel_extent == covered, seed
+        batch.apply()
+    if scheme_name in DEFERRING_SCHEMES:
+        assert passes

@@ -75,6 +75,24 @@ class TestMoveSemantics:
             assert ldoc.labels[node_id] == label
         assert ldoc.log.relabeled_nodes == 0
 
+    @pytest.mark.parametrize("name,assigned,relabeled",
+                             [("prepost", 2, 4), ("cohen", 2, 2)])
+    def test_nodes_a_relabel_labels_first_count_as_assigned(
+            self, name, assigned, relabeled):
+        # Moving c, with its child d, before a's first child relabels
+        # (PrePost the whole plane, Cohen below a), and that relabel
+        # gives d its first label before d's turn.  As in a batch's
+        # pass, a node that had no label counts as assigned, not
+        # relabelled: the total is what it was, 1 + 5 and 1 + 3.
+        ldoc = labeled(parse("<r><a><x/><y/></a><b><c><d/></c></b></r>"),
+                       name)
+        a, b = ldoc.document.root.element_children()
+        result = ldoc.updates.move(b.element_children()[0], a, 0)
+        assert (result.labels_assigned, result.relabeled_nodes) == (
+            assigned, relabeled)
+        assert ldoc.log.relabeled_nodes == relabeled
+        ldoc.verify_order()
+
     def test_moved_nodes_get_new_labels(self):
         ldoc = labeled(sample_document(), "qed")
         editor = find(ldoc, "editor")
